@@ -53,13 +53,16 @@ bench-json:
 	  && $(GO) test -run '^$$' -bench 'Batch10kNets' -benchmem -timeout 30m ./internal/batch ) \
 		| $(GO) run ./cmd/benchjson -label after -merge -o BENCH_8.json
 
-# Incremental-engine speedup floor (ISSUE 8 acceptance): on a 100k-node
-# chain, a single SetC plus re-bounding the perturbed sink must beat a
-# full analysis by >= 10x. Takes ~1-2 min: the full side of the
-# comparison is O(n^2) on a pure chain (per-node PRH T_R walks) and is
-# measured once.
+# Timing floors on pure chains, the deepest topology. Incremental-engine
+# speedup (ISSUE 8 acceptance): on a 100k-node chain, a single SetC plus
+# re-bounding the perturbed sink must beat a full analysis by >= 10x.
+# Chain scaling: a full analysis at n=100k must take < 30x its n=10k
+# time (linear reads ~10x). Both sides are linear, so the lane takes
+# seconds. Each test runs in its own process, so neither times the
+# other's heap.
 bench-incremental:
-	ELMORE_BENCH_SMOKE=1 $(GO) test -run TestIncrementalSpeedupSmoke -v -count=1 -timeout 600s .
+	ELMORE_BENCH_SMOKE=1 $(GO) test -run '^TestIncrementalSpeedupSmoke$$' -v -count=1 -timeout 600s .
+	ELMORE_BENCH_SMOKE=1 $(GO) test -run '^TestAnalyzeChainLinearSmoke$$' -v -count=1 -timeout 600s .
 
 # One iteration of every benchmark: exercises the bench code paths in
 # CI without measuring anything.

@@ -145,6 +145,24 @@ func BenchmarkAnalyzeBounds(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyzeChain runs the full bounds pipeline on pure chains,
+// where depth equals n: a linear pipeline costs ~10x more at n=100k
+// than at n=10k, a per-node root walk ~100x. TestAnalyzeChainLinearSmoke
+// asserts the ratio.
+func BenchmarkAnalyzeChain(b *testing.B) {
+	for _, n := range []int{10000, 100000} {
+		tree := topo.Chain(n, 1, 1e-15)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := elmore.Analyze(tree); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkMomentsOrder6(b *testing.B) {
 	for _, n := range benchSizes() {
 		tree := topo.Random(42, topo.RandomOptions{N: n})

@@ -115,7 +115,7 @@ func analyze(ctx context.Context, t *rctree.Tree, ms *moments.Set) (*Analysis, e
 	// A batch worker's context carries its grow-only scratch arena: the
 	// transient sweep buffers of the moment kernels come from it, so a
 	// worker evaluating thousands of nets reuses one buffer instead of
-	// allocating 2n floats twice per job.
+	// allocating 2n and 3n floats per job.
 	ar := moments.ArenaFrom(ctx)
 	if ms == nil {
 		var err error
@@ -150,8 +150,9 @@ func analyze(ctx context.Context, t *rctree.Tree, ms *moments.Set) (*Analysis, e
 			SinglePole: math.Ln2 * td,
 			RiseTime:   RiseTimeScale * sigma,
 		}
-		b.PRHTmin = PRHTmin(prh.TP, td, prh.TR(i), 0.5)
-		b.PRHTmax = PRHTmax(prh.TP, td, prh.TR(i), 0.5)
+		tr := prh.TR(i)
+		b.PRHTmin = PRHTmin(prh.TP, td, tr, 0.5)
+		b.PRHTmax = PRHTmax(prh.TP, td, tr, 0.5)
 		a.Bounds[i] = b
 		if err := checkBounds(treeLabel, &b); err != nil {
 			return nil, err

@@ -80,8 +80,9 @@ func (a *Analysis) Reanalyze(inc *moments.Incremental, sinks []int) error {
 			SinglePole: math.Ln2 * td,
 			RiseTime:   RiseTimeScale * sigma,
 		}
-		b.PRHTmin = PRHTmin(a.TP, td, inc.TR(i), 0.5)
-		b.PRHTmax = PRHTmax(a.TP, td, inc.TR(i), 0.5)
+		tr := inc.TR(i) // O(depth): evaluate once per sink
+		b.PRHTmin = PRHTmin(a.TP, td, tr, 0.5)
+		b.PRHTmax = PRHTmax(a.TP, td, tr, 0.5)
 		a.Bounds[i] = b
 		if err := checkBounds(treeLabel, &b); err != nil {
 			return err

@@ -126,6 +126,22 @@ func TestPRHTermsOracles(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
 	}
+	// Log-uniform trees whose R and C each span seven decades: the
+	// regime where a difference-of-subtree-sums T_R loses digits. The
+	// one-sweep recurrence adds only nonnegative terms, so it must stay
+	// within 1e-12 of the definition.
+	for seed := int64(1); seed <= 40; seed++ {
+		tree := topo.Random(seed, topo.RandomOptions{
+			N: 20 + int(seed)*5, RMin: 1e-2, RMax: 1e5, CMin: 1e-18, CMax: 1e-11,
+			Chaininess: 0.2 + 0.015*float64(seed),
+		})
+		p := ComputePRH(tree)
+		for i := 0; i < tree.N(); i++ {
+			if got, want := p.TR(i), TRDirect(tree, i); !approx(got, want, 1e-12) {
+				t.Fatalf("seed %d node %d: TR %v, TRDirect %v (rel err %.2g)", seed, i, got, want, math.Abs(got-want)/want)
+			}
+		}
+	}
 }
 
 // PRH invariants used by the bound formulas: T_R(i) <= T_D(i) <= T_P,

@@ -3,6 +3,7 @@ package moments
 import (
 	"testing"
 
+	"elmore/internal/rctree"
 	"elmore/internal/topo"
 )
 
@@ -55,21 +56,36 @@ func TestElmoreDelaysAllocBudget(t *testing.T) {
 }
 
 // The fused ComputePRH must produce bit-identical terms to computing
-// each ingredient with its standalone public API: the sweeps are the
-// same gather-form kernels in the same order, so there is no legitimate
-// source of divergence — not even in the last ulp.
+// each ingredient on its own: T_D against ElmoreDelays, and R_ii and
+// T_R against the prhInto recurrences evaluated in tree pre-order over
+// the standalone Tree.DownstreamC. The expressions are the same per
+// node, so there is no legitimate source of divergence — not even in
+// the last ulp.
 func TestComputePRHBitIdenticalToStandalone(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		tree := topo.Random(seed, topo.RandomOptions{N: 500})
 		p := ComputePRH(tree)
 		td := ElmoreDelays(tree)
 		down := tree.DownstreamC()
+		rkk := make([]float64, tree.N())
+		s := make([]float64, tree.N())
+		for _, i := range tree.PreOrder() {
+			var rp, sp float64
+			if par := tree.Parent(i); par != rctree.Source {
+				rp, sp = rkk[par], s[par]
+			}
+			rkk[i] = tree.R(i) + rp
+			s[i] = sp + tree.R(i)*(rkk[i]+rp)*down[i]
+		}
 		for i := 0; i < tree.N(); i++ {
 			if p.TD[i] != td[i] {
 				t.Fatalf("seed %d node %d: fused TD %v != ElmoreDelays %v", seed, i, p.TD[i], td[i])
 			}
-			if p.down[i] != down[i] {
-				t.Fatalf("seed %d node %d: fused down %v != DownstreamC %v", seed, i, p.down[i], down[i])
+			if p.PathResistance(i) != rkk[i] {
+				t.Fatalf("seed %d node %d: fused R_ii %v != pre-order sweep %v", seed, i, p.PathResistance(i), rkk[i])
+			}
+			if want := s[i] / rkk[i]; p.TR(i) != want {
+				t.Fatalf("seed %d node %d: fused T_R %v != pre-order sweep %v", seed, i, p.TR(i), want)
 			}
 		}
 	}

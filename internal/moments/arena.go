@@ -4,8 +4,8 @@ import "context"
 
 // Arena is a grow-only scratch allocator for the transient sweep
 // buffers of the moment kernels. The compute paths in this package
-// allocate short-lived scratch sized to the tree (2n floats per call)
-// that dies with the call; a batch worker evaluating thousands of nets
+// allocate short-lived scratch sized to the tree (2n or 3n floats per
+// call) that dies with the call; a batch worker evaluating thousands of nets
 // pays that allocation — and the GC pressure behind it — once per job.
 // An Arena amortizes it: the buffer grows to the largest net seen and
 // is reused for every later call.

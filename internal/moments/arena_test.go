@@ -66,10 +66,13 @@ func TestComputePRHWithArenaBitIdentical(t *testing.T) {
 		want := ComputePRH(tree)
 		got := ComputePRHWith(tree, ar)
 		for i := 0; i < tree.N(); i++ {
-			if got.TD[i] != want.TD[i] || got.rkk[i] != want.rkk[i] || got.down[i] != want.down[i] {
-				t.Fatalf("N=%d node %d: arena (TD=%v rkk=%v down=%v) != alloc (TD=%v rkk=%v down=%v)",
-					n, i, got.TD[i], got.rkk[i], got.down[i], want.TD[i], want.rkk[i], want.down[i])
+			if got.TD[i] != want.TD[i] || got.rkk[i] != want.rkk[i] || got.tr[i] != want.tr[i] {
+				t.Fatalf("N=%d node %d: arena (TD=%v rkk=%v tr=%v) != alloc (TD=%v rkk=%v tr=%v)",
+					n, i, got.TD[i], got.rkk[i], got.tr[i], want.TD[i], want.rkk[i], want.tr[i])
 			}
+		}
+		if got.TP != want.TP {
+			t.Fatalf("N=%d: arena TP %v != alloc TP %v", n, got.TP, want.TP)
 		}
 	}
 }

@@ -76,10 +76,16 @@ type Incremental struct {
 	tp     float64
 	level  []int32 // depth level of each compiled index
 
+	// comp is the compiled index of each node's root (the root of its
+	// component); compSize[root] counts the component's nodes. Together
+	// they size a whole-component flush from the dirty nodes alone.
+	comp, compSize []int32
+
 	// Dirty bookkeeping. dirtyBits holds four bits per node: C/R dirt
 	// pending the order-1 flush (bits 0-1) and pending the order-3
-	// flush (bits 2-3). The lists hold each node at most once per
-	// stage.
+	// flush (bits 2-3); bits 4 and 5 are flush-local marks (collected
+	// ancestor or frontier node; component already counted). The lists
+	// hold each node at most once per stage.
 	dirtyBits        []uint8
 	dirtyC1, dirtyR1 []int32
 	dirtyC3, dirtyR3 []int32
@@ -91,13 +97,16 @@ type Incremental struct {
 	undo []valueEdit
 
 	// movedLo/movedHi accumulate, per level, the hull of nodes whose
-	// moments moved since the last DrainMoved, for Reanalyze(nil).
+	// moments moved since the last DrainMoved, for Reanalyze(nil);
+	// movedAll marks a full-sweep flush, which moved everything.
 	movedLo, movedHi []int32
+	movedAll         bool
 
 	// spanLo/spanHi and ancBuf are flush scratch.
 	spanLo, spanHi   []int32
 	wspanLo, wspanHi []int32
 	ancBuf           []int32
+	pathBuf          []int32 // TR scratch: a sink's root path
 
 	// CrossoverFraction tunes the region-sweep → full-sweep fallback:
 	// a flush whose planned touched-node count exceeds this fraction of
@@ -161,6 +170,8 @@ func NewIncremental(t *rctree.Tree) (*Incremental, error) {
 		rkk:  back[8*n : 9*n : 9*n],
 
 		level:             make([]int32, n),
+		comp:              make([]int32, n),
+		compSize:          make([]int32, cp.LevelStart[1]),
 		dirtyBits:         make([]uint8, n),
 		CrossoverFraction: DefaultCrossoverFraction,
 	}
@@ -172,6 +183,14 @@ func NewIncremental(t *rctree.Tree) (*Incremental, error) {
 			inc.level[i] = int32(l)
 		}
 	}
+	for i := int32(0); i < int32(n); i++ {
+		root := i
+		if p := cp.Parent[i]; p != rctree.Source {
+			root = inc.comp[p]
+		}
+		inc.comp[i] = root
+		inc.compSize[root]++
+	}
 	spans := make([]int32, 6*L)
 	inc.spanLo = spans[0*L : 1*L : 1*L]
 	inc.spanHi = spans[1*L : 2*L : 2*L]
@@ -180,7 +199,9 @@ func NewIncremental(t *rctree.Tree) (*Incremental, error) {
 	inc.movedLo = spans[4*L : 5*L : 5*L]
 	inc.movedHi = spans[5*L : 6*L : 6*L]
 	inc.clearMoved()
-	inc.fullSweeps(true, true)
+	inc.fullSweeps1(true)
+	inc.fullSweeps3()
+	inc.recomputeTP()
 	inc.stage1Clean, inc.stage3Clean = true, true
 	telemetry.C("incremental.binds").Inc()
 	return inc, nil
@@ -433,21 +454,26 @@ func (inc *Incremental) TP() float64 {
 	return inc.tp
 }
 
-// TR returns T_R(i) = sum_k R_ki^2 C_k / R_ii — the same walk as
-// PRHTerms.TR over the engine's arrays, so the bits match.
+// TR returns T_R(i) = sum_k R_ki^2 C_k / R_ii. It evaluates the
+// prhInto recurrence S(j) = S(p) + r_j (R_jj + R_pp) Cdown(j) down the
+// root path of i over the engine's arrays — O(depth(i)) per call, the
+// same expressions in the same order, so the bits match PRHTerms.TR.
 func (inc *Incremental) TR(i int) float64 {
 	inc.flush1()
-	t := inc.tree
-	from := inc.cp.FromUser
-	var sum float64
-	prevDown := 0.0
-	for j := i; j != rctree.Source; j = t.Parent(j) {
-		cj := from[j]
-		attachedC := inc.w1[cj] - prevDown
-		sum += inc.rkk[cj] * inc.rkk[cj] * attachedC
-		prevDown = inc.w1[cj]
+	par := inc.cp.Parent
+	path := inc.pathBuf[:0]
+	for j := inc.cp.FromUser[i]; j != rctree.Source; j = int32(par[j]) {
+		path = append(path, j)
 	}
-	return sum / inc.rkk[from[i]]
+	inc.pathBuf = path[:0]
+	var rp, sp float64
+	for k := len(path) - 1; k >= 0; k-- {
+		j := path[k]
+		rjj := inc.rkk[j]
+		sp += inc.r[j] * (rjj + rp) * inc.w1[j]
+		rp = rjj
+	}
+	return sp / rp
 }
 
 // DrainMoved appends to dst the tree indices of every node whose
@@ -457,7 +483,12 @@ func (inc *Incremental) TR(i int) float64 {
 // core.Analysis.Reanalyze's "re-bound what moved" mode.
 func (inc *Incremental) DrainMoved(dst []int) []int {
 	inc.flush3()
-	for l := 0; l < len(inc.movedLo); l++ {
+	if inc.movedAll {
+		for _, u := range inc.cp.ToUser {
+			dst = append(dst, int(u))
+		}
+	}
+	for l := 0; l < len(inc.movedLo) && !inc.movedAll; l++ {
 		for ci := inc.movedLo[l]; ci < inc.movedHi[l]; ci++ {
 			dst = append(dst, int(inc.cp.ToUser[ci]))
 		}
@@ -467,6 +498,7 @@ func (inc *Incremental) DrainMoved(dst []int) []int {
 }
 
 func (inc *Incremental) clearMoved() {
+	inc.movedAll = false
 	for l := range inc.movedLo {
 		inc.movedLo[l] = int32(inc.n)
 		inc.movedHi[l] = 0
@@ -483,16 +515,91 @@ func (inc *Incremental) clearMoved() {
 // for ΔC dirt it is the affected root components (m1 at the component
 // root depends on the total subtree capacitance, so the whole
 // component moves). ΔR dirt re-sweeps rkk over the perturbed subtrees
-// only.
+// only; rkk does not depend on C, so ΔC-only dirt never touches it.
 func (inc *Incremental) flush1() {
 	if inc.stage1Clean {
 		return
 	}
-	cp := inc.cp
 	n := inc.n
 	inc.stats.Flushes++
 	telemetry.C("incremental.flushes").Inc()
 
+	hasR := len(inc.dirtyR1) > 0
+	full := 2 * n
+	if hasR {
+		full = 3 * n
+	}
+	limit := inc.CrossoverFraction * float64(full)
+	// Whole-component fallback, decided from the dirty nodes alone: the
+	// m1 region covers every component holding C dirt, and the w1
+	// fix-up at least the deepest C-dirty node's root path. When that
+	// lower bound already crosses over, skip the planning walks.
+	lo := inc.compWork(inc.dirtyC1, 1, 0)
+	inc.clearCompMarks(inc.dirtyC1)
+	if lo += inc.deepestPath(inc.dirtyC1); float64(lo) > limit {
+		inc.fallback1(full, hasR)
+	} else {
+		inc.region1(full, limit)
+	}
+
+	for _, k := range inc.dirtyC1 {
+		inc.dirtyBits[k] &^= 1
+	}
+	for _, k := range inc.dirtyR1 {
+		inc.dirtyBits[k] &^= 2
+	}
+	inc.dirtyC1 = inc.dirtyC1[:0]
+	inc.dirtyR1 = inc.dirtyR1[:0]
+	inc.stage1Clean = true
+}
+
+// compWork returns weight times the summed size of the distinct root
+// components holding the nodes of dirty, skipping components already
+// marked by an earlier call: each component counted is marked with bit
+// 5 until clearCompMarks. It is O(len(dirty)).
+func (inc *Incremental) compWork(dirty []int32, weight, acc int) int {
+	for _, k := range dirty {
+		root := inc.comp[k]
+		if inc.dirtyBits[root]&32 == 0 {
+			inc.dirtyBits[root] |= 32
+			acc += weight * int(inc.compSize[root])
+		}
+	}
+	return acc
+}
+
+// clearCompMarks clears the component marks compWork set for dirty.
+func (inc *Incremental) clearCompMarks(dirty []int32) {
+	for _, k := range dirty {
+		inc.dirtyBits[inc.comp[k]] &^= 32
+	}
+}
+
+// deepestPath returns the longest root path (in nodes) among dirty.
+func (inc *Incremental) deepestPath(dirty []int32) int {
+	d := 0
+	for _, k := range dirty {
+		if l := int(inc.level[k]) + 1; l > d {
+			d = l
+		}
+	}
+	return d
+}
+
+// fallback1 re-cleans the order-1 state with the plain full kernels.
+func (inc *Incremental) fallback1(full int, withRkk bool) {
+	inc.stats.FullFallbacks++
+	telemetry.C("incremental.full_fallbacks").Inc()
+	inc.fullSweeps1(withRkk)
+	inc.stats.NodesTouched += int64(full)
+	telemetry.C("incremental.nodes_touched").Add(int64(full))
+}
+
+// region1 plans the order-1 regions with span walks and sweeps them,
+// or falls back to the full kernels when the planned work crosses
+// limit.
+func (inc *Incremental) region1(full int, limit float64) {
+	cp := inc.cp
 	// Plan the regions. Ancestor closure of C-dirty nodes:
 	anc := inc.ancBuf[:0]
 	for _, k := range inc.dirtyC1 {
@@ -528,16 +635,8 @@ func (inc *Incremental) flush1() {
 	}
 
 	planned := len(anc) + m1Touched + rkkTouched
-	full := 2 * n
-	if len(inc.dirtyR1) > 0 {
-		full = 3 * n
-	}
-	if float64(planned) > inc.CrossoverFraction*float64(full) {
-		inc.stats.FullFallbacks++
-		telemetry.C("incremental.full_fallbacks").Inc()
-		inc.fullSweeps(true, false)
-		inc.stats.NodesTouched += int64(full)
-		telemetry.C("incremental.nodes_touched").Add(int64(full))
+	if float64(planned) > limit {
+		inc.fallback1(full, len(inc.dirtyR1) > 0)
 	} else {
 		// w1 fix-up: ancestors of C dirt, children before parents.
 		// Walk order already has children before their own ancestors,
@@ -573,20 +672,10 @@ func (inc *Incremental) flush1() {
 		inc.stats.NodesTouched += int64(planned)
 		telemetry.C("incremental.nodes_touched").Add(int64(planned))
 	}
-
 	for _, j := range anc {
 		inc.dirtyBits[j] &^= 16
 	}
-	for _, k := range inc.dirtyC1 {
-		inc.dirtyBits[k] &^= 1
-	}
-	for _, k := range inc.dirtyR1 {
-		inc.dirtyBits[k] &^= 2
-	}
 	inc.ancBuf = anc[:0]
-	inc.dirtyC1 = inc.dirtyC1[:0]
-	inc.dirtyR1 = inc.dirtyR1[:0]
-	inc.stage1Clean = true
 }
 
 // flush3 re-cleans orders 2-3 and T_P, after ensuring order 1 is
@@ -599,33 +688,68 @@ func (inc *Incremental) flush3() {
 	if inc.stage3Clean {
 		return
 	}
-	cp := inc.cp
-	n := inc.n
-	cs, par := cp.ChildStart, cp.Parent
 	inc.stats.Flushes++
 	telemetry.C("incremental.flushes").Inc()
+
+	// Whole-component fallback, decided from the dirty nodes alone:
+	// m2, w3 and m3 cover every dirty node's component, and w2 covers
+	// the components holding C dirt (m1 moved across all of them).
+	limit := inc.CrossoverFraction * float64(4*inc.n)
+	lo := inc.compWork(inc.dirtyR3, 3, inc.compWork(inc.dirtyC3, 4, 0))
+	inc.clearCompMarks(inc.dirtyC3)
+	inc.clearCompMarks(inc.dirtyR3)
+	if float64(lo) > limit {
+		inc.fallback3()
+	} else {
+		inc.region3(limit)
+	}
+
+	// T_P: same reduction order as ComputePRH (compiled order over the
+	// current values), re-run whenever anything moved.
+	inc.recomputeTP()
+
+	for _, k := range inc.dirtyC3 {
+		inc.dirtyBits[k] &^= 4
+	}
+	for _, k := range inc.dirtyR3 {
+		inc.dirtyBits[k] &^= 8
+	}
+	inc.dirtyC3 = inc.dirtyC3[:0]
+	inc.dirtyR3 = inc.dirtyR3[:0]
+	inc.stage3Clean = true
+}
+
+// fallback3 re-cleans orders 2-3 with the plain full kernels; the
+// moved set becomes everything.
+func (inc *Incremental) fallback3() {
+	inc.stats.FullFallbacks++
+	telemetry.C("incremental.full_fallbacks").Inc()
+	inc.fullSweeps3()
+	inc.stats.NodesTouched += int64(4 * inc.n)
+	telemetry.C("incremental.nodes_touched").Add(int64(4 * inc.n))
+	inc.movedAll = true
+}
+
+// region3 plans the order-2/3 regions with span walks and sweeps them,
+// or falls back to the full kernels when the planned work crosses
+// limit.
+func (inc *Incremental) region3(limit float64) {
+	cp := inc.cp
+	cs, par := cp.ChildStart, cp.Parent
 
 	// m1-moved region since the last stage-3 flush: subtrees of R-dirty
 	// nodes, full components of C-dirty nodes. Its ancestor closure
 	// (the w2 region) adds the frontier nodes' root paths.
 	inc.resetSpans(inc.spanLo, inc.spanHi)
-	anc := inc.ancBuf[:0]
-	frontier := anc // reuse backing for the frontier list
-	nf := 0
+	frontier := inc.ancBuf[:0]
 	mark := func(j int32) {
 		if inc.dirtyBits[j]&16 == 0 {
 			inc.dirtyBits[j] |= 16
 			frontier = append(frontier, j)
-			nf++
 		}
 	}
 	for _, k := range inc.dirtyC3 {
-		// Component root of k.
-		j := k
-		for par[j] != rctree.Source {
-			j = int32(par[j])
-		}
-		mark(j)
+		mark(inc.comp[k])
 	}
 	for _, k := range inc.dirtyR3 {
 		mark(k)
@@ -633,16 +757,14 @@ func (inc *Incremental) flush3() {
 	for _, f := range frontier {
 		inc.extendSpan(inc.spanLo, inc.spanHi, f)
 	}
-	m1Moved := inc.propagateSpansDown(inc.spanLo, inc.spanHi)
+	inc.propagateSpansDown(inc.spanLo, inc.spanHi)
 
 	// w2 region = m1-moved spans ∪ root paths of the frontier.
 	copy(inc.wspanLo, inc.spanLo)
 	copy(inc.wspanHi, inc.spanHi)
-	pathNodes := 0
 	for _, f := range frontier {
 		for j := int32(par[f]); j != rctree.Source; j = int32(par[j]) {
 			inc.extendSpan(inc.wspanLo, inc.wspanHi, j)
-			pathNodes++
 		}
 	}
 	w2Touched := inc.spanSize(inc.wspanLo, inc.wspanHi)
@@ -652,26 +774,13 @@ func (inc *Incremental) flush3() {
 	// a dirty root moves.
 	inc.resetSpans(inc.spanLo, inc.spanHi)
 	for _, f := range frontier {
-		j := f
-		for par[j] != rctree.Source {
-			j = int32(par[j])
-		}
-		inc.extendSpan(inc.spanLo, inc.spanHi, j)
+		inc.extendSpan(inc.spanLo, inc.spanHi, inc.comp[f])
 	}
 	compTouched := inc.propagateSpansDown(inc.spanLo, inc.spanHi)
 
 	planned := w2Touched + 3*compTouched
-	if float64(planned) > inc.CrossoverFraction*float64(4*n) {
-		inc.stats.FullFallbacks++
-		telemetry.C("incremental.full_fallbacks").Inc()
-		inc.fullSweeps(false, true)
-		inc.stats.NodesTouched += int64(4 * n)
-		telemetry.C("incremental.nodes_touched").Add(int64(4 * n))
-		// The moved hull is everything.
-		for l := 0; l < cp.Levels(); l++ {
-			inc.movedLo[l] = cp.LevelStart[l]
-			inc.movedHi[l] = cp.LevelStart[l+1]
-		}
+	if float64(planned) > limit {
+		inc.fallback3()
 	} else {
 		inc.sweepUp(inc.wspanLo, inc.wspanHi, func(i int32) {
 			d := inc.c[i] * inc.m1[i]
@@ -714,100 +823,77 @@ func (inc *Incremental) flush3() {
 			}
 		}
 	}
-	_ = m1Moved
-	_ = pathNodes
-
-	// T_P: same reduction order as ComputePRH (tree pre-order over the
-	// current values), re-run whenever anything moved.
-	inc.recomputeTP()
-
 	for _, f := range frontier {
 		inc.dirtyBits[f] &^= 16
 	}
-	for _, k := range inc.dirtyC3 {
-		inc.dirtyBits[k] &^= 4
-	}
-	for _, k := range inc.dirtyR3 {
-		inc.dirtyBits[k] &^= 8
-	}
 	inc.ancBuf = frontier[:0]
-	inc.dirtyC3 = inc.dirtyC3[:0]
-	inc.dirtyR3 = inc.dirtyR3[:0]
-	inc.stage3Clean = true
 }
 
+// recomputeTP sums T_P = sum_k R_kk C_k in compiled order, the
+// reduction order of ComputePRH.
 func (inc *Incremental) recomputeTP() {
-	from := inc.cp.FromUser
 	var tp float64
-	for _, u := range inc.tree.PreOrder() {
-		ci := from[u]
-		tp += inc.rkk[ci] * inc.c[ci]
+	for ci, rkk := range inc.rkk {
+		tp += rkk * inc.c[ci]
 	}
 	inc.tp = tp
 }
 
-// fullSweeps runs the plain serial kernels over the whole tree into
-// the engine's arrays: the order-1 group (w1 up, m1 down, rkk down)
-// and/or the order-2/3 group (w2 up, m2 down, w3 up, m3 down, T_P).
-// These are the exact expressions of computeSerial/prhInto, so the
-// results are bit-identical to a fresh Compute/ComputePRH.
-func (inc *Incremental) fullSweeps(stage1, stage3 bool) {
-	cp := inc.cp
-	n := inc.n
-	cs, par := cp.ChildStart, cp.Parent
-	if stage1 {
-		for i := n - 1; i >= 0; i-- {
-			d := inc.c[i]
-			for ch := cs[i]; ch < cs[i+1]; ch++ {
-				d += inc.w1[ch]
+// fullSweeps1 runs the plain serial order-1 kernels over the whole
+// tree into the engine's arrays: w1 up, m1 down and, when withRkk,
+// rkk down. These are the exact expressions of computeSerial/prhInto,
+// so the results are bit-identical to a fresh Compute/ComputePRH.
+func (inc *Incremental) fullSweeps1(withRkk bool) {
+	cs, par := inc.cp.ChildStart, inc.cp.Parent
+	sweepUpFull(inc.w1, inc.c, nil, cs)
+	sweepDownFull(inc.m1, inc.r, inc.w1, par)
+	if withRkk {
+		r, rkk := inc.r, inc.rkk
+		for i, p := range par {
+			a := r[i]
+			if p != rctree.Source {
+				a += rkk[p]
 			}
-			inc.w1[i] = d
-		}
-		for i := 0; i < n; i++ {
-			v := -(inc.r[i] * inc.w1[i])
-			if p := par[i]; p != rctree.Source {
-				v += inc.m1[p]
-			}
-			inc.m1[i] = v
-		}
-		for i := 0; i < n; i++ {
-			a := inc.r[i]
-			if p := par[i]; p != rctree.Source {
-				a += inc.rkk[p]
-			}
-			inc.rkk[i] = a
+			rkk[i] = a
 		}
 	}
-	if stage3 {
-		for i := n - 1; i >= 0; i-- {
-			d := inc.c[i] * inc.m1[i]
-			for ch := cs[i]; ch < cs[i+1]; ch++ {
-				d += inc.w2[ch]
-			}
-			inc.w2[i] = d
+}
+
+// fullSweeps3 is fullSweeps1 for the order-2/3 group: w2 up, m2 down,
+// w3 up, m3 down.
+func (inc *Incremental) fullSweeps3() {
+	cs, par := inc.cp.ChildStart, inc.cp.Parent
+	sweepUpFull(inc.w2, inc.c, inc.m1, cs)
+	sweepDownFull(inc.m2, inc.r, inc.w2, par)
+	sweepUpFull(inc.w3, inc.c, inc.m2, cs)
+	sweepDownFull(inc.m3, inc.r, inc.w3, par)
+}
+
+// sweepUpFull sets w[i] = c[i]·m[i] + sum of w over i's children
+// (c[i] alone when m is nil), children first — the upward kernel of
+// computeSerial.
+func sweepUpFull(w, c, m []float64, cs []int32) {
+	for i := len(c) - 1; i >= 0; i-- {
+		d := c[i]
+		if m != nil {
+			d = c[i] * m[i]
 		}
-		for i := 0; i < n; i++ {
-			v := -(inc.r[i] * inc.w2[i])
-			if p := par[i]; p != rctree.Source {
-				v += inc.m2[p]
-			}
-			inc.m2[i] = v
+		for ch := cs[i]; ch < cs[i+1]; ch++ {
+			d += w[ch]
 		}
-		for i := n - 1; i >= 0; i-- {
-			d := inc.c[i] * inc.m2[i]
-			for ch := cs[i]; ch < cs[i+1]; ch++ {
-				d += inc.w3[ch]
-			}
-			inc.w3[i] = d
+		w[i] = d
+	}
+}
+
+// sweepDownFull sets m[i] = -(r[i]·w[i]) + m[parent], parents first —
+// the downward kernel of computeSerial.
+func sweepDownFull(m, r, w []float64, par []int32) {
+	for i, p := range par {
+		v := -(r[i] * w[i])
+		if p != rctree.Source {
+			v += m[p]
 		}
-		for i := 0; i < n; i++ {
-			v := -(inc.r[i] * inc.w3[i])
-			if p := par[i]; p != rctree.Source {
-				v += inc.m3[p]
-			}
-			inc.m3[i] = v
-		}
-		inc.recomputeTP()
+		m[i] = v
 	}
 }
 

@@ -456,3 +456,102 @@ func TestIncrementalStatsAndLocality(t *testing.T) {
 		t.Fatalf("expected exactly one flush, got %+v", st1)
 	}
 }
+
+// logUniformForest returns a seeded random forest of n nodes whose R
+// and C are log-uniform over seven decades each; a node hangs from the
+// source with probability 1/rootEvery, else from a random earlier node.
+func logUniformForest(seed int64, n, rootEvery int) *rctree.Tree {
+	rng := rand.New(rand.NewSource(seed))
+	logU := func(lo, hi float64) float64 { return lo * math.Pow(hi/lo, rng.Float64()) }
+	b := rctree.NewBuilder()
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("f%d", i)
+		if i == 0 || rng.Intn(rootEvery) == 0 {
+			b.MustRoot(name, logU(1e-2, 1e5), logU(1e-18, 1e-11))
+		} else {
+			b.MustAttach(rng.Intn(i), name, logU(1e-2, 1e5), logU(1e-18, 1e-11))
+		}
+	}
+	t, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// TestIncrementalTRMatchesFresh pins Incremental.TR and TP to a fresh
+// ComputePRH bit for bit after random SetR/SetC/Revert/Commit
+// sequences — one to three edits between checks — on a chain, a
+// single-root tree and a multi-root forest whose element values span
+// seven decades, with the crossover at its default and forced to
+// either side.
+func TestIncrementalTRMatchesFresh(t *testing.T) {
+	trees := []struct {
+		name string
+		mk   func(seed int64) *rctree.Tree
+	}{
+		{"chain", func(seed int64) *rctree.Tree { return topo.Chain(40+int(seed), 30, 2e-14) }},
+		{"tree", func(seed int64) *rctree.Tree {
+			return topo.Random(seed, topo.RandomOptions{N: 120, RMin: 1e-2, RMax: 1e5, CMin: 1e-18, CMax: 1e-11})
+		}},
+		{"forest", func(seed int64) *rctree.Tree { return logUniformForest(seed, 90, 6) }},
+	}
+	crossovers := []float64{DefaultCrossoverFraction, 0, 1e9}
+	for _, tc := range trees {
+		for seed := int64(0); seed < 6; seed++ {
+			tree := tc.mk(seed)
+			inc, err := NewIncremental(tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inc.CrossoverFraction = crossovers[seed%3]
+			shadow, committed := tree.Clone(), tree.Clone()
+			rng := rand.New(rand.NewSource(seed + 101))
+			logU := func(lo, hi float64) float64 { return lo * math.Pow(hi/lo, rng.Float64()) }
+			for step := 0; step < 30; step++ {
+				for k := 1 + rng.Intn(3); k > 0; k-- {
+					node := rng.Intn(tree.N())
+					switch op := rng.Intn(10); {
+					case op < 4:
+						v := logU(1e-18, 1e-11)
+						if err := inc.SetC(node, v); err != nil {
+							t.Fatal(err)
+						}
+						if err := shadow.SetC(node, v); err != nil {
+							t.Fatal(err)
+						}
+					case op < 8:
+						v := logU(1e-2, 1e5)
+						if err := inc.SetR(node, v); err != nil {
+							t.Fatal(err)
+						}
+						if err := shadow.SetR(node, v); err != nil {
+							t.Fatal(err)
+						}
+					case op < 9:
+						inc.Revert()
+						shadow = committed.Clone()
+					default:
+						inc.Commit()
+						committed = shadow.Clone()
+					}
+				}
+				prh := ComputePRH(shadow)
+				if step%2 == 0 { // flush orders 2-3 first on even steps
+					if got, want := inc.TP(), prh.TP; !bitsEq(got, want) {
+						t.Fatalf("%s/seed%d/step%d: TP %v, fresh %v", tc.name, seed, step, got, want)
+					}
+				}
+				for i := 0; i < tree.N(); i++ {
+					if got, want := inc.TR(i), prh.TR(i); !bitsEq(got, want) {
+						t.Fatalf("%s/seed%d/step%d: TR(%d) = %x, fresh ComputePRH %x",
+							tc.name, seed, step, i, math.Float64bits(got), math.Float64bits(want))
+					}
+				}
+				if got, want := inc.TP(), prh.TP; !bitsEq(got, want) {
+					t.Fatalf("%s/seed%d/step%d: TP %v, fresh %v", tc.name, seed, step, got, want)
+				}
+			}
+		}
+	}
+}

@@ -50,6 +50,23 @@ func TestComputeParallelBitIdentical(t *testing.T) {
 					t.Fatalf("td[%d]: serial %v != parallel %v", i, tdS[i], tdP[i])
 				}
 			}
+			// And the PRH sweeps, T_R and T_P included.
+			n := tree.N()
+			prh := func(parallel bool) ([]float64, float64) {
+				out, scratch := make([]float64, 3*n), make([]float64, 3*n)
+				tp := prhInto(cp, out[:n], out[n:2*n], out[2*n:], scratch[:n], scratch[n:2*n], scratch[2*n:], parallel)
+				return out, tp
+			}
+			outS, tpS := prh(false)
+			outP, tpP := prh(true)
+			if tpS != tpP {
+				t.Fatalf("T_P: serial %v != parallel %v", tpS, tpP)
+			}
+			for i := range outS {
+				if outS[i] != outP[i] {
+					t.Fatalf("PRH term %d of node %d: serial %v != parallel %v", i/n, i%n, outS[i], outP[i])
+				}
+			}
 		})
 	}
 }

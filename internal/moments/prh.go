@@ -11,38 +11,34 @@ import (
 //	T_D(i)  = sum_k R_ki C_k          (the Elmore delay)
 //	T_R(i)  = sum_k R_ki^2 C_k / R_ii
 //
-// All are computed exactly. T_P and T_D come from O(N) traversals;
-// T_R(i) costs O(depth(i)) per node after O(N) preprocessing, so
-// computing it for all nodes is O(N * depth) — effectively linear for
-// the bushy trees used in timing analysis.
+// All are computed exactly, in O(N) total: one upward sweep for the
+// downstream capacitances and one downward sweep that carries R_ii,
+// T_D(i) and S(i) = sum_k R_ki^2 C_k together (see prhInto for the
+// recurrence). T_R(i) is stored per node, so TR is a single load.
 type PRHTerms struct {
-	tree *rctree.Tree
-	TP   float64   // sum_k R_kk C_k
-	TD   []float64 // Elmore delays, indexed by node
-	rkk  []float64 // path resistance R_kk per node
-	down []float64 // downstream capacitance per node
+	TP  float64   // sum_k R_kk C_k
+	TD  []float64 // Elmore delays, indexed by node
+	rkk []float64 // path resistance R_ii per node
+	tr  []float64 // T_R(i) per node
 }
 
-// ComputePRH computes the PRH bound terms for a tree. The path-
-// resistance accumulation runs on the compiled plan like the other
-// O(N) traversals; the T_P reduction keeps the historical pre-order
-// summation order so results are reproducible across releases.
+// ComputePRH computes the PRH bound terms for a tree. The per-node
+// terms come from two sweeps on the compiled plan; T_P is summed in
+// compiled order, the order moments.Incremental reproduces.
 //
-// Allocation shape: the three retained per-node arrays (TD, rkk, down)
-// share one user-indexed backing, and the two compiled-order sweep
+// Allocation shape: the three retained per-node arrays (TD, rkk, tr)
+// share one user-indexed backing, and the three compiled-order sweep
 // buffers share another that dies with this call — three allocations
-// total instead of the seven the per-array form cost. The kernels are
-// the same gather-form sweeps ElmoreDelays and Tree.DownstreamC run,
-// in the same order, so the results are bit-identical to computing
-// each term independently.
+// total. T_D comes from the gather-form kernel ElmoreDelays runs, so
+// it is bit-identical to ElmoreDelays.
 func ComputePRH(t *rctree.Tree) *PRHTerms {
 	return ComputePRHWith(t, nil)
 }
 
-// ComputePRHWith is ComputePRH drawing its two compiled-order sweep
+// ComputePRHWith is ComputePRH drawing its three compiled-order sweep
 // buffers from the caller's arena instead of allocating them — the
 // per-worker fast path of the batch engine. The retained per-node
-// arrays (TD, rkk, down) always get their own backing, so the returned
+// arrays (TD, rkk, tr) always get their own backing, so the returned
 // PRHTerms may outlive the arena. A nil arena makes this identical to
 // ComputePRH, and results are bit-identical either way (the kernels
 // write every scratch slot before reading it).
@@ -51,117 +47,93 @@ func ComputePRHWith(t *rctree.Tree, ar *Arena) *PRHTerms {
 	cp := rctree.Compile(t)
 	user := make([]float64, 3*n)
 	p := &PRHTerms{
-		tree: t,
-		TD:   user[0:n:n],
-		rkk:  user[n : 2*n : 2*n],
-		down: user[2*n : 3*n : 3*n],
+		TD:  user[0:n:n],
+		rkk: user[n : 2*n : 2*n],
+		tr:  user[2*n : 3*n : 3*n],
 	}
-	scratch := ar.scratch(2 * n)
-	prhInto(cp, p.TD, p.rkk, p.down, scratch[:n], scratch[n:], cp.ParallelOK())
-	for _, i := range t.PreOrder() {
-		p.TP += p.rkk[i] * t.C(i)
-	}
+	scratch := ar.scratch(3 * n)
+	p.TP = prhInto(cp, p.TD, p.rkk, p.tr, scratch[:n], scratch[n:2*n], scratch[2*n:], cp.ParallelOK())
 	return p
 }
 
-// prhInto runs the three PRH sweeps on the compiled plan:
+// prhInto runs the two PRH sweeps on the compiled plan and returns T_P:
 //
-//  1. upward: downC[i] = subtree capacitance (scattered to the
-//     user-indexed down array) — the Tree.DownstreamC kernel;
-//  2. downward: Elmore accumulation reusing downC in place as the
-//     accumulator (the elmoreInto kernel), scattered to td;
-//  3. downward: path resistance R_ii into rkkC, scattered to rkk.
+//  1. upward: downC[i] = subtree capacitance Cdown(i) — the
+//     Tree.DownstreamC kernel;
+//
+//  2. downward, per node i with parent p (R_pp = S(p) = 0 at a root):
+//     R_ii = R_pp + r_i, the Elmore accumulation (the elmoreInto
+//     kernel, reusing downC in place as its accumulator), and
+//
+//     S(i) = S(p) + r_i (R_ii + R_pp) Cdown(i),  T_R(i) = S(i) / R_ii.
+//
+// The S recurrence is sum_k R_ki^2 C_k taken one resistor at a time:
+// stepping from p to i raises R_ki from R_pp to R_ii for exactly the
+// capacitors below i and leaves every other R_ki alone, and
+// R_ii^2 - R_pp^2 = r_i (R_ii + R_pp). Every term is a product of
+// nonnegative values, so nothing cancels.
 //
 // Neither scratch needs to be zeroed: every slot is written before it
-// is read. Pass 2 destroys downC, which is safe because pass 1 already
-// scattered the downstream capacitances to the user array. The serial
-// path runs plain loops so small nets pay no closure allocations; the
-// parallel kernels are gather-form, hence bit-identical to serial.
-func prhInto(cp *rctree.Compiled, td, rkk, down, downC, rkkC []float64, parallel bool) {
+// is read. Pass 2 overwrites downC[i] only after reading it. T_P is
+// summed in ascending compiled order after the sweeps on both paths.
+// The serial path runs plain loops so small nets pay no closure
+// allocations; the parallel kernels are gather-form, hence
+// bit-identical to serial.
+func prhInto(cp *rctree.Compiled, td, rkk, tr, downC, rkkC, sC []float64, parallel bool) float64 {
 	n := cp.N()
-	r, c, cs, par, toUser := cp.R, cp.C, cp.ChildStart, cp.Parent, cp.ToUser
-	acc := downC // pass 2 overwrites downC[i] only after it is consumed
-	if !parallel {
-		for i := n - 1; i >= 0; i-- {
-			d := c[i]
-			for ch := cs[i]; ch < cs[i+1]; ch++ {
-				d += downC[ch]
-			}
-			downC[i] = d
-			down[toUser[i]] = d
-		}
-		for i := 0; i < n; i++ {
-			a := r[i] * downC[i]
-			if p := par[i]; p != rctree.Source {
-				a += acc[p]
-			}
-			acc[i] = a
-			td[toUser[i]] = a
-		}
-		for i := 0; i < n; i++ {
-			a := r[i]
-			if p := par[i]; p != rctree.Source {
-				a += rkkC[p]
-			}
-			rkkC[i] = a
-			rkk[toUser[i]] = a
-		}
-		return
+	if parallel {
+		cp.EachLevelUp(true, func(lo, hi int) { prhUp(cp, downC, lo, hi) })
+		cp.EachLevelDown(true, func(lo, hi int) { prhDown(cp, td, rkk, tr, downC, rkkC, sC, lo, hi) })
+	} else {
+		prhUp(cp, downC, 0, n)
+		prhDown(cp, td, rkk, tr, downC, rkkC, sC, 0, n)
 	}
-	cp.EachLevelUp(true, func(lo, hi int) {
-		for i := hi - 1; i >= lo; i-- {
-			d := c[i]
-			for ch := cs[i]; ch < cs[i+1]; ch++ {
-				d += downC[ch]
-			}
-			downC[i] = d
-			down[toUser[i]] = d
+	c := cp.C
+	var tp float64
+	for i := 0; i < n; i++ {
+		tp += rkkC[i] * c[i]
+	}
+	return tp
+}
+
+// prhUp is pass 1 of prhInto over compiled indices [lo, hi).
+func prhUp(cp *rctree.Compiled, downC []float64, lo, hi int) {
+	c, cs := cp.C, cp.ChildStart
+	for i := hi - 1; i >= lo; i-- {
+		d := c[i]
+		for ch := cs[i]; ch < cs[i+1]; ch++ {
+			d += downC[ch]
 		}
-	})
-	cp.EachLevelDown(true, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a := r[i] * downC[i]
-			if p := par[i]; p != rctree.Source {
-				a += acc[p]
-			}
-			acc[i] = a
-			td[toUser[i]] = a
+		downC[i] = d
+	}
+}
+
+// prhDown is pass 2 of prhInto over compiled indices [lo, hi),
+// scattering T_D, R_ii and T_R to the user-indexed arrays.
+func prhDown(cp *rctree.Compiled, td, rkk, tr, downC, rkkC, sC []float64, lo, hi int) {
+	r, par, toUser := cp.R, cp.Parent, cp.ToUser
+	acc := downC // overwrites downC[i] only after it is consumed
+	for i := lo; i < hi; i++ {
+		d := downC[i]
+		a := r[i] * d
+		var rp, sp float64
+		if p := par[i]; p != rctree.Source {
+			a += acc[p]
+			rp, sp = rkkC[p], sC[p]
 		}
-	})
-	cp.EachLevelDown(true, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a := r[i]
-			if p := par[i]; p != rctree.Source {
-				a += rkkC[p]
-			}
-			rkkC[i] = a
-			rkk[toUser[i]] = a
-		}
-	})
+		rii := r[i] + rp
+		s := sp + r[i]*(rii+rp)*d
+		acc[i], rkkC[i], sC[i] = a, rii, s
+		u := toUser[i]
+		td[u], rkk[u], tr[u] = a, rii, s/rii
+	}
 }
 
 // PathResistance returns R_ii for node i (cached).
 func (p *PRHTerms) PathResistance(i int) float64 { return p.rkk[i] }
 
 // TR returns T_R(i) = sum_k R_ki^2 C_k / R_ii.
-//
-// For each node j on the source-to-i path, every capacitor k whose
-// deepest common ancestor with i is j contributes R_ki = R_jj. Those
-// capacitors are exactly subtree(j) minus subtree(next path node), plus
-// — for j the path's root — everything outside the root's subtree
-// contributes zero (their shared path resistance with i is zero, since
-// sibling root subtrees share no resistors).
-func (p *PRHTerms) TR(i int) float64 {
-	t := p.tree
-	var sum float64
-	prevDown := 0.0 // downstream cap of the previous (deeper) path node
-	for j := i; j != rctree.Source; j = t.Parent(j) {
-		attachedC := p.down[j] - prevDown
-		sum += p.rkk[j] * p.rkk[j] * attachedC
-		prevDown = p.down[j]
-	}
-	return sum / p.rkk[i]
-}
+func (p *PRHTerms) TR(i int) float64 { return p.tr[i] }
 
 // TRDirect computes T_R(i) by the O(N) definition as an independent
 // oracle for tests.

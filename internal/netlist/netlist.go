@@ -18,15 +18,20 @@
 // The resistor graph must form a tree rooted at the source node —
 // exactly the RC-tree class the analyses in this repository are proven
 // for — and the parser diagnoses violations (resistors to ground,
-// floating caps, loops, disconnected elements) with line numbers.
+// floating caps, loops, disconnected elements, repeated resistor
+// names) with line numbers.
 package netlist
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"os"
+	"slices"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"elmore/internal/rctree"
 )
@@ -41,146 +46,530 @@ type Deck struct {
 	Warnings []string
 }
 
-type resistor struct {
-	name, a, b string
-	value      float64
-	line       int
-}
+// maxLine is the length, in bytes, at which a physical line is too
+// long: the token limit of the bufio.Scanner the reference reader in
+// FuzzParse uses, kept so both reject the same decks.
+const maxLine = 16 * 1024 * 1024
 
-type capacitor struct {
-	name, node string
-	value      float64
-	line       int
-}
-
-// Parse reads a deck.
+// Parse reads a deck. The input is read once into one string; see
+// ParseString.
 func Parse(r io.Reader) (*Deck, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	var sb strings.Builder
+	switch src := r.(type) {
+	case interface{ Len() int }: // strings.Reader, bytes.Reader, bytes.Buffer
+		sb.Grow(src.Len())
+	case *os.File:
+		if st, err := src.Stat(); err == nil && st.Mode().IsRegular() && int64(int(st.Size())) == st.Size() {
+			sb.Grow(int(st.Size()))
+		}
+	}
+	_, err := io.Copy(&sb, r)
+	return parse(sb.String(), err)
+}
 
-	var physical []string // logical lines after joining continuations
-	var lineNos []int
+// ParseString parses a deck held in a string. The returned deck and
+// tree share no memory with s: node names are copied into one backing
+// string, so a retained tree does not keep the deck text alive.
+func ParseString(s string) (*Deck, error) { return parse(s, nil) }
+
+// parser is the reader's state: nodes are dense int32 ids in order of
+// first appearance, resistors are parallel arrays in deck order.
+type parser struct {
+	ids     map[string]int32 // node name -> id (ground has no id)
+	names   []string         // id -> node name
+	capSum  []float64        // id -> summed grounded capacitance
+	capLine []int32          // id -> line of its last capacitor; 0 = none
+
+	rName        []string // resistor -> card name
+	rA, rB       []int32  // resistor -> endpoint ids; ground = -1
+	rVal         []float64
+	rLine        []int32
+	rNames       map[string]struct{} // resistor card names seen
+	title        string
+	src, srcLine int32 // driven node id (-1 = none yet) and its V card line
+}
+
+// parse reads the deck text in data. readErr is the error, if any, that
+// ended reading data (see scanErr for where it ranks).
+func parse(data string, readErr error) (*Deck, error) {
+	if err := scanErr(data, readErr); err != nil {
+		return nil, err
+	}
+	// A tree has one node per resistor plus the source: size the
+	// per-node and per-resistor state for the cards that start a line
+	// with R (an indented card just grows the slices).
+	hint := resistorCards(data) + 1
+	p := &parser{
+		ids:     make(map[string]int32, hint),
+		names:   make([]string, 0, hint),
+		capSum:  make([]float64, 0, hint),
+		capLine: make([]int32, 0, hint),
+		rName:   make([]string, 0, hint),
+		rA:      make([]int32, 0, hint),
+		rB:      make([]int32, 0, hint),
+		rVal:    make([]float64, 0, hint),
+		rLine:   make([]int32, 0, hint),
+		rNames:  make(map[string]struct{}, hint),
+		src:     -1,
+	}
+	// Physical lines join into logical ones: a line whose first
+	// non-space character is '+' continues the previous card. Only a
+	// joined line is copied; any other is a substring of data.
+	var cur string // logical line being assembled
+	curLine := 0   // its first physical line; 0 = none yet
+	var joined []byte
+	joining := false
+	emit := func() error {
+		if curLine == 0 {
+			return nil
+		}
+		if joining {
+			cur = string(joined)
+		}
+		return p.card(cur, curLine)
+	}
 	lineNo := 0
-	for sc.Scan() {
+	for off := 0; off < len(data); {
+		raw := data[off:]
+		if end := strings.IndexByte(raw, '\n'); end >= 0 {
+			raw = raw[:end]
+			off += end + 1
+		} else {
+			off = len(data)
+		}
 		lineNo++
-		line := strings.TrimRight(sc.Text(), " \t\r")
-		if trimmed := strings.TrimSpace(line); strings.HasPrefix(trimmed, "+") {
-			if len(physical) == 0 {
-				return nil, fmt.Errorf("netlist: line %d: continuation with no previous card", lineNo)
+		line := trimRightBlank(raw)
+		if rest, ok := continuation(line); ok {
+			if !joining {
+				joined = append(joined[:0], cur...)
+				joining = true
 			}
-			physical[len(physical)-1] += " " + strings.TrimSpace(trimmed[1:])
+			joined = append(joined, ' ')
+			joined = append(joined, rest...)
 			continue
 		}
-		physical = append(physical, line)
-		lineNos = append(lineNos, lineNo)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("netlist: read: %w", err)
-	}
-
-	d := &Deck{}
-	var res []resistor
-	var caps []capacitor
-	sourceNode := ""
-	sourceLine := 0
-
-	for idx, raw := range physical {
-		ln := lineNos[idx]
-		line := stripComment(raw)
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
+		if err := emit(); err != nil {
+			return nil, err
 		}
-		card := strings.ToLower(fields[0])
-		switch {
-		case strings.HasPrefix(card, "."):
-			switch {
-			case card == ".end":
-				// done; ignore the rest
-			case card == ".title":
-				d.Title = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(line), fields[0]))
-			default:
-				// Unknown dot-cards (.tran, .print, ...) are ignored: a
-				// timing tool consumes topology, not simulation control.
-			}
-		case card[0] == 'r':
-			if len(fields) < 4 {
-				return nil, fmt.Errorf("netlist: line %d: resistor needs 'Rname n1 n2 value'", ln)
-			}
-			v, err := rctree.ParseValue(fields[3])
-			if err != nil {
-				return nil, fmt.Errorf("netlist: line %d: %w", ln, err)
-			}
-			res = append(res, resistor{fields[0], canonNode(fields[1]), canonNode(fields[2]), v, ln})
-		case card[0] == 'c':
-			if len(fields) < 4 {
-				return nil, fmt.Errorf("netlist: line %d: capacitor needs 'Cname n1 n2 value'", ln)
-			}
-			v, err := rctree.ParseValue(fields[3])
-			if err != nil {
-				return nil, fmt.Errorf("netlist: line %d: %w", ln, err)
-			}
-			a, b := canonNode(fields[1]), canonNode(fields[2])
-			switch {
-			case a == ground && b == ground:
-				return nil, fmt.Errorf("netlist: line %d: capacitor %s has both terminals grounded", ln, fields[0])
-			case b == ground:
-				caps = append(caps, capacitor{fields[0], a, v, ln})
-			case a == ground:
-				caps = append(caps, capacitor{fields[0], b, v, ln})
-			default:
-				return nil, fmt.Errorf("netlist: line %d: capacitor %s couples two non-ground nodes (%s, %s): not an RC tree", ln, fields[0], a, b)
-			}
-		case card[0] == 'v':
-			if len(fields) < 3 {
-				return nil, fmt.Errorf("netlist: line %d: source needs 'Vname n+ n-'", ln)
-			}
-			a, b := canonNode(fields[1]), canonNode(fields[2])
-			node := ""
-			switch {
-			case a != ground && b == ground:
-				node = a
-			case a == ground && b != ground:
-				node = b
-			default:
-				return nil, fmt.Errorf("netlist: line %d: source %s must connect one node to ground", ln, fields[0])
-			}
-			if sourceNode != "" && sourceNode != node {
-				return nil, fmt.Errorf("netlist: line %d: second voltage source (first at line %d); RC trees have a single input", ln, sourceLine)
-			}
-			sourceNode = node
-			sourceLine = ln
-		default:
-			return nil, fmt.Errorf("netlist: line %d: unsupported element %q (only R, C, V cards)", ln, fields[0])
-		}
+		cur, curLine, joining = line, lineNo, false
 	}
-
-	if sourceNode == "" {
+	if err := emit(); err != nil {
+		return nil, err
+	}
+	if p.src < 0 {
 		return nil, fmt.Errorf("netlist: no voltage source found; add 'Vin <node> 0 1' to mark the input")
 	}
-	d.InputNode = sourceNode
-
-	tree, warnings, err := buildTree(sourceNode, res, caps)
+	tree, warnings, err := p.buildTree()
 	if err != nil {
 		return nil, err
 	}
-	d.Tree = tree
-	d.Warnings = warnings
-	return d, nil
+	return &Deck{
+		Title:     strings.Clone(p.title),
+		InputNode: p.names[p.src],
+		Tree:      tree,
+		Warnings:  warnings,
+	}, nil
 }
 
-// ParseString parses a deck held in a string.
-func ParseString(s string) (*Deck, error) { return Parse(strings.NewReader(s)) }
-
-const ground = "0"
-
-func canonNode(s string) string {
-	switch strings.ToLower(s) {
-	case "0", "gnd", "vss", "ground":
-		return ground
-	default:
-		return s
+// resistorCards counts the lines of data that start with R or r.
+func resistorCards(data string) int {
+	n := strings.Count(data, "\nR") + strings.Count(data, "\nr")
+	if data != "" && (data[0] == 'R' || data[0] == 'r') {
+		n++
 	}
+	return n
+}
+
+// scanErr returns the errors that take precedence over every card
+// error, in this order: a line of maxLine bytes or more (when it is the
+// first line), a first line that continues no card, any longer line,
+// then the read error.
+func scanErr(data string, readErr error) error {
+	first := data
+	if end := strings.IndexByte(data, '\n'); end >= 0 {
+		first = data[:end]
+	}
+	if len(first) >= maxLine {
+		return fmt.Errorf("netlist: read: %w", bufio.ErrTooLong)
+	}
+	if _, ok := continuation(trimRightBlank(first)); ok {
+		return errors.New("netlist: line 1: continuation with no previous card")
+	}
+	for rest := data; len(rest) >= maxLine; {
+		end := strings.IndexByte(rest, '\n')
+		if end < 0 {
+			end = len(rest)
+		}
+		if end >= maxLine {
+			return fmt.Errorf("netlist: read: %w", bufio.ErrTooLong)
+		}
+		rest = rest[min(end+1, len(rest)):]
+	}
+	if readErr != nil {
+		return fmt.Errorf("netlist: read: %w", readErr)
+	}
+	return nil
+}
+
+// trimRightBlank drops trailing spaces, tabs and carriage returns.
+func trimRightBlank(s string) string {
+	for len(s) > 0 {
+		switch s[len(s)-1] {
+		case ' ', '\t', '\r':
+			s = s[:len(s)-1]
+		default:
+			return s
+		}
+	}
+	return s
+}
+
+// continuation reports whether line is a '+' continuation line and
+// returns the text it appends, trimmed.
+func continuation(line string) (string, bool) {
+	t := strings.TrimSpace(line)
+	if t == "" || t[0] != '+' {
+		return "", false
+	}
+	return strings.TrimSpace(t[1:]), true
+}
+
+// card reads one logical line.
+func (p *parser) card(raw string, ln int) error {
+	line := stripComment(raw)
+	var f [4]string
+	nf := fields(line, &f)
+	if nf == 0 {
+		return nil
+	}
+	switch cardLetter(f[0]) {
+	case '.':
+		switch strings.ToLower(f[0]) {
+		case ".end":
+			// Nothing to do; later lines are still read.
+		case ".title":
+			p.title = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(line), f[0]))
+		default:
+			// Unknown dot-cards (.tran, .print, ...) are ignored: a
+			// timing tool consumes topology, not simulation control.
+		}
+	case 'r':
+		if nf < 4 {
+			return fmt.Errorf("netlist: line %d: resistor needs 'Rname n1 n2 value'", ln)
+		}
+		v, err := rctree.ParseValue(f[3])
+		if err != nil {
+			return fmt.Errorf("netlist: line %d: %w", ln, err)
+		}
+		// One map operation per card: the set grows unless the name
+		// was taken, and the first line is looked up only on error.
+		before := len(p.rNames)
+		p.rNames[f[0]] = struct{}{}
+		if len(p.rNames) == before {
+			return fmt.Errorf("netlist: line %d: duplicate resistor name %s (first at line %d)", ln, f[0], p.rLine[slices.Index(p.rName, f[0])])
+		}
+		p.rName = append(p.rName, f[0])
+		p.rA = append(p.rA, p.endpoint(f[1]))
+		p.rB = append(p.rB, p.endpoint(f[2]))
+		p.rVal = append(p.rVal, v)
+		p.rLine = append(p.rLine, int32(ln))
+	case 'c':
+		if nf < 4 {
+			return fmt.Errorf("netlist: line %d: capacitor needs 'Cname n1 n2 value'", ln)
+		}
+		v, err := rctree.ParseValue(f[3])
+		if err != nil {
+			return fmt.Errorf("netlist: line %d: %w", ln, err)
+		}
+		ga, gb := isGround(f[1]), isGround(f[2])
+		var at string
+		switch {
+		case ga && gb:
+			return fmt.Errorf("netlist: line %d: capacitor %s has both terminals grounded", ln, f[0])
+		case gb:
+			at = f[1]
+		case ga:
+			at = f[2]
+		default:
+			return fmt.Errorf("netlist: line %d: capacitor %s couples two non-ground nodes (%s, %s): not an RC tree", ln, f[0], f[1], f[2])
+		}
+		id := p.node(at)
+		p.capSum[id] += v // parallel caps sum
+		p.capLine[id] = int32(ln)
+	case 'v':
+		if nf < 3 {
+			return fmt.Errorf("netlist: line %d: source needs 'Vname n+ n-'", ln)
+		}
+		ga, gb := isGround(f[1]), isGround(f[2])
+		var at string
+		switch {
+		case !ga && gb:
+			at = f[1]
+		case ga && !gb:
+			at = f[2]
+		default:
+			return fmt.Errorf("netlist: line %d: source %s must connect one node to ground", ln, f[0])
+		}
+		id := p.node(at)
+		if p.src >= 0 && p.src != id {
+			return fmt.Errorf("netlist: line %d: second voltage source (first at line %d); RC trees have a single input", ln, p.srcLine)
+		}
+		p.src, p.srcLine = id, int32(ln)
+	default:
+		return fmt.Errorf("netlist: line %d: unsupported element %q (only R, C, V cards)", ln, f[0])
+	}
+	return nil
+}
+
+// node returns the id of a non-ground node name, assigning the next id
+// on first appearance.
+func (p *parser) node(name string) int32 {
+	id, ok := p.ids[name]
+	if !ok {
+		id = int32(len(p.names))
+		p.ids[name] = id
+		p.names = append(p.names, name)
+		p.capSum = append(p.capSum, 0)
+		p.capLine = append(p.capLine, 0)
+	}
+	return id
+}
+
+// endpoint returns a resistor endpoint's id, or -1 for ground.
+func (p *parser) endpoint(name string) int32 {
+	if isGround(name) {
+		return -1
+	}
+	return p.node(name)
+}
+
+// buildTree roots the resistor graph at the source node and constructs
+// the rctree, validating the RC-tree topology class on the way. The
+// graph is held as CSR adjacency (each node's resistors in deck order,
+// one shared array) and walked breadth-first from the source; tree
+// indices are the order nodes leave the queue.
+func (p *parser) buildTree() (*rctree.Tree, []string, error) {
+	m := len(p.rName)
+	for e := 0; e < m; e++ {
+		if p.rA[e] < 0 || p.rB[e] < 0 {
+			return nil, nil, fmt.Errorf("netlist: line %d: resistor %s connects to ground: not an RC tree", p.rLine[e], p.rName[e])
+		}
+		if p.rA[e] == p.rB[e] {
+			return nil, nil, fmt.Errorf("netlist: line %d: resistor %s is self-connected", p.rLine[e], p.rName[e])
+		}
+	}
+	nn := len(p.names)
+	adjStart := make([]int32, nn+1)
+	for e := 0; e < m; e++ {
+		adjStart[p.rA[e]+1]++
+		adjStart[p.rB[e]+1]++
+	}
+	for i := 0; i < nn; i++ {
+		adjStart[i+1] += adjStart[i]
+	}
+	adj := make([]int32, 2*m)
+	fill := make([]int32, nn)
+	copy(fill, adjStart)
+	for e := int32(0); e < int32(m); e++ {
+		a, b := p.rA[e], p.rB[e]
+		adj[fill[a]] = e
+		fill[a]++
+		adj[fill[b]] = e
+		fill[b]++
+	}
+
+	src := p.src
+	var warnings []string
+	if ln := p.capLine[src]; ln != 0 {
+		warnings = append(warnings,
+			fmt.Sprintf("line %d: %s capacitance on driven node %q is shorted by the ideal source and ignored",
+				ln, rctree.FormatFarads(p.capSum[src]), p.names[src]))
+		p.capLine[src] = 0
+	}
+
+	far := func(e, from int32) int32 {
+		if a := p.rA[e]; a != from {
+			return a
+		}
+		return p.rB[e]
+	}
+	type queued struct{ node, parent, via int32 } // parent is a tree index or Source
+	queue := make([]queued, 0, m)
+	visited := make([]bool, m) // resistor used
+	for _, e := range adj[adjStart[src]:adjStart[src+1]] {
+		queue = append(queue, queued{far(e, src), rctree.Source, e})
+		visited[e] = true
+	}
+	if len(queue) == 0 {
+		return nil, nil, fmt.Errorf("netlist: no resistor connects to the input node %q", p.names[src])
+	}
+	p.copyNames()
+	b := rctree.NewBuilderSize(nn - 1)
+	seen := make([]bool, nn)
+	seen[src] = true
+	for head := 0; head < len(queue); head++ {
+		q := queue[head]
+		if seen[q.node] {
+			return nil, nil, fmt.Errorf("netlist: line %d: resistor %s closes a loop at node %q: not a tree", p.rLine[q.via], p.rName[q.via], p.names[q.node])
+		}
+		seen[q.node] = true
+		var id int
+		var err error
+		if q.parent == rctree.Source {
+			id, err = b.Root(p.names[q.node], p.rVal[q.via], p.capSum[q.node])
+		} else {
+			id, err = b.Attach(int(q.parent), p.names[q.node], p.rVal[q.via], p.capSum[q.node])
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("netlist: line %d: %w", p.rLine[q.via], err)
+		}
+		p.capLine[q.node] = 0
+		for _, e := range adj[adjStart[q.node]:adjStart[q.node+1]] {
+			if visited[e] {
+				continue
+			}
+			visited[e] = true
+			queue = append(queue, queued{far(e, q.node), int32(id), e})
+		}
+	}
+	for e := 0; e < m; e++ {
+		if !visited[e] {
+			return nil, nil, fmt.Errorf("netlist: line %d: resistor %s (%s-%s) is not connected to the input", p.rLine[e], p.rName[e], p.names[p.rA[e]], p.names[p.rB[e]])
+		}
+	}
+	orphan := int32(-1)
+	for id, ln := range p.capLine {
+		if ln != 0 && (orphan < 0 || p.names[id] < p.names[orphan]) {
+			orphan = int32(id)
+		}
+	}
+	if orphan >= 0 {
+		return nil, nil, fmt.Errorf("netlist: line %d: capacitor node %q is not connected to the input through resistors", p.capLine[orphan], p.names[orphan])
+	}
+	tree, err := b.Build()
+	if err != nil {
+		return nil, nil, err
+	}
+	return tree, warnings, nil
+}
+
+// copyNames moves the node names into one backing string, so a tree
+// built from them does not keep the deck text alive.
+func (p *parser) copyNames() {
+	size := 0
+	for _, name := range p.names {
+		size += len(name)
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	for _, name := range p.names {
+		sb.WriteString(name)
+	}
+	backing := sb.String()
+	for i, name := range p.names {
+		p.names[i], backing = backing[:len(name)], backing[len(name):]
+	}
+}
+
+// fields splits line around runs of white space exactly like
+// strings.Fields, storing up to len(f) leading fields in f, and returns
+// how many it stored.
+func fields(line string, f *[4]string) int {
+	n := 0
+	i := 0
+	for n < len(f) {
+		for i < len(line) {
+			if c := line[i]; c < utf8.RuneSelf {
+				if !asciiSpace[c] {
+					break
+				}
+				i++
+			} else if w := spaceWidth(line[i:]); w > 0 {
+				i += w
+			} else {
+				break
+			}
+		}
+		if i == len(line) {
+			break
+		}
+		start := i
+		for i < len(line) {
+			if c := line[i]; c < utf8.RuneSelf {
+				if asciiSpace[c] {
+					break
+				}
+				i++
+			} else if spaceWidth(line[i:]) > 0 {
+				break
+			} else {
+				_, w := utf8.DecodeRuneInString(line[i:])
+				i += w
+			}
+		}
+		f[n] = line[start:i]
+		n++
+	}
+	return n
+}
+
+// spaceWidth returns the byte width of the non-ASCII rune starting s if
+// unicode.IsSpace holds for it, else 0.
+func spaceWidth(s string) int {
+	if r, w := utf8.DecodeRuneInString(s); unicode.IsSpace(r) {
+		return w
+	}
+	return 0
+}
+
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// cardLetter returns the first byte of the lower-cased card name. Only
+// a non-ASCII name needs the full Unicode lower-casing (two non-ASCII
+// runes, U+0130 and U+212A, lower-case to ASCII letters).
+func cardLetter(name string) byte {
+	c := name[0]
+	switch {
+	case c >= utf8.RuneSelf:
+		return strings.ToLower(name)[0]
+	case 'A' <= c && c <= 'Z':
+		return c + 'a' - 'A'
+	}
+	return c
+}
+
+// isGround reports whether a node name is ground: "0" or, in any case,
+// gnd, vss or ground. No non-ASCII name lower-cases to one of these
+// (the only non-ASCII runes with ASCII lower cases map to i and k), so
+// an ASCII case fold decides it.
+func isGround(s string) bool {
+	switch len(s) {
+	case 1:
+		return s == "0"
+	case 3:
+		return equalFoldASCII(s, "gnd") || equalFoldASCII(s, "vss")
+	case 6:
+		return equalFoldASCII(s, "ground")
+	}
+	return false
+}
+
+// equalFoldASCII reports whether s equals the lower-case ASCII string
+// lower with A-Z folded to a-z.
+func equalFoldASCII(s, lower string) bool {
+	if len(s) != len(lower) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func stripComment(line string) string {
@@ -195,105 +584,6 @@ func stripComment(line string) string {
 		return line[:i]
 	}
 	return line
-}
-
-// buildTree roots the resistor graph at the source node and constructs
-// the rctree, validating the RC-tree topology class on the way.
-func buildTree(source string, res []resistor, caps []capacitor) (*rctree.Tree, []string, error) {
-	adj := make(map[string][]resistor)
-	for _, r := range res {
-		if r.a == ground || r.b == ground {
-			return nil, nil, fmt.Errorf("netlist: line %d: resistor %s connects to ground: not an RC tree", r.line, r.name)
-		}
-		if r.a == r.b {
-			return nil, nil, fmt.Errorf("netlist: line %d: resistor %s is self-connected", r.line, r.name)
-		}
-		adj[r.a] = append(adj[r.a], r)
-		adj[r.b] = append(adj[r.b], r)
-	}
-	capAt := make(map[string]float64)
-	capLine := make(map[string]int)
-	for _, c := range caps {
-		capAt[c.node] += c.value // parallel caps sum
-		capLine[c.node] = c.line
-	}
-
-	var warnings []string
-	if cv, ok := capAt[source]; ok {
-		warnings = append(warnings,
-			fmt.Sprintf("line %d: %s capacitance on driven node %q is shorted by the ideal source and ignored",
-				capLine[source], rctree.FormatFarads(cv), source))
-		delete(capAt, source)
-	}
-
-	b := rctree.NewBuilder()
-	visitedEdges := make(map[string]bool) // resistor name -> used
-	type queued struct {
-		node   string
-		parent int // rctree index or Source
-		via    resistor
-	}
-	var queue []queued
-	for _, r := range adj[source] {
-		far := r.a
-		if far == source {
-			far = r.b
-		}
-		queue = append(queue, queued{far, rctree.Source, r})
-		visitedEdges[r.name] = true
-	}
-	if len(queue) == 0 {
-		return nil, nil, fmt.Errorf("netlist: no resistor connects to the input node %q", source)
-	}
-	seen := map[string]bool{source: true}
-	for len(queue) > 0 {
-		q := queue[0]
-		queue = queue[1:]
-		if seen[q.node] {
-			return nil, nil, fmt.Errorf("netlist: line %d: resistor %s closes a loop at node %q: not a tree", q.via.line, q.via.name, q.node)
-		}
-		seen[q.node] = true
-		var id int
-		var err error
-		if q.parent == rctree.Source {
-			id, err = b.Root(q.node, q.via.value, capAt[q.node])
-		} else {
-			id, err = b.Attach(q.parent, q.node, q.via.value, capAt[q.node])
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("netlist: line %d: %w", q.via.line, err)
-		}
-		delete(capAt, q.node)
-		for _, r := range adj[q.node] {
-			if visitedEdges[r.name] {
-				continue
-			}
-			visitedEdges[r.name] = true
-			far := r.a
-			if far == q.node {
-				far = r.b
-			}
-			queue = append(queue, queued{far, id, r})
-		}
-	}
-	for _, r := range res {
-		if !visitedEdges[r.name] {
-			return nil, nil, fmt.Errorf("netlist: line %d: resistor %s (%s-%s) is not connected to the input", r.line, r.name, r.a, r.b)
-		}
-	}
-	if len(capAt) > 0 {
-		var orphans []string
-		for node := range capAt {
-			orphans = append(orphans, node)
-		}
-		sort.Strings(orphans)
-		return nil, nil, fmt.Errorf("netlist: line %d: capacitor node %q is not connected to the input through resistors", capLine[orphans[0]], orphans[0])
-	}
-	tree, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	return tree, warnings, nil
 }
 
 // Write renders a tree as a SPICE deck with input node "in" and the

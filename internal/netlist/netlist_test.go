@@ -125,6 +125,11 @@ func TestParseErrors(t *testing.T) {
 		{"unknown element", "V1 a 0 1\nR1 a b 1\nC1 b 0 1p\nL1 a b 1n\n", "unsupported element"},
 		{"dangling continuation", "+ 1k\n", "continuation"},
 		{"negative R", "V1 a 0 1\nR1 a b -5\nC1 b 0 1p\n", "positive"},
+		// A repeated resistor name is an error in its own right: the
+		// second resistor must not vanish (taking node c with it) nor
+		// get c reported as unconnected.
+		{"duplicate resistor name", "V1 a 0 1\nR1 a b 1\nR1 b c 1\nC1 b 0 1p\n", "line 3: duplicate resistor name R1 (first at line 2)"},
+		{"duplicate resistor name, cap on dropped node", "V1 a 0 1\nR1 a b 1\nR1 b c 1\nC1 b 0 1p\nC2 c 0 1p\n", "line 3: duplicate resistor name R1 (first at line 2)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -179,6 +179,23 @@ func TestString(t *testing.T) {
 	}
 }
 
+// Clustered roots (here 22.4, 25.1 and 28.2) leave the Aberth updates
+// circling near 3.5e-13 relative, above the 1e-13 target; RealRoots
+// must still return them. One of the inputs that made
+// TestRootsRoundTripProperty fail in about one run in ten.
+func TestRealRootsClusteredRoots(t *testing.T) {
+	roots := []float64{-39.810717055349734, -28.183829312644537, -25.1188643150958, -22.387211385683404, -11.220184543019636}
+	got, err := FromRoots(roots...).RealRoots()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range roots {
+		if math.Abs(got[i]-roots[i]) > 1e-9*math.Abs(roots[i]) {
+			t.Fatalf("root %d = %v, want %v", i, got[i], roots[i])
+		}
+	}
+}
+
 // Property: for random sets of distinct negative real roots (the RC
 // case), FromRoots followed by RealRoots round-trips.
 func TestRootsRoundTripProperty(t *testing.T) {

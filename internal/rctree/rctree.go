@@ -447,7 +447,7 @@ func checkC(c float64) error {
 }
 
 // Builder constructs a Tree incrementally. The zero value is not usable;
-// create one with NewBuilder.
+// create one with NewBuilder or NewBuilderSize.
 type Builder struct {
 	nodes  []node
 	byName map[string]int
@@ -457,6 +457,11 @@ type Builder struct {
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
 	return &Builder{byName: make(map[string]int)}
+}
+
+// NewBuilderSize returns an empty Builder with room for n nodes.
+func NewBuilderSize(n int) *Builder {
+	return &Builder{nodes: make([]node, 0, n), byName: make(map[string]int, n)}
 }
 
 // Root adds a node attached directly to the voltage source through
@@ -522,9 +527,6 @@ func (b *Builder) add(name string, parent int, r, c float64) (int, error) {
 		depth = b.nodes[parent].depth + 1
 	}
 	b.nodes = append(b.nodes, node{name: name, parent: parent, r: r, c: c, depth: depth})
-	if parent != Source {
-		b.nodes[parent].children = append(b.nodes[parent].children, id)
-	}
 	b.byName[name] = id
 	return id, nil
 }
@@ -550,6 +552,7 @@ func (b *Builder) Build() (*Tree, error) {
 		nodes:  b.nodes,
 		byName: b.byName,
 	}
+	t.linkChildren()
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -558,6 +561,34 @@ func (b *Builder) Build() (*Tree, error) {
 	b.nodes = nil
 	b.byName = make(map[string]int)
 	return t, nil
+}
+
+// linkChildren fills every node's child list from the parent links, in
+// index order (the order Attach added them). The lists are
+// full-capacity windows of one shared array: one allocation per tree
+// instead of one per parent.
+func (t *Tree) linkChildren() {
+	count := make([]int, len(t.nodes))
+	edges := 0
+	for i := range t.nodes {
+		if p := t.nodes[i].parent; p != Source {
+			count[p]++
+			edges++
+		}
+	}
+	kids := make([]int, edges)
+	off := 0
+	for i, k := range count {
+		if k > 0 {
+			t.nodes[i].children = kids[off : off : off+k]
+			off += k
+		}
+	}
+	for i := range t.nodes {
+		if p := t.nodes[i].parent; p != Source {
+			t.nodes[p].children = append(t.nodes[p].children, i)
+		}
+	}
 }
 
 func (t *Tree) computeOrders() {

@@ -2,6 +2,7 @@ package rctree
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -456,5 +457,34 @@ func TestSetValuesBulkMutation(t *testing.T) {
 	}
 	if err := tree.SetValues([]float64{1}, nil); err == nil {
 		t.Fatal("length mismatch must fail")
+	}
+}
+
+// Build lays the child lists out in one shared array: each list keeps
+// attach order, and appending to one cannot overwrite its neighbour.
+func TestBuildChildListsInAttachOrder(t *testing.T) {
+	b := NewBuilderSize(6)
+	a := b.MustRoot("a", 1, 1)
+	x := b.MustRoot("x", 1, 1)
+	a1 := b.MustAttach(a, "a1", 1, 1)
+	x1 := b.MustAttach(x, "x1", 1, 1)
+	a2 := b.MustAttach(a, "a2", 1, 1)
+	x2 := b.MustAttach(x, "x2", 1, 1)
+	tree, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tree.Children(a); !slices.Equal(got, []int{a1, a2}) {
+		t.Errorf("children(a) = %v, want [%d %d]", got, a1, a2)
+	}
+	if got := tree.Children(x); !slices.Equal(got, []int{x1, x2}) {
+		t.Errorf("children(x) = %v, want [%d %d]", got, x1, x2)
+	}
+	if tree.Children(a1) != nil {
+		t.Errorf("leaf children = %v, want nil", tree.Children(a1))
+	}
+	_ = append(tree.Children(a), 99)
+	if got := tree.Children(x); !slices.Equal(got, []int{x1, x2}) {
+		t.Errorf("appending to children(a) changed children(x) to %v", got)
 	}
 }
