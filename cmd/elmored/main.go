@@ -17,7 +17,7 @@
 // ?tenant=) sheds overload with 429/503 + Retry-After instead of
 // queueing; client deadlines (X-Elmore-Deadline or ?deadline=) are
 // capped by -max-deadline and propagated into per-job timeouts; a
-// hot-tree LRU skips parse+compile for repeated nets; SIGTERM drains
+// hot-tree LRU skips parsing for repeated nets; SIGTERM drains
 // gracefully — stop admitting, finish or journal in-flight batches,
 // flush the flight recorder, exit 0 — and a restart resumes journaled
 // batches. SIGQUIT (with -flight-dump) dumps the flight ring without
@@ -41,6 +41,7 @@ import (
 	"syscall"
 	"time"
 
+	"elmore/internal/batch"
 	"elmore/internal/cliutil"
 	"elmore/internal/telemetry"
 )
@@ -74,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs.DurationVar(&cfg.MaxDeadline, "max-deadline", 2*time.Minute, "cap on client-requested deadlines (and the default when none is sent)")
 	fs.IntVar(&cfg.MaxJobs, "max-jobs", 10000, "max spec lines per /v1/analyze request")
 	fs.Int64Var(&cfg.MaxBody, "max-body", 32<<20, "max request body bytes")
-	fs.IntVar(&cfg.HotTrees, "hot-trees", 256, "hot-tree LRU capacity: repeated nets skip parse+compile (0 = off)")
+	fs.IntVar(&cfg.HotTrees, "hot-trees", batch.DefaultHotTrees, "hot-tree LRU capacity: repeated nets skip parsing (0 = off)")
 	fs.StringVar(&cfg.JournalDir, "journal-dir", "", "directory for per-batch resume journals (empty disables X-Batch-ID journaling)")
 	cf := cliutil.Add(fs)
 	if err := fs.Parse(args); err != nil {

@@ -47,7 +47,7 @@ type server struct {
 	eng     *batch.Engine // template: shared cache, resilience policy
 	limiter *resilience.Limiter
 	gate    *batch.Gate
-	hot     *hotTrees
+	hot     *batch.TreeCache
 	start   time.Time
 
 	// runCtx is the server-lifetime context: request contexts derive
@@ -98,7 +98,7 @@ func newServer(ctx context.Context, cfg config) *server {
 			Breaker:     tenantBreaker,
 		},
 		gate:      &batch.Gate{},
-		hot:       newHotTrees(cfg.HotTrees),
+		hot:       batch.NewTreeCache(cfg.HotTrees, "serve.hot_tree"),
 		start:     time.Now(),
 		runCtx:    runCtx,
 		cancelRun: cancel,
@@ -438,7 +438,7 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 	st, runErr := batch.RunSpecsOpts(ctx, s.requestEngine(deadline), nil, fw, batch.SpecRunOptions{
 		Specs:   specs,
-		Loader:  s.hot.loader(nil),
+		Loader:  s.hot.Load,
 		Journal: jr,
 		Replay:  rp,
 	})
@@ -504,7 +504,7 @@ func (s *server) handleBound(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := s.requestCtx(r, deadline)
 	defer cancel()
-	job := spec.JobLoader(nil, 0, s.hot.loader(nil))
+	job := spec.JobLoader(nil, 0, s.hot.Load)
 	res := s.requestEngine(deadline).Run(ctx, []batch.Job{job})
 	telemetry.C("serve.jobs").Inc()
 	rec := batch.Record(res[0])

@@ -7,10 +7,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"elmore/internal/batch"
+	"elmore/internal/core"
 	"elmore/internal/faultinject"
 	"elmore/internal/telemetry"
 )
@@ -274,6 +278,45 @@ func TestHotTreeLRUSkipsReparse(t *testing.T) {
 	}
 	if misses := reg.Counter("serve.hot_tree_misses").Value(); misses != 1 {
 		t.Fatalf("hot_tree_misses = %d, want 1", misses)
+	}
+}
+
+// A net file rewritten in place must be answered from its new text:
+// the hot-tree LRU is keyed on the deck text, never on the path. Keyed
+// on the path, the rewritten deck (Elmore delay 50 ps at z) was
+// answered from the old tree's 9.5 ps, an anti-conservative bound.
+func TestHotTreeRewrittenNetReparsed(t *testing.T) {
+	_, ts := startTestServer(t, testConfig())
+	deckB := strings.Replace(testDeck, "R2 a z 150", "R2 a z 1500", 1)
+	for _, endpoint := range []string{"/v1/analyze", "/v1/bound"} {
+		path := filepath.Join(t.TempDir(), "net.sp")
+		spec := fmt.Sprintf(`{"id":"n","net":%q,"sinks":["z"]}`, path)
+		for _, deck := range []string{testDeck, deckB} {
+			if err := os.WriteFile(path, []byte(deck), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+endpoint, "application/json", strings.NewReader(spec+"\n"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rec batch.ResultRecord
+			err = json.NewDecoder(resp.Body).Decode(&rec)
+			resp.Body.Close()
+			if err != nil || rec.Error != "" || len(rec.Sinks) != 1 {
+				t.Fatalf("%s: %+v, %v", endpoint, rec, err)
+			}
+			tree, err := batch.DefaultTreeLoader("", deck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := core.Analyze(tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fresh.Bounds[tree.MustIndex("z")].Elmore; rec.Sinks[0].Elmore != want {
+				t.Fatalf("%s answered Elmore %g s at z for a deck whose fresh analysis gives %g s", endpoint, rec.Sinks[0].Elmore, want)
+			}
+		}
 	}
 }
 

@@ -232,8 +232,12 @@ type SpecRunOptions struct {
 	// DefaultSlew is the path-job input slew when a spec leaves "slew"
 	// empty.
 	DefaultSlew float64
-	// Loader resolves net references (file path or inline text); nil
-	// means DefaultTreeLoader. elmored injects its hot-tree LRU here.
+	// Loader resolves net references (file path or inline text). nil
+	// means a TreeCache of DefaultHotTrees trees built for this run
+	// alone, so a run parses each distinct deck once, however many jobs
+	// name it, and shares nothing with other runs; it counts in the
+	// batch.hot_tree_* counters. elmored injects its long-lived cache
+	// here, and DefaultTreeLoader parses every reference afresh.
 	Loader TreeLoader
 	// Journal and Replay are the crash-safe checkpoint pair; each may be
 	// nil (no journaling / fresh start).
@@ -272,6 +276,10 @@ func RunSpecsOpts(ctx context.Context, e *Engine, r io.Reader, w io.Writer, opts
 			return RunStats{}, err
 		}
 	}
+	load := opts.Loader
+	if load == nil {
+		load = NewTreeCache(DefaultHotTrees, "batch.hot_tree").Load
+	}
 	jr, rp := opts.Journal, opts.Replay
 	st := RunStats{Total: len(specs)}
 	jobs := make([]Job, 0, len(specs))
@@ -287,7 +295,7 @@ func RunSpecsOpts(ctx context.Context, e *Engine, r io.Reader, w io.Writer, opts
 				st.Requeued++
 			}
 		}
-		jobs = append(jobs, s.JobLoader(opts.Lib, opts.DefaultSlew, opts.Loader))
+		jobs = append(jobs, s.JobLoader(opts.Lib, opts.DefaultSlew, load))
 		orig = append(orig, i)
 	}
 	if st.Requeued > 0 {

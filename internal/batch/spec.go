@@ -122,22 +122,59 @@ func ParseRise(tok string) (signal.Signal, error) {
 
 // TreeLoader resolves one spec net reference — a file path in net, or
 // deck text in netlist (exactly one is non-empty) — into its RC tree.
-// The hook lets a host intercept loads: elmored's hot-tree LRU serves
-// repeated nets without re-parsing, and tests substitute synthetic
-// trees without touching the filesystem.
+// The hook lets a host intercept loads: a TreeCache serves repeated
+// decks without re-parsing, and tests substitute synthetic trees
+// without touching the filesystem.
 type TreeLoader func(net, netlist string) (*rctree.Tree, error)
 
 // DefaultTreeLoader opens net as a netlist file, or parses netlist as
-// inline deck text. It is what Job uses when no loader is injected.
+// inline deck text, afresh on every call. It is what Job uses when no
+// loader is injected.
 func DefaultTreeLoader(net, netlist string) (*rctree.Tree, error) {
-	if netlist != "" {
-		deck, err := netlistpkg.ParseString(netlist)
-		if err != nil {
-			return nil, fmt.Errorf("inline netlist: %w", err)
+	return loadTree(net, netlist, parseDeck)
+}
+
+// loadTree reads the deck a net reference names and hands its text to
+// parse. Errors name the reference: os.Open's error for a file that
+// cannot be opened, "<path>: netlist: ..." for a file that cannot be
+// read or parsed, "inline netlist: ..." for inline text.
+func loadTree(net, netlist string, parse func(text string) (*rctree.Tree, error)) (*rctree.Tree, error) {
+	text, where := netlist, "inline netlist"
+	if netlist == "" {
+		var err error
+		if text, err = readNet(net); err != nil {
+			return nil, err
 		}
-		return deck.Tree, nil
+		where = net
 	}
-	return loadNet(net)
+	tree, err := parse(text)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", where, err)
+	}
+	return tree, nil
+}
+
+// readNet reads the netlist file at path whole.
+func readNet(path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	text, err := netlistpkg.Read(f)
+	if err != nil {
+		return "", fmt.Errorf("%s: %w", path, err)
+	}
+	return text, nil
+}
+
+// parseDeck parses deck text into its RC tree.
+func parseDeck(text string) (*rctree.Tree, error) {
+	deck, err := netlistpkg.ParseString(text)
+	if err != nil {
+		return nil, err
+	}
+	return deck.Tree, nil
 }
 
 // Job materializes a spec with the default filesystem loader. See
@@ -277,18 +314,4 @@ func parseMethod(tok string) (sim.Method, error) {
 		return sim.BackwardEuler, nil
 	}
 	return sim.Trapezoidal, fmt.Errorf("unknown method %q (want trap or be)", tok)
-}
-
-// loadNet parses one netlist file into its RC tree.
-func loadNet(path string) (*rctree.Tree, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	deck, err := netlistpkg.Parse(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return deck.Tree, nil
 }

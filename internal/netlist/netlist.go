@@ -51,20 +51,48 @@ type Deck struct {
 // FuzzParse uses, kept so both reject the same decks.
 const maxLine = 16 * 1024 * 1024
 
-// Parse reads a deck. The input is read once into one string; see
-// ParseString.
+// Parse reads a deck as Read does and parses it; see ParseString.
 func Parse(r io.Reader) (*Deck, error) {
+	data, err := read(r)
+	return parse(data, err)
+}
+
+// Read reads a whole deck from r into one string: a regular file in one
+// read of the size Stat reports (bytes appended after that Stat are not
+// read), any other reader, such as a pipe, stdin or a file whose
+// reported size is 0, to EOF. A failed read is reported as Parse
+// reports it.
+func Read(r io.Reader) (string, error) {
+	data, err := read(r)
+	if err != nil {
+		return "", scanErr(data, err)
+	}
+	return data, nil
+}
+
+// read is Read without the error ranking: on a failed read, data holds
+// what was read before the error.
+func read(r io.Reader) (data string, err error) {
 	var sb strings.Builder
 	switch src := r.(type) {
 	case interface{ Len() int }: // strings.Reader, bytes.Reader, bytes.Buffer
 		sb.Grow(src.Len())
 	case *os.File:
-		if st, err := src.Stat(); err == nil && st.Mode().IsRegular() && int64(int(st.Size())) == st.Size() {
-			sb.Grow(int(st.Size()))
+		// A regular file is read in one read of its size: io.Copy would
+		// reach (*os.File).WriteTo, which allocates a 32 KB copy buffer
+		// on every call. Pseudo-files such as those under /proc report
+		// size 0 and are copied to EOF.
+		if st, err := src.Stat(); err == nil && st.Mode().IsRegular() && st.Size() > 0 && int64(int(st.Size())) == st.Size() {
+			buf := make([]byte, st.Size())
+			n, err := io.ReadFull(src, buf)
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				err = nil // the file shrank since the Stat
+			}
+			return string(buf[:n]), err
 		}
 	}
-	_, err := io.Copy(&sb, r)
-	return parse(sb.String(), err)
+	_, err = io.Copy(&sb, r)
+	return sb.String(), err
 }
 
 // ParseString parses a deck held in a string. The returned deck and

@@ -142,9 +142,12 @@ func (s *flightShard) append(ev *FlightEvent) {
 }
 
 // load snapshots the slot; ok is false when the slot is empty or was
-// torn by a concurrent append.
+// torn by a concurrent append. It reads commit first and begin last: an
+// append that begins after the first read moves begin, while reading
+// begin first and commit last would miss one that has begun but not
+// yet committed.
 func (sl *flightSlot) load() (ev FlightEvent, seq uint64, ok bool) {
-	seq = sl.begin.Load()
+	seq = sl.commit.Load()
 	if seq == 0 {
 		return ev, 0, false
 	}
@@ -172,7 +175,7 @@ func (sl *flightSlot) load() (ev FlightEvent, seq uint64, ok bool) {
 		n = len(buf)
 	}
 	ev.Label = string(buf[:n])
-	if sl.commit.Load() != seq {
+	if sl.begin.Load() != seq {
 		return ev, 0, false // torn by a concurrent overwrite
 	}
 	return ev, seq, true

@@ -55,6 +55,9 @@ var standardHelp = map[string]string{
 	"batch.cache_misses":                "Moment-cache misses in the batch engine.",
 	"batch.plan_cache_hits":             "Compiled-plan cache hits in the batch engine.",
 	"batch.plan_cache_misses":           "Compiled-plan cache misses in the batch engine.",
+	"batch.hot_tree_hits":               "Batch net loads served from the run's tree cache without re-parsing.",
+	"batch.hot_tree_misses":             "Batch net loads that parsed a tree before caching it for the run.",
+	"batch.hot_tree_evictions":          "Trees evicted from a batch run's bounded tree cache.",
 	"batch.resumed_jobs":                "Jobs skipped on resume because the journal marked them done.",
 	"batch.journal_syncs":               "fsync batches issued by the resume journal.",
 	"batch.workers":                     "Worker goroutines configured for the current batch run.",
@@ -79,7 +82,7 @@ var standardHelp = map[string]string{
 	"serve.jobs":                        "Jobs evaluated across all /v1/analyze requests.",
 	"serve.inflight":                    "Requests currently inside the serve drain gate.",
 	"serve.hot_tree_hits":               "Net loads served from the hot-tree LRU without re-parsing.",
-	"serve.hot_tree_misses":             "Net loads that parsed and compiled a tree before caching it.",
+	"serve.hot_tree_misses":             "Net loads that parsed a tree before caching it.",
 	"serve.hot_tree_evictions":          "Trees evicted from the bounded hot-tree LRU.",
 	"serve.deadline_truncations":        "Requests whose per-job timeout was tightened to the client deadline.",
 	"serve.drains":                      "Graceful drains begun (SIGTERM / shutdown).",
