@@ -1,9 +1,6 @@
 GO ?= go
 
-# Benchmarks folded into BENCH_8.json by `make bench-json`.
-BENCH_PATTERN ?= ElmoreDelays|AnalyzeBounds|MomentsOrder6|IncrementalSet|SimTransient|SimPlanReuse|TableI$$
-
-.PHONY: check build test vet race health-strict chaos fuzz-smoke bench bench-json bench-smoke bench-incremental scaling-smoke obs-smoke serve-smoke fmt
+.PHONY: check build test vet race health-strict chaos fuzz-smoke bench bench-smoke bench-incremental scaling-smoke obs-smoke serve-smoke fmt
 
 check: vet build race
 
@@ -43,16 +40,6 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Run the scaling benchmarks and merge them into BENCH_8.json as the
-# "after" side (pipe a saved baseline through
-# `go run ./cmd/benchjson -label before -o BENCH_8.json` first).
-# Compare ledgers across PRs with
-# `go run ./cmd/benchjson -diff BENCH_7.json BENCH_8.json`.
-bench-json:
-	( $(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -timeout 90m . \
-	  && $(GO) test -run '^$$' -bench 'Batch10kNets' -benchmem -timeout 30m ./internal/batch ) \
-		| $(GO) run ./cmd/benchjson -label after -merge -o BENCH_8.json
-
 # Timing floors on pure chains, the deepest topology. Incremental-engine
 # speedup (ISSUE 8 acceptance): on a 100k-node chain, a single SetC plus
 # re-bounding the perturbed sink must beat a full analysis by >= 10x.
@@ -84,7 +71,7 @@ scaling-smoke:
 	mkdir -p artifacts
 	$(GO) run -race ./cmd/scalestat -nets 200 -nodes 16 -share 20 -workers 1,2 \
 		-check -efficiency-min 0.5 -speedup-min 0.5 -lockwait-max 0.10 -min-cpus 4 \
-		-o artifacts/scaling-report.json -bench-out artifacts/scaling-bench.json
+		-o artifacts/scaling-report.json
 	$(GO) run -race ./cmd/boundstat -trees 60 -max-nodes 24 \
 		-profile-dir artifacts/profiles -mutex-profile 5 -block-profile 10000 \
 		-runtime-sample 100ms -trace artifacts/scaling-trace.ndjson \

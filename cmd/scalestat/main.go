@@ -13,11 +13,10 @@
 //	scalestat                                # 10k nets, workers 1..GOMAXPROCS
 //	scalestat -nets 500 -workers 1,2,4 -o report.json
 //	scalestat -share 64                      # 64 distinct nets: exercises the cache
-//	scalestat -bench-out BENCH_scale.json    # benchjson-compatible ledger artifact
 //	scalestat -nets 200 -workers 1,2 -check  # CI smoke: validate own report
 //
 // The workload mirrors BenchmarkBatch10kNets (random trees of 24..40
-// nodes) so reports are comparable with the committed BENCH ledgers.
+// nodes) so reports are comparable with that benchmark.
 package main
 
 import (
@@ -123,7 +122,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	share := fs.Int("share", 0, "number of distinct nets; 0 = all distinct (cache-cold), N = jobs cycle over N trees (cache-hot)")
 	workersFlag := fs.String("workers", "", "comma-separated worker counts to sweep (default 1,2,4,... up to GOMAXPROCS)")
 	out := fs.String("o", "", "write the scaling report JSON to `file` (default stdout)")
-	benchOut := fs.String("bench-out", "", "also write a benchjson-compatible ledger to `file`")
 	check := fs.Bool("check", false, "validate the report (finite efficiency, accounted fraction) and fail on violation")
 	accountedMin := fs.Float64("accounted-min", 0.95, "-check: minimum accounted fraction of worker wall time")
 	efficiencyMin := fs.Float64("efficiency-min", 0, "-check: minimum parallel efficiency per step (0 = off; skipped below -min-cpus)")
@@ -195,11 +193,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	} else {
 		stdout.Write(buf)
-	}
-	if *benchOut != "" {
-		if err := writeBenchLedger(*benchOut, rep); err != nil {
-			return err
-		}
 	}
 	if *check {
 		floors := checkFloors{
@@ -342,43 +335,6 @@ func parseWorkers(s string) ([]int, error) {
 		sweep = append(sweep, w)
 	}
 	return sweep, nil
-}
-
-// benchMetrics / benchEntry / benchLedger mirror cmd/benchjson's ledger
-// schema so a scalestat artifact diffs and merges like any BENCH file.
-type benchMetrics struct {
-	NsOp     float64 `json:"ns_op"`
-	BOp      int64   `json:"b_op"`
-	AllocsOp int64   `json:"allocs_op"`
-}
-
-type benchEntry struct {
-	Before  *benchMetrics `json:"before,omitempty"`
-	After   *benchMetrics `json:"after,omitempty"`
-	Speedup float64       `json:"speedup,omitempty"`
-}
-
-type benchLedger struct {
-	CPU        string                 `json:"cpu,omitempty"`
-	Benchmarks map[string]*benchEntry `json:"benchmarks"`
-}
-
-// writeBenchLedger records each step as Scalestat/workers=N with
-// ns_op = wall time per job, so the follow-up optimization PR has a
-// before side to merge its after numbers into.
-func writeBenchLedger(path string, rep *report) error {
-	doc := benchLedger{Benchmarks: map[string]*benchEntry{}}
-	for _, st := range rep.Steps {
-		nsOp := st.ElapsedMS * float64(time.Millisecond) / float64(rep.Nets)
-		doc.Benchmarks[fmt.Sprintf("Scalestat/workers=%d", st.Workers)] = &benchEntry{
-			After: &benchMetrics{NsOp: math.Round(nsOp)},
-		}
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
 // validate is the -check mode: every efficiency/attribution figure must

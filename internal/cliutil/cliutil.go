@@ -3,7 +3,7 @@
 // -strict-numerics, -health-log), the -version flag, and the session
 // object that opens/flushes the trace file, installs the process-wide
 // metrics registry and numerical-health monitor, and serves
-// net/http/pprof + expvar + Prometheus /metrics for live inspection.
+// net/http/pprof + Prometheus /metrics for live inspection.
 //
 // The intended wiring inside a tool's run function:
 //
@@ -24,7 +24,6 @@ package cliutil
 import (
 	"bufio"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -55,7 +54,7 @@ import (
 type Flags struct {
 	Trace          string // -trace: JSON-lines span log path
 	Metrics        bool   // -metrics: snapshot to stderr on exit
-	DebugAddr      string // -debug-addr: pprof/expvar/metrics listen address
+	DebugAddr      string // -debug-addr: pprof and /metrics listen address
 	Version        bool   // -version: print build info and exit
 	StrictNumerics bool   // -strict-numerics: numerical-health violations fail the run
 	HealthLog      string // -health-log: NDJSON health-event log path
@@ -80,7 +79,7 @@ func Add(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Trace, "trace", "", "write a JSON-lines span trace to `file`")
 	fs.BoolVar(&f.Metrics, "metrics", false, "print a metrics snapshot to stderr on exit")
-	fs.StringVar(&f.DebugAddr, "debug-addr", "", "serve net/http/pprof, expvar and Prometheus /metrics on `addr` (e.g. localhost:6060)")
+	fs.StringVar(&f.DebugAddr, "debug-addr", "", "serve net/http/pprof and Prometheus /metrics on `addr` (e.g. localhost:6060)")
 	fs.BoolVar(&f.Version, "version", false, "print version information and exit")
 	fs.BoolVar(&f.StrictNumerics, "strict-numerics", false, "fail the run on any numerical-health violation")
 	fs.StringVar(&f.HealthLog, "health-log", "", "write NDJSON numerical-health events to `file` (default stderr when -strict-numerics)")
@@ -370,11 +369,6 @@ func (s tracerSink) Emit(rec []byte) error {
 	return nil
 }
 
-// publishOnce guards the process-wide expvar name (expvar.Publish
-// panics on duplicates). The published Var reads the *current* default
-// registry, so one publication serves every later session.
-var publishOnce sync.Once
-
 // metricsOnce guards the process-wide /metrics route on the default mux
 // (http.Handle panics on duplicates). PromHandler reads the *current*
 // default registry, so one registration serves every later session.
@@ -456,7 +450,6 @@ func (f *Flags) Start(stderr io.Writer) (*Session, error) {
 		s.sampler = telemetry.StartRuntimeSampler(f.RuntimeSample, sink)
 	}
 	if f.DebugAddr != "" {
-		publishOnce.Do(func() { expvar.Publish("elmore.metrics", telemetry.ExpvarVar{}) })
 		metricsOnce.Do(func() { http.Handle("/metrics", telemetry.PromHandler{}) })
 		ln, err := net.Listen("tcp", f.DebugAddr)
 		if err != nil {
@@ -464,11 +457,11 @@ func (f *Flags) Start(stderr io.Writer) (*Session, error) {
 			return nil, fmt.Errorf("-debug-addr: %w", err)
 		}
 		s.ln = ln
-		// The default mux carries /debug/pprof/* and /debug/vars from
-		// the net/http/pprof and expvar imports, plus the Prometheus
-		// exposition registered above.
+		// The default mux carries /debug/pprof/* from the
+		// net/http/pprof import, plus the Prometheus exposition
+		// registered above.
 		go func() { _ = http.Serve(ln, nil) }()
-		fmt.Fprintf(stderr, "debug server listening on http://%s/debug/pprof/ (expvar at /debug/vars, Prometheus at /metrics)\n", ln.Addr())
+		fmt.Fprintf(stderr, "debug server listening on http://%s/debug/pprof/ (Prometheus at /metrics)\n", ln.Addr())
 	}
 	return s, nil
 }

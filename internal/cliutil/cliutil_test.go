@@ -139,7 +139,7 @@ func TestTraceAndMetricsLifecycle(t *testing.T) {
 	}
 }
 
-func TestDebugServerServesPprofAndExpvar(t *testing.T) {
+func TestDebugServerServesPprofAndMetrics(t *testing.T) {
 	cf := parse(t, "-debug-addr", "127.0.0.1:0", "-metrics")
 	var errOut strings.Builder
 	sess, err := cf.Start(&errOut)
@@ -159,7 +159,6 @@ func TestDebugServerServesPprofAndExpvar(t *testing.T) {
 	base := line[start:end]
 
 	for path, want := range map[string]string{
-		"/debug/vars":               `"dbg.count":1`,
 		"/debug/pprof/":             "goroutine",
 		"/debug/pprof/heap?debug=1": "heap profile",
 		"/metrics":                  "dbg_count 1",

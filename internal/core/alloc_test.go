@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"elmore/internal/faultinject"
@@ -9,12 +10,11 @@ import (
 	"elmore/internal/topo"
 )
 
-// analyzeAllocBudget is the serial-path allocation count for a full
-// Analyze: 2 here (Analysis, Bounds slice) + 4 in moments.Compute +
-// 3 in moments.ComputePRH. The regression this pins: PR 3's compiled
-// layout crept from 15 to 19 allocs/op because the sweep buffers were
-// captured by parallel-path closures (heap-boxing them even on the
-// serial path) and ComputePRH allocated its seven arrays one by one.
+// analyzeAllocBudget is the allocation count for a full Analyze at
+// any tree size: 2 here (Analysis, Bounds slice) + 4 in
+// moments.Compute + 3 in moments.ComputePRH. Every sweep is a plain
+// loop over buffers it was handed, so nothing is boxed for a closure
+// and the count does not grow with the tree.
 const analyzeAllocBudget = 9
 
 func TestAnalyzeAllocBudget(t *testing.T) {
@@ -32,6 +32,35 @@ func TestAnalyzeAllocBudget(t *testing.T) {
 	})
 	if got > analyzeAllocBudget {
 		t.Errorf("Analyze = %.1f allocs/op, budget %d", got, analyzeAllocBudget)
+	}
+}
+
+// The budget must hold on a large bushy tree with more than one CPU
+// too. testing.AllocsPerRun pins GOMAXPROCS to 1, so this counts heap
+// objects from runtime.MemStats instead, at GOMAXPROCS=2, on a
+// 20000-node tree (41 levels, ~490 nodes per level). The minimum over
+// a few calls filters out allocations made by the runtime itself.
+func TestAnalyzeAllocBudgetLargeTree(t *testing.T) {
+	if health.Enabled() {
+		t.Skip("health monitor installed; the instrumented path allocates by design")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	tree := topo.Random(7, topo.RandomOptions{N: 20000})
+	if _, err := Analyze(tree); err != nil { // warm compiled-plan + counter caches
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	best := ^uint64(0)
+	for k := 0; k < 5; k++ {
+		runtime.ReadMemStats(&before)
+		if _, err := Analyze(tree); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, after.Mallocs-before.Mallocs)
+	}
+	if best > analyzeAllocBudget {
+		t.Errorf("Analyze on %d nodes = %d allocs, budget %d", tree.N(), best, analyzeAllocBudget)
 	}
 }
 

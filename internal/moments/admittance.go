@@ -46,29 +46,14 @@ func DownstreamAdmittances(t *rctree.Tree) []Admittance {
 	n := cp.N()
 	acc := make([]Admittance, n) // compiled-order
 	out := make([]Admittance, n) // user-order
-	if !cp.ParallelOK() {
-		// Plain loop: the closure form below escapes to the heap, and
-		// small nets should not pay that allocation.
-		for i := n - 1; i >= 0; i-- {
-			y := CapAdmittance(cp.C[i])
-			for ch := cp.ChildStart[i]; ch < cp.ChildStart[i+1]; ch++ {
-				y = y.Parallel(acc[ch].SeriesR(cp.R[ch]))
-			}
-			acc[i] = y
-			out[cp.ToUser[i]] = y
+	for i := n - 1; i >= 0; i-- {
+		y := CapAdmittance(cp.C[i])
+		for ch := cp.ChildStart[i]; ch < cp.ChildStart[i+1]; ch++ {
+			y = y.Parallel(acc[ch].SeriesR(cp.R[ch]))
 		}
-		return out
+		acc[i] = y
+		out[cp.ToUser[i]] = y
 	}
-	cp.EachLevelUp(true, func(lo, hi int) {
-		for i := hi - 1; i >= lo; i-- {
-			y := CapAdmittance(cp.C[i])
-			for ch := cp.ChildStart[i]; ch < cp.ChildStart[i+1]; ch++ {
-				y = y.Parallel(acc[ch].SeriesR(cp.R[ch]))
-			}
-			acc[i] = y
-			out[cp.ToUser[i]] = y
-		}
-	})
 	return out
 }
 

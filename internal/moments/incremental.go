@@ -841,7 +841,7 @@ func (inc *Incremental) recomputeTP() {
 
 // fullSweeps1 runs the plain serial order-1 kernels over the whole
 // tree into the engine's arrays: w1 up, m1 down and, when withRkk,
-// rkk down. These are the exact expressions of computeSerial/prhInto,
+// rkk down. These are the exact expressions of computeInto/prhInto,
 // so the results are bit-identical to a fresh Compute/ComputePRH.
 func (inc *Incremental) fullSweeps1(withRkk bool) {
 	cs, par := inc.cp.ChildStart, inc.cp.Parent
@@ -871,7 +871,7 @@ func (inc *Incremental) fullSweeps3() {
 
 // sweepUpFull sets w[i] = c[i]·m[i] + sum of w over i's children
 // (c[i] alone when m is nil), children first — the upward kernel of
-// computeSerial.
+// computeInto.
 func sweepUpFull(w, c, m []float64, cs []int32) {
 	for i := len(c) - 1; i >= 0; i-- {
 		d := c[i]
@@ -886,7 +886,7 @@ func sweepUpFull(w, c, m []float64, cs []int32) {
 }
 
 // sweepDownFull sets m[i] = -(r[i]·w[i]) + m[parent], parents first —
-// the downward kernel of computeSerial.
+// the downward kernel of computeInto.
 func sweepDownFull(m, r, w []float64, par []int32) {
 	for i, p := range par {
 		v := -(r[i] * w[i])

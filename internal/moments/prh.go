@@ -52,7 +52,7 @@ func ComputePRHWith(t *rctree.Tree, ar *Arena) *PRHTerms {
 		tr:  user[2*n : 3*n : 3*n],
 	}
 	scratch := ar.scratch(3 * n)
-	p.TP = prhInto(cp, p.TD, p.rkk, p.tr, scratch[:n], scratch[n:2*n], scratch[2*n:], cp.ParallelOK())
+	p.TP = prhInto(cp, p.TD, p.rkk, p.tr, scratch[:n], scratch[n:2*n], scratch[2*n:])
 	return p
 }
 
@@ -62,7 +62,7 @@ func ComputePRHWith(t *rctree.Tree, ar *Arena) *PRHTerms {
 //     Tree.DownstreamC kernel;
 //
 //  2. downward, per node i with parent p (R_pp = S(p) = 0 at a root):
-//     R_ii = R_pp + r_i, the Elmore accumulation (the elmoreInto
+//     R_ii = R_pp + r_i, the Elmore accumulation (the ElmoreDelays
 //     kernel, reusing downC in place as its accumulator), and
 //
 //     S(i) = S(p) + r_i (R_ii + R_pp) Cdown(i),  T_R(i) = S(i) / R_ii.
@@ -74,46 +74,21 @@ func ComputePRHWith(t *rctree.Tree, ar *Arena) *PRHTerms {
 // nonnegative values, so nothing cancels.
 //
 // Neither scratch needs to be zeroed: every slot is written before it
-// is read. Pass 2 overwrites downC[i] only after reading it. T_P is
-// summed in ascending compiled order after the sweeps on both paths.
-// The serial path runs plain loops so small nets pay no closure
-// allocations; the parallel kernels are gather-form, hence
-// bit-identical to serial.
-func prhInto(cp *rctree.Compiled, td, rkk, tr, downC, rkkC, sC []float64, parallel bool) float64 {
+// is read. Pass 2 overwrites downC[i] only after reading it, and sums
+// T_P in ascending compiled order.
+func prhInto(cp *rctree.Compiled, td, rkk, tr, downC, rkkC, sC []float64) float64 {
 	n := cp.N()
-	if parallel {
-		cp.EachLevelUp(true, func(lo, hi int) { prhUp(cp, downC, lo, hi) })
-		cp.EachLevelDown(true, func(lo, hi int) { prhDown(cp, td, rkk, tr, downC, rkkC, sC, lo, hi) })
-	} else {
-		prhUp(cp, downC, 0, n)
-		prhDown(cp, td, rkk, tr, downC, rkkC, sC, 0, n)
-	}
-	c := cp.C
-	var tp float64
-	for i := 0; i < n; i++ {
-		tp += rkkC[i] * c[i]
-	}
-	return tp
-}
-
-// prhUp is pass 1 of prhInto over compiled indices [lo, hi).
-func prhUp(cp *rctree.Compiled, downC []float64, lo, hi int) {
-	c, cs := cp.C, cp.ChildStart
-	for i := hi - 1; i >= lo; i-- {
+	r, c, cs, par, toUser := cp.R, cp.C, cp.ChildStart, cp.Parent, cp.ToUser
+	for i := n - 1; i >= 0; i-- {
 		d := c[i]
 		for ch := cs[i]; ch < cs[i+1]; ch++ {
 			d += downC[ch]
 		}
 		downC[i] = d
 	}
-}
-
-// prhDown is pass 2 of prhInto over compiled indices [lo, hi),
-// scattering T_D, R_ii and T_R to the user-indexed arrays.
-func prhDown(cp *rctree.Compiled, td, rkk, tr, downC, rkkC, sC []float64, lo, hi int) {
-	r, par, toUser := cp.R, cp.Parent, cp.ToUser
 	acc := downC // overwrites downC[i] only after it is consumed
-	for i := lo; i < hi; i++ {
+	var tp float64
+	for i := 0; i < n; i++ {
 		d := downC[i]
 		a := r[i] * d
 		var rp, sp float64
@@ -126,7 +101,9 @@ func prhDown(cp *rctree.Compiled, td, rkk, tr, downC, rkkC, sC []float64, lo, hi
 		acc[i], rkkC[i], sC[i] = a, rii, s
 		u := toUser[i]
 		td[u], rkk[u], tr[u] = a, rii, s/rii
+		tp += rii * c[i]
 	}
+	return tp
 }
 
 // PathResistance returns R_ii for node i (cached).

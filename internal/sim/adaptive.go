@@ -16,16 +16,15 @@ import (
 // stepping on trees inexpensive. All state vectors are in compiled
 // index order.
 type stepper struct {
-	tree     *rctree.Tree
-	cpl      *rctree.Compiled
-	in       signal.Signal
-	parallel bool
-	theta    []float64
-	omTheta  []float64
-	g        []float64
-	bvec     []float64
-	dt       float64
-	f        *treeLU
+	tree    *rctree.Tree
+	cpl     *rctree.Compiled
+	in      signal.Signal
+	theta   []float64
+	omTheta []float64
+	g       []float64
+	bvec    []float64
+	dt      float64
+	f       *treeLU
 	// stamping workspaces, reused across refactorizations
 	diag, rowChild, rowParent []float64
 }
@@ -46,7 +45,6 @@ func newStepper(t *rctree.Tree, in signal.Signal, method Method) (*stepper, erro
 		tree:      t,
 		cpl:       cpl,
 		in:        in,
-		parallel:  cpl.ParallelOK(),
 		theta:     make([]float64, n),
 		omTheta:   make([]float64, n),
 		g:         make([]float64, n),
@@ -80,8 +78,8 @@ func (s *stepper) refactor(dt float64) error {
 	}
 	// cOverDt aliases diag; stampCompiled reads cOverDt[i] before
 	// writing diag[i], and only at the same index, so the alias is safe.
-	stampCompiled(s.cpl, s.theta, s.g, cOverDt, s.diag, s.rowChild, s.rowParent, s.parallel)
-	f, err := factorCompiled(s.cpl, s.diag, s.rowChild, s.rowParent, s.tree.Name, s.parallel)
+	stampCompiled(s.cpl, s.theta, s.g, cOverDt, s.diag, s.rowChild, s.rowParent)
+	f, err := factorCompiled(s.cpl, s.diag, s.rowChild, s.rowParent, s.tree.Name)
 	if err != nil {
 		return err
 	}
@@ -117,7 +115,7 @@ func (s *stepper) step(v, out []float64, tPrev float64) {
 		uTerm := theta[i]*uCur + omTheta[i]*uPrev
 		out[i] = c[i]/dt*v[i] - omTheta[i]*gv + bvec[i]*uTerm
 	}
-	s.f.solve(out, s.parallel)
+	s.f.solve(out)
 }
 
 // RunAdaptive integrates with step-doubling local error control: each

@@ -51,38 +51,43 @@ func TestTreeLUMatchesDense(t *testing.T) {
 			offdC[ci] = offd[ui]
 			rhsC[ci] = rhs[ui]
 		}
-		for _, parallel := range []bool{false, true} {
-			f, err := factorCompiled(cp, diagC, offdC, offdC, tree.Name, parallel)
-			if err != nil {
-				t.Fatalf("trial %d: factorCompiled: %v", trial, err)
-			}
-			got := append([]float64(nil), rhsC...)
-			f.solve(got, parallel)
-			for i := range want {
-				if !approx(got[cp.FromUser[i]], want[i], 1e-8) {
-					t.Fatalf("trial %d (parallel=%v): x[%d] = %v, want %v",
-						trial, parallel, i, got[cp.FromUser[i]], want[i])
-				}
+		f, err := factorCompiled(cp, diagC, offdC, offdC, tree.Name)
+		if err != nil {
+			t.Fatalf("trial %d: factorCompiled: %v", trial, err)
+		}
+		got := append([]float64(nil), rhsC...)
+		f.solve(got)
+		for i := range want {
+			if !approx(got[cp.FromUser[i]], want[i], 1e-8) {
+				t.Fatalf("trial %d: x[%d] = %v, want %v", trial, i, got[cp.FromUser[i]], want[i])
 			}
 		}
 	}
 }
 
-// A non-positive pivot must be reported with the offending node's name,
-// under both the serial and the level-parallel factorization.
+// A non-positive pivot must be reported with the offending node's
+// name: the first bad pivot the children-first elimination meets.
 func TestFactorRejectsBadPivot(t *testing.T) {
 	tree := topo.Chain(4, 1, 1e-15)
 	cp := rctree.Compile(tree)
 	n := cp.N()
-	diag := make([]float64, n)
 	offd := make([]float64, n)
-	for i := 0; i < n; i++ {
-		diag[i] = -1 // every pivot negative
-	}
-	for _, parallel := range []bool{false, true} {
-		_, err := factorCompiled(cp, diag, offd, offd, tree.Name, parallel)
+	for _, tc := range []struct {
+		name string
+		diag []float64
+		want string
+	}{
+		// Every pivot negative: the deepest node is eliminated first.
+		{"all", []float64{-1, -1, -1, -1}, `sim: non-positive pivot -1 at node "n4"`},
+		// One bad pivot mid-chain, at compiled index 2.
+		{"mid", []float64{1, 1, -1, 1}, `sim: non-positive pivot -1 at node "n3"`},
+	} {
+		_, err := factorCompiled(cp, tc.diag, offd, offd, tree.Name)
 		if err == nil {
-			t.Fatalf("parallel=%v: factorCompiled accepted a negative diagonal", parallel)
+			t.Fatalf("%s: factorCompiled accepted a negative diagonal", tc.name)
+		}
+		if err.Error() != tc.want {
+			t.Fatalf("%s: error %q, want %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -63,9 +63,6 @@ func TestNilSafety(t *testing.T) {
 	if err := r.WriteText(&strings.Builder{}); err != nil {
 		t.Errorf("nil WriteText: %v", err)
 	}
-	if r.JSON() != "{}" {
-		t.Errorf("nil JSON = %q, want {}", r.JSON())
-	}
 
 	var sp *Span
 	sp.AttrInt("k", 1).AttrFloat("f", 2).AttrString("s", "v")
@@ -164,16 +161,5 @@ func TestWriteTextSnapshot(t *testing.T) {
 	want := "counter b.count 3\ngauge a.gauge 0.5\nhistogram c.hist count=1 sum=2 le1=0 inf=1\n"
 	if sb.String() != want {
 		t.Errorf("snapshot:\n%q\nwant:\n%q", sb.String(), want)
-	}
-}
-
-func TestExpvarJSON(t *testing.T) {
-	r := NewRegistry()
-	prev := SetDefault(r)
-	defer SetDefault(prev)
-	r.Counter("ev.count").Add(7)
-	s := ExpvarVar{}.String()
-	if !strings.Contains(s, `"ev.count":7`) {
-		t.Errorf("expvar JSON missing counter: %s", s)
 	}
 }
