@@ -30,12 +30,14 @@ chaos:
 		./internal/batch
 	$(GO) test -race -count=1 ./internal/faultinject ./internal/resilience ./internal/cliutil
 
-# Short exploratory fuzz runs for the two line-oriented parsers. Go
-# allows one -fuzz pattern per package invocation, hence two commands.
+# Short exploratory fuzz runs for the two line-oriented parsers and the
+# incremental moment engine. Go allows one -fuzz pattern per package
+# invocation, hence one command per target.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadSpecs -fuzztime=$(FUZZTIME) ./internal/batch
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/netlist
+	$(GO) test -fuzz=FuzzIncrementalEdits -fuzztime=$(FUZZTIME) ./internal/moments
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -2,7 +2,7 @@
 // descent: minimize the worst-leaf Elmore delay T_D under a total-
 // capacitance budget. It is the proving workload for the incremental
 // delta re-analysis engine — every probe is a SetR/SetC what-if,
-// an order-1 region flush, a worst-leaf scan and a Revert, never a
+// an order-1 range sweep, a worst-leaf scan and a Revert, never a
 // full recompute.
 //
 // Each node i carries a width multiplier w_i (starting at 1): the wire
@@ -290,8 +290,8 @@ func report(w io.Writer, tree *rctree.Tree, res *result) {
 		rctree.FormatFarads(res.InitialTotalC), rctree.FormatFarads(res.FinalTotalC), rctree.FormatFarads(res.CapBudget))
 	fmt.Fprintf(w, "passes         %d (%d moves, %d probes)\n", res.Passes, res.Moves, res.Probes)
 	st := res.Stats
-	fmt.Fprintf(w, "engine         %d sets, %d flushes, %d nodes touched (%.1f/flush), %d full fallbacks\n",
-		st.Sets, st.Flushes, st.NodesTouched, float64(st.NodesTouched)/math.Max(float64(st.Flushes), 1), st.FullFallbacks)
+	fmt.Fprintf(w, "engine         %d sets, %d flushes, %d nodes touched (%.1f/flush)\n",
+		st.Sets, st.Flushes, st.NodesTouched, float64(st.NodesTouched)/math.Max(float64(st.Flushes), 1))
 	if res.Verified {
 		fmt.Fprintf(w, "verified       final delays bit-identical to full recompute\n")
 	}

@@ -138,26 +138,20 @@ func TestSpecLineageEndToEnd(t *testing.T) {
 	}
 }
 
-// TestReporterBoundedLatencyMemory is the O(jobs) fix: past the
-// exact-sample threshold the reporter keeps no per-job latency state —
-// only the fixed-footprint sketch — and the summary says so.
+// TestReporterBoundedLatencyMemory is the O(jobs) fix: the reporter
+// keeps no per-job latency state — only the fixed-footprint sketch —
+// and every summary reads its quantiles from it, with an exact max.
 func TestReporterBoundedLatencyMemory(t *testing.T) {
 	var summary bytes.Buffer
 	rep := &Reporter{Summary: &summary}
 
-	total := exactLatencyThreshold + 1
+	const total = 5000
 	var pending atomic.Int64
 	rr := rep.begin(total, &pending)
-	if rr.latExact != nil {
-		t.Fatalf("large run (%d jobs) allocated the exact-sample slice", total)
-	}
 	sketchBytes := rr.sketch.MemoryBytes()
 	for i := 0; i < total; i++ {
 		rr.observe(Result{Index: i, ID: "j",
 			Elapsed: time.Duration(i+1) * time.Microsecond})
-	}
-	if rr.latExact != nil {
-		t.Error("exact samples appeared mid-run")
 	}
 	if got := rr.sketch.MemoryBytes(); got != sketchBytes {
 		t.Errorf("sketch grew %d -> %d bytes over %d jobs", sketchBytes, got, total)
@@ -168,14 +162,11 @@ func TestReporterBoundedLatencyMemory(t *testing.T) {
 	if err := json.Unmarshal(summary.Bytes(), &rec); err != nil {
 		t.Fatalf("summary: %v\n%s", err, summary.String())
 	}
-	if rec.LatencySource != "sketch" {
-		t.Errorf("latency_source = %q, want sketch", rec.LatencySource)
-	}
 	if rec.Jobs != total {
 		t.Errorf("jobs = %d, want %d", rec.Jobs, total)
 	}
-	// The sketch path still reports ordered, non-trivial quantiles with
-	// an exact max (the slowest job was total microseconds).
+	// Ordered, non-trivial quantiles with an exact max (the slowest job
+	// was total microseconds).
 	if !(0 < rec.LatencyMS.P50 && rec.LatencyMS.P50 <= rec.LatencyMS.P95 &&
 		rec.LatencyMS.P95 <= rec.LatencyMS.P99 && rec.LatencyMS.P99 <= rec.LatencyMS.Max) {
 		t.Errorf("sketch percentiles unordered: %+v", rec.LatencyMS)
@@ -184,22 +175,23 @@ func TestReporterBoundedLatencyMemory(t *testing.T) {
 		t.Errorf("max = %v ms, want exact %v", rec.LatencyMS.Max, want)
 	}
 
-	// Below the threshold the exact path is still taken.
+	// A small run takes the same path.
 	summary.Reset()
 	rr = rep.begin(16, &pending)
-	if rr.latExact == nil {
-		t.Fatal("small run dropped exact samples")
-	}
 	for i := 0; i < 16; i++ {
-		rr.observe(Result{Index: i, Elapsed: time.Millisecond})
+		rr.observe(Result{Index: i, Elapsed: time.Duration(i+1) * time.Millisecond})
 	}
 	rr.finish()
 	rec = summaryRecord{}
 	if err := json.Unmarshal(summary.Bytes(), &rec); err != nil {
 		t.Fatal(err)
 	}
-	if rec.LatencySource != "exact" {
-		t.Errorf("small-run latency_source = %q, want exact", rec.LatencySource)
+	if !(0 < rec.LatencyMS.P50 && rec.LatencyMS.P50 <= rec.LatencyMS.P95 &&
+		rec.LatencyMS.P95 <= rec.LatencyMS.P99 && rec.LatencyMS.P99 <= rec.LatencyMS.Max) {
+		t.Errorf("small-run percentiles unordered: %+v", rec.LatencyMS)
+	}
+	if rec.LatencyMS.Max != 16 {
+		t.Errorf("small-run max = %v ms, want exact 16", rec.LatencyMS.Max)
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -150,12 +148,8 @@ type runReport struct {
 	// goroutine, so these need no locking.
 	//
 	// Latency aggregation is bounded-memory: every sample lands in the
-	// fixed-size sketch, and only small runs (total <=
-	// exactLatencyThreshold) additionally keep the exact samples for
-	// exact percentiles. Before PR 9 the exact slice was unconditional —
-	// O(jobs) memory, untenable on 1M-net runs.
+	// fixed-size sketch, whatever the run size.
 	sketch        *telemetry.DurationSketch
-	latExact      []time.Duration // nil on large runs
 	slo           *telemetry.SLOTracker
 	cacheHits     int64
 	slowJobs      int64
@@ -169,11 +163,6 @@ type runReport struct {
 	stats *PoolStats
 }
 
-// exactLatencyThreshold is the run size up to which the summary keeps
-// exact per-job latencies alongside the sketch: small runs get exact
-// percentiles, large runs stay bounded-memory (the sketch alone).
-const exactLatencyThreshold = 4096
-
 // begin starts per-run reporting: snapshots the health counters and,
 // when Progress is set, launches the ticker goroutine.
 func (rep *Reporter) begin(total int, pending *atomic.Int64) *runReport {
@@ -186,9 +175,6 @@ func (rep *Reporter) begin(total int, pending *atomic.Int64) *runReport {
 		sketch:     telemetry.NewDurationSketch(),
 		slo:        telemetry.NewSLOTracker(rep.SLOs),
 		errsByKind: make(map[string]int64),
-	}
-	if total <= exactLatencyThreshold {
-		rr.latExact = make([]time.Duration, 0, total)
 	}
 	if m := health.Default(); m != nil {
 		rr.healthEvents0 = m.Events()
@@ -218,9 +204,6 @@ func (rep *Reporter) begin(total int, pending *atomic.Int64) *runReport {
 func (rr *runReport) observe(r Result) {
 	rr.done.Add(1)
 	rr.sketch.Observe(r.Elapsed)
-	if rr.latExact != nil {
-		rr.latExact = append(rr.latExact, r.Elapsed)
-	}
 	rr.slo.Observe(r.Elapsed, r.Err != nil)
 	if r.CacheHit {
 		rr.cacheHits++
@@ -274,14 +257,12 @@ type summaryRecord struct {
 	CacheHitRate float64          `json:"cache_hit_rate"`
 	SlowJobs     int64            `json:"slow_jobs"`
 	ElapsedMS    float64          `json:"elapsed_ms"`
-	LatencyMS    latencyStats     `json:"latency_ms"`
-	// LatencySource is "exact" (small runs keep every sample) or
-	// "sketch" (large runs: bounded-memory quantile estimates, ~1%
-	// relative error, max exact).
-	LatencySource string      `json:"latency_source,omitempty"`
-	SLO           []sloRecord `json:"slo,omitempty"`
-	HealthEvents  int64       `json:"health_events"`
-	HealthViol    int64       `json:"health_violations"`
+	// LatencyMS comes from the bounded-memory sketch: p50/p95/p99 to
+	// ~1% relative error, max exact.
+	LatencyMS    latencyStats `json:"latency_ms"`
+	SLO          []sloRecord  `json:"slo,omitempty"`
+	HealthEvents int64        `json:"health_events"`
+	HealthViol   int64        `json:"health_violations"`
 
 	Workers       []workerRecord `json:"workers,omitempty"`
 	Efficiency    float64        `json:"parallel_efficiency,omitempty"`
@@ -337,13 +318,7 @@ func (rr *runReport) finish() {
 		CacheHits: rr.cacheHits,
 		SlowJobs:  rr.slowJobs,
 		ElapsedMS: float64(rep.clock().Sub(rr.start)) / float64(time.Millisecond),
-	}
-	if rr.latExact != nil {
-		rec.LatencyMS = percentiles(rr.latExact)
-		rec.LatencySource = "exact"
-	} else {
-		rec.LatencyMS = sketchStats(rr.sketch)
-		rec.LatencySource = "sketch"
+		LatencyMS: sketchStats(rr.sketch),
 	}
 	for i, s := range rep.SLOs {
 		rec.SLO = append(rec.SLO, sloRecord{
@@ -393,35 +368,8 @@ func (rr *runReport) finish() {
 	rep.Summary.Write(append(line, '\n'))
 }
 
-// percentiles computes exact nearest-rank p50/p95/p99/max in
-// milliseconds; the small-run path.
-func percentiles(lat []time.Duration) latencyStats {
-	if len(lat) == 0 {
-		return latencyStats{}
-	}
-	sorted := make([]time.Duration, len(lat))
-	copy(sorted, lat)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := func(q float64) float64 {
-		i := int(math.Ceil(q*float64(len(sorted)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(sorted) {
-			i = len(sorted) - 1
-		}
-		return float64(sorted[i]) / float64(time.Millisecond)
-	}
-	return latencyStats{
-		P50: rank(0.50),
-		P95: rank(0.95),
-		P99: rank(0.99),
-		Max: float64(sorted[len(sorted)-1]) / float64(time.Millisecond),
-	}
-}
-
-// sketchStats reads the same quantiles from the bounded-memory sketch;
-// the large-run path (max is exact, the rest ~1% relative error).
+// sketchStats reads p50/p95/p99/max in milliseconds from the
+// bounded-memory sketch (max is exact, the rest ~1% relative error).
 func sketchStats(s *telemetry.DurationSketch) latencyStats {
 	if s == nil || s.Count() == 0 {
 		return latencyStats{}

@@ -137,22 +137,7 @@ func analyze(ctx context.Context, t *rctree.Tree, ms *moments.Set) (*Analysis, e
 		treeLabel = health.TreeLabel(t.N(), t.Fingerprint())
 	}
 	for i := 0; i < t.N(); i++ {
-		td := ms.Elmore(i)
-		sigma := ms.Sigma(i)
-		b := Bounds{
-			Node:       t.Name(i),
-			Elmore:     td,
-			Sigma:      sigma,
-			Mu2:        ms.Mu2(i),
-			Mu3:        ms.Mu3(i),
-			Skewness:   ms.Skewness(i),
-			Lower:      math.Max(td-sigma, 0),
-			SinglePole: math.Ln2 * td,
-			RiseTime:   RiseTimeScale * sigma,
-		}
-		tr := prh.TR(i)
-		b.PRHTmin = PRHTmin(prh.TP, td, tr, 0.5)
-		b.PRHTmax = PRHTmax(prh.TP, td, tr, 0.5)
+		b := newBounds(t.Name(i), ms, i, prh.TP, prh.TR(i))
 		a.Bounds[i] = b
 		if err := checkBounds(treeLabel, &b); err != nil {
 			return nil, err
@@ -161,6 +146,38 @@ func analyze(ctx context.Context, t *rctree.Tree, ms *moments.Set) (*Analysis, e
 	telemetry.C("core.analyses").Inc()
 	telemetry.C("core.nodes_analyzed").Add(int64(t.N()))
 	return a, nil
+}
+
+// nodeMoments is the per-node moment statistics newBounds reads:
+// *moments.Set serves them for Analyze and *moments.Incremental for
+// Reanalyze.
+type nodeMoments interface {
+	Elmore(i int) float64
+	Sigma(i int) float64
+	Mu2(i int) float64
+	Mu3(i int) float64
+	Skewness(i int) float64
+}
+
+// newBounds builds node i's Bounds from its moment statistics and the
+// PRH terms T_P and T_R(i): the one set of formulas behind Analyze and
+// Reanalyze.
+func newBounds(name string, m nodeMoments, i int, tp, tr float64) Bounds {
+	td := m.Elmore(i)
+	sigma := m.Sigma(i)
+	return Bounds{
+		Node:       name,
+		Elmore:     td,
+		Sigma:      sigma,
+		Mu2:        m.Mu2(i),
+		Mu3:        m.Mu3(i),
+		Skewness:   m.Skewness(i),
+		Lower:      math.Max(td-sigma, 0),
+		SinglePole: math.Ln2 * td,
+		PRHTmin:    PRHTmin(tp, td, tr, 0.5),
+		PRHTmax:    PRHTmax(tp, td, tr, 0.5),
+		RiseTime:   RiseTimeScale * sigma,
+	}
 }
 
 // checkBounds runs the paper's invariants on one node's freshly

@@ -67,22 +67,7 @@ func (a *Analysis) Reanalyze(inc *moments.Incremental, sinks []int) error {
 		if i < 0 || i >= len(a.Bounds) {
 			return fmt.Errorf("core: Reanalyze sink index %d out of range [0,%d)", i, len(a.Bounds))
 		}
-		td := inc.Elmore(i)
-		sigma := inc.Sigma(i)
-		b := Bounds{
-			Node:       a.Tree.Name(i),
-			Elmore:     td,
-			Sigma:      sigma,
-			Mu2:        inc.Mu2(i),
-			Mu3:        inc.Mu3(i),
-			Skewness:   inc.Skewness(i),
-			Lower:      math.Max(td-sigma, 0),
-			SinglePole: math.Ln2 * td,
-			RiseTime:   RiseTimeScale * sigma,
-		}
-		tr := inc.TR(i) // O(depth): evaluate once per sink
-		b.PRHTmin = PRHTmin(a.TP, td, tr, 0.5)
-		b.PRHTmax = PRHTmax(a.TP, td, tr, 0.5)
+		b := newBounds(a.Tree.Name(i), inc, i, a.TP, inc.TR(i)) // TR is O(depth): once per sink
 		a.Bounds[i] = b
 		if err := checkBounds(treeLabel, &b); err != nil {
 			return err

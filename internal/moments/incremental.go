@@ -3,9 +3,7 @@ package moments
 import (
 	"fmt"
 	"math"
-	"sort"
 
-	"elmore/internal/health"
 	"elmore/internal/rctree"
 	"elmore/internal/telemetry"
 )
@@ -13,43 +11,41 @@ import (
 // Incremental is a delta-update engine for the order-3 moment and PRH
 // state of one RC tree: it owns mutable copies of the element values
 // plus every derived per-node array (downstream capacitance, m1..m3,
-// path resistance, T_P) in the compiled layout, and re-cleans only the
-// minimal dirty region after SetR/SetC perturbations. It exists so an
-// optimizer's perturb → evaluate → revert inner loop stops paying the
-// full Compile-rebuild + Compute + ComputePRH + per-node bound rebuild
-// an rctree.Tree mutation costs (SetR/SetC invalidate the whole
-// compiled plan), and pays only for what actually has to move.
+// path resistance, T_P) and re-sweeps only what an edit moves. It
+// exists so an optimizer's perturb → evaluate → revert inner loop stops
+// paying the full Compile-rebuild + Compute + ComputePRH + per-node
+// bound rebuild an rctree.Tree mutation costs (SetR/SetC invalidate the
+// whole compiled plan), and pays only for what actually has to move.
 //
 // Every value the engine serves is bit-identical to a fresh
 // moments.Compute / ComputePRH on a tree carrying the same element
-// values: the update kernels are the exact per-node expressions of the
-// full sweeps, applied in an order with the same data dependencies, so
-// IEEE-754 non-associativity never shows. That is the property the
-// crossover fallback leans on — when the dirty region approaches the
-// whole tree, the engine simply runs the full serial sweeps in place,
-// and nobody can tell the difference.
+// values: its two range kernels, gather and step, are the exact
+// per-node expressions of the full sweeps, and each node reads its
+// children in the same order, so IEEE-754 non-associativity never
+// shows.
 //
-// How local an update can be is dictated by the recurrences, not by
-// engineering:
+// The state is numbered in the tree's depth-first pre-order, where the
+// subtree of node k is the index range [k, end[k]) and each root
+// component is one range too. What an edit moves is one range per
+// stage:
 //
-//   - Order-1 state localizes. A ΔC at node k moves the downstream
-//     capacitance (= the order-1 upward sums) only on k's root path; a
-//     ΔR at k moves the path resistance and the Elmore delay only in
-//     k's subtree. These are the O(path + subtree) kernels, and they
-//     are what a T_D-driven optimizer hits thousands of times a second.
-//   - Orders 2 and 3 do not. m2/m3 at ANY node depend on m1 at EVERY
-//     node of the same root component (through the subtree sums of
-//     C·m1), and any single perturbation moves m1 across the whole
-//     component, so an exact order-2+ update is Ω(component) no matter
-//     how it is organized. The engine's win there is constant-factor
-//     but large: in-place region sweeps with no plan rebuild, no
-//     allocation, no scatter to user order, and no per-node bound
+//   - ΔC at k moves the downstream capacitance w1 on k's root path,
+//     re-gathered at once, and m1 over k's whole component (m1 at the
+//     root reads the root's downstream capacitance).
+//   - ΔR at k moves m1 and the path resistance only in [k, end[k]).
+//   - Either moves orders 2 and 3 over k's component. Those do not
+//     localize: m2/m3 at any node depend on m1 at every node of the
+//     component (through the subtree sums of C·m1), so an exact
+//     order-2+ update is Ω(component). The win there is the constant
+//     factor: in-place range sweeps with no plan rebuild, no
+//     allocation, no scatter to user order and no per-node bound
 //     reconstruction.
 //
-// Flushing is therefore staged and lazy: Elmore/DownstreamC/
-// PathResistance/TR queries clean only the order-1 state; M/Mu2/Sigma/
-// TP queries clean orders 2-3 as well. Perturbations batch — any number
-// of SetR/SetC between queries cost one region flush.
+// Each stage keeps one pending range, the hull of the ranges its edits
+// moved, and sweeps it on the first query that reads the stage, so any
+// number of SetR/SetC between queries cost one sweep per stage.
+// Re-evaluating a clean node inside a hull rewrites the bits it already
+// has: hull slack costs time, never correctness.
 //
 // An Incremental is NOT safe for concurrent use; it is a single
 // optimizer's working state, like a moments.Arena. The engine never
@@ -60,149 +56,133 @@ import (
 // optimizer is done.
 type Incremental struct {
 	tree *rctree.Tree
-	cp   *rctree.Compiled
 	n    int
 
-	// Element values and derived per-node state, all in compiled
-	// (breadth-first) order. w1 is both the order-1 upward sum and the
-	// downstream capacitance (m0 = 1 makes them the same array); m1..m3
-	// are the transfer-function moments; rkk is the source-to-node path
-	// resistance.
+	// Pre-order layout: par[k] is k's parent (or rctree.Source), the
+	// subtree of k is [k, end[k]), and root[k] is the root of k's
+	// component. The children of k are k+1, end[k+1], ... while below
+	// end[k], in the tree's child order. toUser/fromUser map pre-order
+	// to tree indices and back; bfs lists the pre-order index of each
+	// compiled node in compiled order, the order ComputePRH sums T_P in.
+	par, end, root   []int32
+	toUser, fromUser []int32
+	bfs              []int32
+
+	// Element values and derived per-node state, in pre-order. w1 is
+	// both the order-1 upward sum and the downstream capacitance (m0 = 1
+	// makes them the same array); m1..m3 are the transfer-function
+	// moments; rkk is the source-to-node path resistance.
 	r, c   []float64
 	w1, m1 []float64
 	w2, m2 []float64
 	w3, m3 []float64
 	rkk    []float64
 	tp     float64
-	level  []int32 // depth level of each compiled index
 
-	// comp is the compiled index of each node's root (the root of its
-	// component); compSize[root] counts the component's nodes. Together
-	// they size a whole-component flush from the dirty nodes alone.
-	comp, compSize []int32
-
-	// Dirty bookkeeping. dirtyBits holds four bits per node: C/R dirt
-	// pending the order-1 flush (bits 0-1) and pending the order-3
-	// flush (bits 2-3); bits 4 and 5 are flush-local marks (collected
-	// ancestor or frontier node; component already counted). The lists
-	// hold each node at most once per stage.
-	dirtyBits        []uint8
-	dirtyC1, dirtyR1 []int32
-	dirtyC3, dirtyR3 []int32
-	stage1Clean      bool
-	stage3Clean      bool
+	// Pending ranges: m1, rkk, and w2/m2/w3/m3 to re-sweep; tpStale
+	// marks T_P for a re-sum. w1 is never pending. moved is the hull of
+	// every node whose moments moved since the last DrainMoved.
+	pend1, pendR, pend3 span
+	tpStale             bool
+	moved               span
 
 	// undo is the revert log: every applied edit since the last Commit,
 	// oldest first.
-	undo []valueEdit
-
-	// movedLo/movedHi accumulate, per level, the hull of nodes whose
-	// moments moved since the last DrainMoved, for Reanalyze(nil);
-	// movedAll marks a full-sweep flush, which moved everything.
-	movedLo, movedHi []int32
-	movedAll         bool
-
-	// spanLo/spanHi and ancBuf are flush scratch.
-	spanLo, spanHi   []int32
-	wspanLo, wspanHi []int32
-	ancBuf           []int32
-	pathBuf          []int32 // TR scratch: a sink's root path
-
-	// CrossoverFraction tunes the region-sweep → full-sweep fallback:
-	// a flush whose planned touched-node count exceeds this fraction of
-	// the equivalent full-sweep work runs the plain full kernels
-	// instead of the span walk. The default was measured, not guessed —
-	// see DESIGN.md ("Incremental re-analysis"): region sweeps carry
-	// ~10-25% per-node overhead from the level/span bookkeeping, so the
-	// crossover sits well below 1.0.
-	CrossoverFraction float64
+	undo    []valueEdit
+	pathBuf []int32 // TR scratch: a sink's root path
 
 	stats IncrementalStats
 }
 
-// DefaultCrossoverFraction is the measured region-vs-full crossover:
-// on the benchmark topologies (100-100k node chains, stars and random
-// trees) the span-walk sweep costs 1.1-1.3x the plain full loop per
-// touched node, so region mode stops paying around 80% coverage.
-const DefaultCrossoverFraction = 0.8
+// span is a [lo, hi) range of pre-order indices; the zero value is
+// empty.
+type span struct{ lo, hi int32 }
+
+func (s span) empty() bool { return s.lo >= s.hi }
+
+// cover extends s to the hull of s and [lo, hi).
+func (s *span) cover(lo, hi int32) {
+	if s.empty() {
+		*s = span{lo, hi}
+		return
+	}
+	s.lo, s.hi = min(s.lo, lo), max(s.hi, hi)
+}
 
 type valueEdit struct {
-	node     int32 // compiled index
-	isR      bool
-	old, new float64
+	node int32 // pre-order index
+	isR  bool
+	old  float64
 }
 
 // IncrementalStats counts the engine's work since construction.
 type IncrementalStats struct {
 	Sets          int64 // applied SetR/SetC edits (no-op value repeats excluded)
-	Flushes       int64 // region or full flush passes run
-	NodesTouched  int64 // per-node kernel evaluations across all flushes
-	FullFallbacks int64 // flushes that crossed over to the full sweeps
+	Flushes       int64 // pending ranges swept (one per stage per sweep)
+	NodesTouched  int64 // per-node kernel evaluations, one per node per pass
+	FullFallbacks int64 // always 0; kept because perfbench reads it
 	Reverts       int64
 	Commits       int64
 }
 
 // NewIncremental binds a delta-update engine to t, snapshotting its
 // current element values and computing the full order-3 moment and PRH
-// state once with the standard serial kernels. The engine does not
-// mutate t afterwards (see SyncTree); conversely, mutating t directly
-// while an engine is bound to it leaves the engine describing the
-// values it was built from.
+// state once with the engine's kernels over the whole tree. The engine
+// does not mutate t afterwards (see SyncTree); conversely, mutating t
+// directly while an engine is bound to it leaves the engine describing
+// the values it was built from.
 func NewIncremental(t *rctree.Tree) (*Incremental, error) {
 	if t == nil || t.N() == 0 {
 		return nil, fmt.Errorf("moments: NewIncremental needs a non-empty tree")
 	}
-	cp := rctree.Compile(t)
-	n := cp.N()
+	n := t.N()
+	idx := make([]int32, 6*n)
 	back := make([]float64, 9*n)
 	inc := &Incremental{
-		tree: t,
-		cp:   cp,
-		n:    n,
-		r:    back[0*n : 1*n : 1*n],
-		c:    back[1*n : 2*n : 2*n],
-		w1:   back[2*n : 3*n : 3*n],
-		m1:   back[3*n : 4*n : 4*n],
-		w2:   back[4*n : 5*n : 5*n],
-		m2:   back[5*n : 6*n : 6*n],
-		w3:   back[6*n : 7*n : 7*n],
-		m3:   back[7*n : 8*n : 8*n],
-		rkk:  back[8*n : 9*n : 9*n],
-
-		level:             make([]int32, n),
-		comp:              make([]int32, n),
-		compSize:          make([]int32, cp.LevelStart[1]),
-		dirtyBits:         make([]uint8, n),
-		CrossoverFraction: DefaultCrossoverFraction,
+		tree:     t,
+		n:        n,
+		par:      idx[0*n : 1*n : 1*n],
+		end:      idx[1*n : 2*n : 2*n],
+		root:     idx[2*n : 3*n : 3*n],
+		toUser:   idx[3*n : 4*n : 4*n],
+		fromUser: idx[4*n : 5*n : 5*n],
+		bfs:      idx[5*n : 6*n : 6*n],
+		r:        back[0*n : 1*n : 1*n],
+		c:        back[1*n : 2*n : 2*n],
+		w1:       back[2*n : 3*n : 3*n],
+		m1:       back[3*n : 4*n : 4*n],
+		w2:       back[4*n : 5*n : 5*n],
+		m2:       back[5*n : 6*n : 6*n],
+		w3:       back[6*n : 7*n : 7*n],
+		m3:       back[7*n : 8*n : 8*n],
+		rkk:      back[8*n : 9*n : 9*n],
+		tpStale:  true,
 	}
-	copy(inc.r, cp.R)
-	copy(inc.c, cp.C)
-	L := cp.Levels()
-	for l := 0; l < L; l++ {
-		for i := cp.LevelStart[l]; i < cp.LevelStart[l+1]; i++ {
-			inc.level[i] = int32(l)
+	for k, u := range t.PreOrder() {
+		inc.toUser[k] = int32(u)
+		inc.fromUser[u] = int32(k)
+	}
+	for k, u := range inc.toUser {
+		inc.r[k], inc.c[k], inc.end[k] = t.R(int(u)), t.C(int(u)), int32(k+1)
+		inc.par[k], inc.root[k] = rctree.Source, int32(k)
+		if p := t.Parent(int(u)); p != rctree.Source {
+			inc.par[k] = inc.fromUser[p]
+			inc.root[k] = inc.root[inc.par[k]]
 		}
 	}
-	for i := int32(0); i < int32(n); i++ {
-		root := i
-		if p := cp.Parent[i]; p != rctree.Source {
-			root = inc.comp[p]
+	for k := n - 1; k >= 0; k-- {
+		if p := inc.par[k]; p != rctree.Source {
+			inc.end[p] = max(inc.end[p], inc.end[k])
 		}
-		inc.comp[i] = root
-		inc.compSize[root]++
 	}
-	spans := make([]int32, 6*L)
-	inc.spanLo = spans[0*L : 1*L : 1*L]
-	inc.spanHi = spans[1*L : 2*L : 2*L]
-	inc.wspanLo = spans[2*L : 3*L : 3*L]
-	inc.wspanHi = spans[3*L : 4*L : 4*L]
-	inc.movedLo = spans[4*L : 5*L : 5*L]
-	inc.movedHi = spans[5*L : 6*L : 6*L]
-	inc.clearMoved()
-	inc.fullSweeps1(true)
-	inc.fullSweeps3()
-	inc.recomputeTP()
-	inc.stage1Clean, inc.stage3Clean = true, true
+	for ci, u := range rctree.Compile(t).ToUser {
+		inc.bfs[ci] = inc.fromUser[u]
+	}
+	all := int32(n)
+	inc.gather(inc.w1, nil, 0, all)
+	inc.step(inc.m1, inc.w1, 0, all)
+	inc.step(inc.rkk, nil, 0, all)
+	inc.sweep3(0, all)
 	telemetry.C("incremental.binds").Inc()
 	return inc, nil
 }
@@ -226,7 +206,7 @@ func (inc *Incremental) SetR(i int, v float64) error {
 	if err := rctree.ValidateR(v); err != nil {
 		return fmt.Errorf("moments: incremental node %q: %w", inc.tree.Name(i), err)
 	}
-	inc.set(inc.cp.FromUser[i], true, v)
+	inc.set(inc.fromUser[i], true, v)
 	return nil
 }
 
@@ -239,7 +219,7 @@ func (inc *Incremental) SetC(i int, v float64) error {
 	if err := rctree.ValidateC(v); err != nil {
 		return fmt.Errorf("moments: incremental node %q: %w", inc.tree.Name(i), err)
 	}
-	inc.set(inc.cp.FromUser[i], false, v)
+	inc.set(inc.fromUser[i], false, v)
 	return nil
 }
 
@@ -250,50 +230,44 @@ func (inc *Incremental) checkIndex(i int) error {
 	return nil
 }
 
-func (inc *Incremental) set(ci int32, isR bool, v float64) {
+func (inc *Incremental) set(k int32, isR bool, v float64) {
 	arr := inc.c
 	if isR {
 		arr = inc.r
 	}
-	old := arr[ci]
+	old := arr[k]
 	if math.Float64bits(old) == math.Float64bits(v) {
 		return // value-identical edit: nothing can move
 	}
-	arr[ci] = v
-	inc.undo = append(inc.undo, valueEdit{node: ci, isR: isR, old: old, new: v})
-	inc.dirty(ci, isR)
+	arr[k] = v
+	inc.undo = append(inc.undo, valueEdit{node: k, isR: isR, old: old})
+	inc.moves(k, isR)
 	inc.stats.Sets++
 	telemetry.C("incremental.sets").Inc()
 }
 
-// dirty records node ci as pending for both flush stages.
-func (inc *Incremental) dirty(ci int32, isR bool) {
-	var b1, b3 uint8 = 1, 4 // C bits
+// moves records what an edit at k moves: w1 is re-gathered along k's
+// root path at once; m1, rkk and orders 2-3 get their pending ranges
+// extended, T_P goes stale and k's component joins the moved set.
+func (inc *Incremental) moves(k int32, isR bool) {
+	rt := inc.root[k]
 	if isR {
-		b1, b3 = 2, 8
-	}
-	bits := inc.dirtyBits[ci]
-	if bits&b1 == 0 {
-		if isR {
-			inc.dirtyR1 = append(inc.dirtyR1, ci)
-		} else {
-			inc.dirtyC1 = append(inc.dirtyC1, ci)
+		inc.pend1.cover(k, inc.end[k])
+		inc.pendR.cover(k, inc.end[k])
+	} else {
+		for j := k; j != rctree.Source; j = inc.par[j] {
+			inc.gather(inc.w1, nil, j, j+1)
 		}
+		inc.pend1.cover(rt, inc.end[rt])
 	}
-	if bits&b3 == 0 {
-		if isR {
-			inc.dirtyR3 = append(inc.dirtyR3, ci)
-		} else {
-			inc.dirtyC3 = append(inc.dirtyC3, ci)
-		}
-	}
-	inc.dirtyBits[ci] = bits | b1 | b3
-	inc.stage1Clean, inc.stage3Clean = false, false
+	inc.pend3.cover(rt, inc.end[rt])
+	inc.moved.cover(rt, inc.end[rt])
+	inc.tpStale = true
 }
 
 // Revert undoes every edit applied since the last Commit (or since
 // construction), restoring the engine to its baseline values. Reverted
-// regions re-clean lazily on the next query, and re-cleaning reproduces
+// ranges re-sweep lazily on the next query, and re-sweeping reproduces
 // the baseline bits exactly: the kernels are deterministic in the
 // values, which are bit-restored.
 func (inc *Incremental) Revert() {
@@ -304,7 +278,7 @@ func (inc *Incremental) Revert() {
 			arr = inc.r
 		}
 		arr[e.node] = e.old
-		inc.dirty(e.node, e.isR)
+		inc.moves(e.node, e.isR)
 	}
 	inc.undo = inc.undo[:0]
 	inc.stats.Reverts++
@@ -328,49 +302,45 @@ func (inc *Incremental) Commit() {
 func (inc *Incremental) SyncTree() error {
 	r := make([]float64, inc.n)
 	c := make([]float64, inc.n)
-	for ci := 0; ci < inc.n; ci++ {
-		u := inc.cp.ToUser[ci]
-		r[u] = inc.r[ci]
-		c[u] = inc.c[ci]
+	for k, u := range inc.toUser {
+		r[u] = inc.r[k]
+		c[u] = inc.c[k]
 	}
 	return inc.tree.SetValues(r, c)
 }
 
 // --- Queries (tree-indexed, bit-identical to Set / PRHTerms) ---
 
-// Elmore returns the Elmore delay T_D(i) = -m1(i), flushing order-1
-// state only.
+// Elmore returns the Elmore delay T_D(i) = -m1(i), sweeping m1 only.
 func (inc *Incremental) Elmore(i int) float64 {
 	inc.flush1()
-	return -inc.m1[inc.cp.FromUser[i]]
+	return -inc.m1[inc.fromUser[i]]
 }
 
 // DownstreamC returns the total capacitance of the subtree rooted at i.
 func (inc *Incremental) DownstreamC(i int) float64 {
-	inc.flush1()
-	return inc.w1[inc.cp.FromUser[i]]
+	return inc.w1[inc.fromUser[i]]
 }
 
 // PathResistance returns R_ii, the source-to-i path resistance.
 func (inc *Incremental) PathResistance(i int) float64 {
-	inc.flush1()
-	return inc.rkk[inc.cp.FromUser[i]]
+	inc.flushR()
+	return inc.rkk[inc.fromUser[i]]
 }
 
 // R and C return the engine's current (possibly uncommitted) element
 // values at node i.
-func (inc *Incremental) R(i int) float64 { return inc.r[inc.cp.FromUser[i]] }
-func (inc *Incremental) C(i int) float64 { return inc.c[inc.cp.FromUser[i]] }
+func (inc *Incremental) R(i int) float64 { return inc.r[inc.fromUser[i]] }
+func (inc *Incremental) C(i int) float64 { return inc.c[inc.fromUser[i]] }
 
 // TotalC returns the sum of the engine's capacitances — the area-side
 // quantity sizing loops budget against. (Summed over root subtrees;
 // the grouping differs from rctree.Tree.TotalC, so the two can differ
 // in the last ulp.)
 func (inc *Incremental) TotalC() float64 {
-	inc.flush1()
 	var sum float64
-	for ci := int32(0); ci < inc.cp.LevelStart[1]; ci++ {
-		sum += inc.w1[ci]
+	for k := int32(0); k < int32(inc.n); k = inc.end[k] {
+		sum += inc.w1[k]
 	}
 	return sum
 }
@@ -383,74 +353,55 @@ func (inc *Incremental) M(q, i int) float64 {
 	if i < 0 || i >= inc.n {
 		panic(fmt.Sprintf("moments: node index %d out of range [0,%d)", i, inc.n))
 	}
-	ci := inc.cp.FromUser[i]
+	k := inc.fromUser[i]
 	switch q {
 	case 0:
 		return 1
 	case 1:
 		inc.flush1()
-		return inc.m1[ci]
+		return inc.m1[k]
 	case 2:
 		inc.flush3()
-		return inc.m2[ci]
+		return inc.m2[k]
 	default:
 		inc.flush3()
-		return inc.m3[ci]
+		return inc.m3[k]
 	}
 }
 
-// Mu2 returns the impulse-response variance 2 m2 - m1^2 at node i.
+// Mu2 returns the impulse-response variance at node i (see Set.Mu2).
 func (inc *Incremental) Mu2(i int) float64 {
 	inc.flush3()
-	ci := inc.cp.FromUser[i]
-	m1 := inc.m1[ci]
-	m2 := inc.m2[ci]
-	return 2*m2 - m1*m1
+	k := inc.fromUser[i]
+	return mu2(inc.m1[k], inc.m2[k])
 }
 
-// Mu3 returns the third central moment at node i.
+// Mu3 returns the third central moment at node i (see Set.Mu3).
 func (inc *Incremental) Mu3(i int) float64 {
 	inc.flush3()
-	ci := inc.cp.FromUser[i]
-	m1 := inc.m1[ci]
-	m2 := inc.m2[ci]
-	m3 := inc.m3[ci]
-	return -6*m3 + 6*m1*m2 - 2*m1*m1*m1
+	k := inc.fromUser[i]
+	return mu3(inc.m1[k], inc.m2[k], inc.m3[k])
 }
 
-// Sigma returns sqrt(mu2) with the Set.Sigma degenerate contract:
-// mu2 <= 0 clamps to exactly +0 (with a health note when a monitor is
-// installed).
-func (inc *Incremental) Sigma(i int) float64 {
-	mu2 := inc.Mu2(i)
-	if mu2 <= 0 {
-		if health.Enabled() {
-			t := inc.tree
-			health.Note(health.Event{
-				Check:  "moments.sigma_degenerate",
-				Tree:   health.TreeLabel(t.N(), t.Fingerprint()),
-				Node:   t.Name(i),
-				Detail: "mu2 <= 0 clamped to sigma = +0",
-				Values: map[string]health.F{"mu2": health.F(mu2)},
-			})
-		}
-		return 0
-	}
-	return math.Sqrt(mu2)
-}
+// Sigma returns sqrt(mu2) under the Set.Sigma degenerate contract.
+func (inc *Incremental) Sigma(i int) float64 { return sigma(inc.Mu2(i), inc.tree, i) }
 
 // Skewness returns mu3 / mu2^(3/2), zero at zero-variance nodes.
 func (inc *Incremental) Skewness(i int) float64 {
-	mu2 := inc.Mu2(i)
-	if mu2 <= 0 {
-		return 0
-	}
-	return inc.Mu3(i) / math.Pow(mu2, 1.5)
+	return skewness(inc.Mu2(i), func() float64 { return inc.Mu3(i) })
 }
 
-// TP returns the Penfield-Rubinstein T_P = sum_k R_kk C_k.
+// TP returns the Penfield-Rubinstein T_P = sum_k R_kk C_k, summed in
+// compiled order like ComputePRH.
 func (inc *Incremental) TP() float64 {
-	inc.flush3()
+	inc.flushR()
+	if inc.tpStale {
+		var tp float64
+		for _, k := range inc.bfs {
+			tp += inc.rkk[k] * inc.c[k]
+		}
+		inc.tp, inc.tpStale = tp, false
+	}
 	return inc.tp
 }
 
@@ -459,10 +410,9 @@ func (inc *Incremental) TP() float64 {
 // root path of i over the engine's arrays — O(depth(i)) per call, the
 // same expressions in the same order, so the bits match PRHTerms.TR.
 func (inc *Incremental) TR(i int) float64 {
-	inc.flush1()
-	par := inc.cp.Parent
+	inc.flushR()
 	path := inc.pathBuf[:0]
-	for j := inc.cp.FromUser[i]; j != rctree.Source; j = int32(par[j]) {
+	for j := inc.fromUser[i]; j != rctree.Source; j = inc.par[j] {
 		path = append(path, j)
 	}
 	inc.pathBuf = path[:0]
@@ -477,506 +427,97 @@ func (inc *Incremental) TR(i int) float64 {
 }
 
 // DrainMoved appends to dst the tree indices of every node whose
-// moments may have moved since the last drain (conservatively: the
-// per-level hull of the flushed dirty regions), flushing pending
-// perturbations first, and resets the moved set. It backs
-// core.Analysis.Reanalyze's "re-bound what moved" mode.
+// moments may have moved since the last drain (conservatively: the hull
+// of the edited components) and resets the moved set. It does not
+// flush; the queries that follow do. It backs core.Analysis.Reanalyze's
+// "re-bound what moved" mode.
 func (inc *Incremental) DrainMoved(dst []int) []int {
-	inc.flush3()
-	if inc.movedAll {
-		for _, u := range inc.cp.ToUser {
-			dst = append(dst, int(u))
-		}
+	for k := inc.moved.lo; k < inc.moved.hi; k++ {
+		dst = append(dst, int(inc.toUser[k]))
 	}
-	for l := 0; l < len(inc.movedLo) && !inc.movedAll; l++ {
-		for ci := inc.movedLo[l]; ci < inc.movedHi[l]; ci++ {
-			dst = append(dst, int(inc.cp.ToUser[ci]))
-		}
-	}
-	inc.clearMoved()
+	inc.moved = span{}
 	return dst
 }
 
-func (inc *Incremental) clearMoved() {
-	inc.movedAll = false
-	for l := range inc.movedLo {
-		inc.movedLo[l] = int32(inc.n)
-		inc.movedHi[l] = 0
-	}
-}
+// --- Range sweeps ---
 
-// --- Flush machinery ---
-
-// flush1 re-cleans the order-1 state (w1, m1, rkk): the genuinely
-// local kernels. ΔC dirt re-sums w1 along the dirty nodes' root paths
-// (ancestor closure, children gathered exactly like the full upward
-// sweep); m1 then re-sweeps the subtrees hanging from the topmost
-// moved nodes — for ΔR-only dirt that is just the perturbed subtrees,
-// for ΔC dirt it is the affected root components (m1 at the component
-// root depends on the total subtree capacitance, so the whole
-// component moves). ΔR dirt re-sweeps rkk over the perturbed subtrees
-// only; rkk does not depend on C, so ΔC-only dirt never touches it.
+// flush1 sweeps m1's pending range.
 func (inc *Incremental) flush1() {
-	if inc.stage1Clean {
-		return
-	}
-	n := inc.n
-	inc.stats.Flushes++
-	telemetry.C("incremental.flushes").Inc()
-
-	hasR := len(inc.dirtyR1) > 0
-	full := 2 * n
-	if hasR {
-		full = 3 * n
-	}
-	limit := inc.CrossoverFraction * float64(full)
-	// Whole-component fallback, decided from the dirty nodes alone: the
-	// m1 region covers every component holding C dirt, and the w1
-	// fix-up at least the deepest C-dirty node's root path. When that
-	// lower bound already crosses over, skip the planning walks.
-	lo := inc.compWork(inc.dirtyC1, 1, 0)
-	inc.clearCompMarks(inc.dirtyC1)
-	if lo += inc.deepestPath(inc.dirtyC1); float64(lo) > limit {
-		inc.fallback1(full, hasR)
-	} else {
-		inc.region1(full, limit)
-	}
-
-	for _, k := range inc.dirtyC1 {
-		inc.dirtyBits[k] &^= 1
-	}
-	for _, k := range inc.dirtyR1 {
-		inc.dirtyBits[k] &^= 2
-	}
-	inc.dirtyC1 = inc.dirtyC1[:0]
-	inc.dirtyR1 = inc.dirtyR1[:0]
-	inc.stage1Clean = true
-}
-
-// compWork returns weight times the summed size of the distinct root
-// components holding the nodes of dirty, skipping components already
-// marked by an earlier call: each component counted is marked with bit
-// 5 until clearCompMarks. It is O(len(dirty)).
-func (inc *Incremental) compWork(dirty []int32, weight, acc int) int {
-	for _, k := range dirty {
-		root := inc.comp[k]
-		if inc.dirtyBits[root]&32 == 0 {
-			inc.dirtyBits[root] |= 32
-			acc += weight * int(inc.compSize[root])
-		}
-	}
-	return acc
-}
-
-// clearCompMarks clears the component marks compWork set for dirty.
-func (inc *Incremental) clearCompMarks(dirty []int32) {
-	for _, k := range dirty {
-		inc.dirtyBits[inc.comp[k]] &^= 32
+	if s := inc.pend1; !s.empty() {
+		inc.pend1 = span{}
+		inc.step(inc.m1, inc.w1, s.lo, s.hi)
+		inc.count(s, 1)
 	}
 }
 
-// deepestPath returns the longest root path (in nodes) among dirty.
-func (inc *Incremental) deepestPath(dirty []int32) int {
-	d := 0
-	for _, k := range dirty {
-		if l := int(inc.level[k]) + 1; l > d {
-			d = l
-		}
+// flushR sweeps the path resistance's pending range.
+func (inc *Incremental) flushR() {
+	if s := inc.pendR; !s.empty() {
+		inc.pendR = span{}
+		inc.step(inc.rkk, nil, s.lo, s.hi)
+		inc.count(s, 1)
 	}
-	return d
 }
 
-// fallback1 re-cleans the order-1 state with the plain full kernels.
-func (inc *Incremental) fallback1(full int, withRkk bool) {
-	inc.stats.FullFallbacks++
-	telemetry.C("incremental.full_fallbacks").Inc()
-	inc.fullSweeps1(withRkk)
-	inc.stats.NodesTouched += int64(full)
-	telemetry.C("incremental.nodes_touched").Add(int64(full))
-}
-
-// region1 plans the order-1 regions with span walks and sweeps them,
-// or falls back to the full kernels when the planned work crosses
-// limit.
-func (inc *Incremental) region1(full int, limit float64) {
-	cp := inc.cp
-	// Plan the regions. Ancestor closure of C-dirty nodes:
-	anc := inc.ancBuf[:0]
-	for _, k := range inc.dirtyC1 {
-		for j := k; j != rctree.Source; j = int32(cp.Parent[j]) {
-			if inc.dirtyBits[j]&16 != 0 {
-				break // already collected by an earlier walk
-			}
-			inc.dirtyBits[j] |= 16
-			anc = append(anc, j)
-		}
-	}
-	// m1 frontier: component roots for C dirt (topmost moved w1 is the
-	// root), the nodes themselves for R dirt.
-	inc.resetSpans(inc.spanLo, inc.spanHi)
-	for _, j := range anc {
-		if cp.Parent[j] == rctree.Source {
-			inc.extendSpan(inc.spanLo, inc.spanHi, j)
-		}
-	}
-	for _, k := range inc.dirtyR1 {
-		inc.extendSpan(inc.spanLo, inc.spanHi, k)
-	}
-	m1Touched := inc.propagateSpansDown(inc.spanLo, inc.spanHi)
-
-	// rkk region: subtrees of R-dirty nodes only.
-	rkkTouched := 0
-	if len(inc.dirtyR1) > 0 {
-		inc.resetSpans(inc.wspanLo, inc.wspanHi)
-		for _, k := range inc.dirtyR1 {
-			inc.extendSpan(inc.wspanLo, inc.wspanHi, k)
-		}
-		rkkTouched = inc.propagateSpansDown(inc.wspanLo, inc.wspanHi)
-	}
-
-	planned := len(anc) + m1Touched + rkkTouched
-	if float64(planned) > limit {
-		inc.fallback1(full, len(inc.dirtyR1) > 0)
-	} else {
-		// w1 fix-up: ancestors of C dirt, children before parents.
-		// Walk order already has children before their own ancestors,
-		// but separate walks interleave, so sort descending (compiled
-		// numbering puts parents strictly before children).
-		sort.Slice(anc, func(a, b int) bool { return anc[a] > anc[b] })
-		cs, par := cp.ChildStart, cp.Parent
-		for _, j := range anc {
-			d := inc.c[j]
-			for ch := cs[j]; ch < cs[j+1]; ch++ {
-				d += inc.w1[ch]
-			}
-			inc.w1[j] = d
-		}
-		// m1 over the frontier subtrees, parents before children.
-		inc.sweepDown(inc.spanLo, inc.spanHi, func(i int32) {
-			v := -(inc.r[i] * inc.w1[i])
-			if p := par[i]; p != rctree.Source {
-				v += inc.m1[p]
-			}
-			inc.m1[i] = v
-		})
-		// rkk over the R-dirty subtrees.
-		if rkkTouched > 0 {
-			inc.sweepDown(inc.wspanLo, inc.wspanHi, func(i int32) {
-				a := inc.r[i]
-				if p := par[i]; p != rctree.Source {
-					a += inc.rkk[p]
-				}
-				inc.rkk[i] = a
-			})
-		}
-		inc.stats.NodesTouched += int64(planned)
-		telemetry.C("incremental.nodes_touched").Add(int64(planned))
-	}
-	for _, j := range anc {
-		inc.dirtyBits[j] &^= 16
-	}
-	inc.ancBuf = anc[:0]
-}
-
-// flush3 re-cleans orders 2-3 and T_P, after ensuring order 1 is
-// clean. The dependency cone forces the m2/m3 sweeps over the full
-// affected root components (see the type comment); the w2 sweep is the
-// one pass that stays small under ΔR-only dirt (perturbed subtrees
-// plus their root paths).
+// flush3 sweeps m1, then the order-2/3 pending range. That range is a
+// union of whole components, so every gather finds its children inside
+// it.
 func (inc *Incremental) flush3() {
 	inc.flush1()
-	if inc.stage3Clean {
-		return
+	if s := inc.pend3; !s.empty() {
+		inc.pend3 = span{}
+		inc.sweep3(s.lo, s.hi)
+		inc.count(s, 4)
 	}
+}
+
+func (inc *Incremental) sweep3(lo, hi int32) {
+	inc.gather(inc.w2, inc.m1, lo, hi)
+	inc.step(inc.m2, inc.w2, lo, hi)
+	inc.gather(inc.w3, inc.m2, lo, hi)
+	inc.step(inc.m3, inc.w3, lo, hi)
+}
+
+func (inc *Incremental) count(s span, passes int) {
+	touched := int64(passes) * int64(s.hi-s.lo)
 	inc.stats.Flushes++
+	inc.stats.NodesTouched += touched
 	telemetry.C("incremental.flushes").Inc()
-
-	// Whole-component fallback, decided from the dirty nodes alone:
-	// m2, w3 and m3 cover every dirty node's component, and w2 covers
-	// the components holding C dirt (m1 moved across all of them).
-	limit := inc.CrossoverFraction * float64(4*inc.n)
-	lo := inc.compWork(inc.dirtyR3, 3, inc.compWork(inc.dirtyC3, 4, 0))
-	inc.clearCompMarks(inc.dirtyC3)
-	inc.clearCompMarks(inc.dirtyR3)
-	if float64(lo) > limit {
-		inc.fallback3()
-	} else {
-		inc.region3(limit)
-	}
-
-	// T_P: same reduction order as ComputePRH (compiled order over the
-	// current values), re-run whenever anything moved.
-	inc.recomputeTP()
-
-	for _, k := range inc.dirtyC3 {
-		inc.dirtyBits[k] &^= 4
-	}
-	for _, k := range inc.dirtyR3 {
-		inc.dirtyBits[k] &^= 8
-	}
-	inc.dirtyC3 = inc.dirtyC3[:0]
-	inc.dirtyR3 = inc.dirtyR3[:0]
-	inc.stage3Clean = true
+	telemetry.C("incremental.nodes_touched").Add(touched)
 }
 
-// fallback3 re-cleans orders 2-3 with the plain full kernels; the
-// moved set becomes everything.
-func (inc *Incremental) fallback3() {
-	inc.stats.FullFallbacks++
-	telemetry.C("incremental.full_fallbacks").Inc()
-	inc.fullSweeps3()
-	inc.stats.NodesTouched += int64(4 * inc.n)
-	telemetry.C("incremental.nodes_touched").Add(int64(4 * inc.n))
-	inc.movedAll = true
-}
-
-// region3 plans the order-2/3 regions with span walks and sweeps them,
-// or falls back to the full kernels when the planned work crosses
-// limit.
-func (inc *Incremental) region3(limit float64) {
-	cp := inc.cp
-	cs, par := cp.ChildStart, cp.Parent
-
-	// m1-moved region since the last stage-3 flush: subtrees of R-dirty
-	// nodes, full components of C-dirty nodes. Its ancestor closure
-	// (the w2 region) adds the frontier nodes' root paths.
-	inc.resetSpans(inc.spanLo, inc.spanHi)
-	frontier := inc.ancBuf[:0]
-	mark := func(j int32) {
-		if inc.dirtyBits[j]&16 == 0 {
-			inc.dirtyBits[j] |= 16
-			frontier = append(frontier, j)
-		}
-	}
-	for _, k := range inc.dirtyC3 {
-		mark(inc.comp[k])
-	}
-	for _, k := range inc.dirtyR3 {
-		mark(k)
-	}
-	for _, f := range frontier {
-		inc.extendSpan(inc.spanLo, inc.spanHi, f)
-	}
-	inc.propagateSpansDown(inc.spanLo, inc.spanHi)
-
-	// w2 region = m1-moved spans ∪ root paths of the frontier.
-	copy(inc.wspanLo, inc.spanLo)
-	copy(inc.wspanHi, inc.spanHi)
-	for _, f := range frontier {
-		for j := int32(par[f]); j != rctree.Source; j = int32(par[j]) {
-			inc.extendSpan(inc.wspanLo, inc.wspanHi, j)
-		}
-	}
-	w2Touched := inc.spanSize(inc.wspanLo, inc.wspanHi)
-
-	// m2/m3 (and w3) regions: full components of everything dirty —
-	// the w2 dirt reaches the component roots, and every descendant of
-	// a dirty root moves.
-	inc.resetSpans(inc.spanLo, inc.spanHi)
-	for _, f := range frontier {
-		inc.extendSpan(inc.spanLo, inc.spanHi, inc.comp[f])
-	}
-	compTouched := inc.propagateSpansDown(inc.spanLo, inc.spanHi)
-
-	planned := w2Touched + 3*compTouched
-	if float64(planned) > limit {
-		inc.fallback3()
-	} else {
-		inc.sweepUp(inc.wspanLo, inc.wspanHi, func(i int32) {
-			d := inc.c[i] * inc.m1[i]
-			for ch := cs[i]; ch < cs[i+1]; ch++ {
-				d += inc.w2[ch]
-			}
-			inc.w2[i] = d
-		})
-		inc.sweepDown(inc.spanLo, inc.spanHi, func(i int32) {
-			v := -(inc.r[i] * inc.w2[i])
-			if p := par[i]; p != rctree.Source {
-				v += inc.m2[p]
-			}
-			inc.m2[i] = v
-		})
-		inc.sweepUp(inc.spanLo, inc.spanHi, func(i int32) {
-			d := inc.c[i] * inc.m2[i]
-			for ch := cs[i]; ch < cs[i+1]; ch++ {
-				d += inc.w3[ch]
-			}
-			inc.w3[i] = d
-		})
-		inc.sweepDown(inc.spanLo, inc.spanHi, func(i int32) {
-			v := -(inc.r[i] * inc.w3[i])
-			if p := par[i]; p != rctree.Source {
-				v += inc.m3[p]
-			}
-			inc.m3[i] = v
-		})
-		inc.stats.NodesTouched += int64(planned)
-		telemetry.C("incremental.nodes_touched").Add(int64(planned))
-		for l := range inc.spanLo {
-			if inc.spanLo[l] < inc.spanHi[l] {
-				if inc.spanLo[l] < inc.movedLo[l] {
-					inc.movedLo[l] = inc.spanLo[l]
-				}
-				if inc.spanHi[l] > inc.movedHi[l] {
-					inc.movedHi[l] = inc.spanHi[l]
-				}
-			}
-		}
-	}
-	for _, f := range frontier {
-		inc.dirtyBits[f] &^= 16
-	}
-	inc.ancBuf = frontier[:0]
-}
-
-// recomputeTP sums T_P = sum_k R_kk C_k in compiled order, the
-// reduction order of ComputePRH.
-func (inc *Incremental) recomputeTP() {
-	var tp float64
-	for ci, rkk := range inc.rkk {
-		tp += rkk * inc.c[ci]
-	}
-	inc.tp = tp
-}
-
-// fullSweeps1 runs the plain serial order-1 kernels over the whole
-// tree into the engine's arrays: w1 up, m1 down and, when withRkk,
-// rkk down. These are the exact expressions of computeInto/prhInto,
-// so the results are bit-identical to a fresh Compute/ComputePRH.
-func (inc *Incremental) fullSweeps1(withRkk bool) {
-	cs, par := inc.cp.ChildStart, inc.cp.Parent
-	sweepUpFull(inc.w1, inc.c, nil, cs)
-	sweepDownFull(inc.m1, inc.r, inc.w1, par)
-	if withRkk {
-		r, rkk := inc.r, inc.rkk
-		for i, p := range par {
-			a := r[i]
-			if p != rctree.Source {
-				a += rkk[p]
-			}
-			rkk[i] = a
-		}
-	}
-}
-
-// fullSweeps3 is fullSweeps1 for the order-2/3 group: w2 up, m2 down,
-// w3 up, m3 down.
-func (inc *Incremental) fullSweeps3() {
-	cs, par := inc.cp.ChildStart, inc.cp.Parent
-	sweepUpFull(inc.w2, inc.c, inc.m1, cs)
-	sweepDownFull(inc.m2, inc.r, inc.w2, par)
-	sweepUpFull(inc.w3, inc.c, inc.m2, cs)
-	sweepDownFull(inc.m3, inc.r, inc.w3, par)
-}
-
-// sweepUpFull sets w[i] = c[i]·m[i] + sum of w over i's children
-// (c[i] alone when m is nil), children first — the upward kernel of
-// computeInto.
-func sweepUpFull(w, c, m []float64, cs []int32) {
-	for i := len(c) - 1; i >= 0; i-- {
-		d := c[i]
+// gather sets w[k] = c[k]·m[k] + the sum of w over k's children (c[k]
+// alone when m is nil) for k from hi-1 down to lo, children first: the
+// upward kernel of computeInto. Every child of a node in [lo, hi) that
+// is not itself up to date must lie inside the range.
+func (inc *Incremental) gather(w, m []float64, lo, hi int32) {
+	c, end := inc.c, inc.end
+	for k := hi - 1; k >= lo; k-- {
+		d := c[k]
 		if m != nil {
-			d = c[i] * m[i]
+			d = c[k] * m[k]
 		}
-		for ch := cs[i]; ch < cs[i+1]; ch++ {
+		for ch := k + 1; ch < end[k]; ch = end[ch] {
 			d += w[ch]
 		}
-		w[i] = d
+		w[k] = d
 	}
 }
 
-// sweepDownFull sets m[i] = -(r[i]·w[i]) + m[parent], parents first —
-// the downward kernel of computeInto.
-func sweepDownFull(m, r, w []float64, par []int32) {
-	for i, p := range par {
-		v := -(r[i] * w[i])
-		if p != rctree.Source {
+// step sets m[k] = -(r[k]·w[k]) + m[parent] for k from lo up to hi-1,
+// parents first: the downward kernel of computeInto. With w nil it is
+// the path-resistance step of prhInto, m[k] = r[k] + m[parent]. A
+// parent outside [lo, hi) must be up to date.
+func (inc *Incremental) step(m, w []float64, lo, hi int32) {
+	r, par := inc.r, inc.par
+	for k := lo; k < hi; k++ {
+		v := r[k]
+		if w != nil {
+			v = -(r[k] * w[k])
+		}
+		if p := par[k]; p != rctree.Source {
 			v += m[p]
 		}
-		m[i] = v
-	}
-}
-
-// --- Span bookkeeping ---
-//
-// A dirty region is held as one conservative [lo, hi) hull per depth
-// level of the compiled index space. BFS numbering makes every subtree
-// contiguous per level, so descendant regions propagate level to level
-// through ChildStart: children(span [lo,hi)) = [ChildStart[lo],
-// ChildStart[hi]). Hulls over several subtrees may cover clean nodes
-// in between; re-evaluating a clean node with the standard kernel
-// rewrites the bits it already has, so hull slack costs time, never
-// correctness.
-
-func (inc *Incremental) resetSpans(lo, hi []int32) {
-	for l := range lo {
-		lo[l] = int32(inc.n)
-		hi[l] = 0
-	}
-}
-
-func (inc *Incremental) extendSpan(lo, hi []int32, node int32) {
-	l := inc.level[node]
-	if node < lo[l] {
-		lo[l] = node
-	}
-	if node+1 > hi[l] {
-		hi[l] = node + 1
-	}
-}
-
-// propagateSpansDown closes the spans downward (each level's hull
-// extends to cover its nodes' children) and returns the total node
-// count covered.
-func (inc *Incremental) propagateSpansDown(lo, hi []int32) int {
-	cs := inc.cp.ChildStart
-	total := 0
-	for l := 0; l < len(lo); l++ {
-		if lo[l] >= hi[l] {
-			continue
-		}
-		total += int(hi[l] - lo[l])
-		if l+1 < len(lo) {
-			clo, chi := cs[lo[l]], cs[hi[l]]
-			if clo < chi {
-				if clo < lo[l+1] {
-					lo[l+1] = clo
-				}
-				if chi > hi[l+1] {
-					hi[l+1] = chi
-				}
-			}
-		}
-	}
-	return total
-}
-
-func (inc *Incremental) spanSize(lo, hi []int32) int {
-	total := 0
-	for l := range lo {
-		if lo[l] < hi[l] {
-			total += int(hi[l] - lo[l])
-		}
-	}
-	return total
-}
-
-// sweepDown applies fn over the spans parents-first (ascending levels,
-// ascending index within a level).
-func (inc *Incremental) sweepDown(lo, hi []int32, fn func(i int32)) {
-	for l := 0; l < len(lo); l++ {
-		for i := lo[l]; i < hi[l]; i++ {
-			fn(i)
-		}
-	}
-}
-
-// sweepUp applies fn over the spans children-first (descending levels,
-// descending index within a level).
-func (inc *Incremental) sweepUp(lo, hi []int32, fn func(i int32)) {
-	for l := len(lo) - 1; l >= 0; l-- {
-		for i := hi[l] - 1; i >= lo[l]; i-- {
-			fn(i)
-		}
+		m[k] = v
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"elmore/internal/rctree"
@@ -254,62 +255,6 @@ func TestIncrementalNoopEditIsFree(t *testing.T) {
 	}
 }
 
-// TestIncrementalCrossoverFallback forces both the region path and the
-// full-fallback path over the same edit sequence and requires identical
-// results from each (both bit-identical to the full recompute).
-func TestIncrementalCrossoverFallback(t *testing.T) {
-	tree := topo.Random(77, topo.RandomOptions{N: 120})
-	shadow := tree.Clone()
-
-	region, err := NewIncremental(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	region.CrossoverFraction = 1e9 // never fall back
-
-	full, err := NewIncremental(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full.CrossoverFraction = 0 // always fall back
-
-	rng := rand.New(rand.NewSource(9))
-	for step := 0; step < 40; step++ {
-		node := rng.Intn(tree.N())
-		if rng.Intn(2) == 0 {
-			v := 10 + 990*rng.Float64()
-			if err := region.SetR(node, v); err != nil {
-				t.Fatal(err)
-			}
-			if err := full.SetR(node, v); err != nil {
-				t.Fatal(err)
-			}
-			if err := shadow.SetR(node, v); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			v := 1e-15 * (1 + 999*rng.Float64())
-			if err := region.SetC(node, v); err != nil {
-				t.Fatal(err)
-			}
-			if err := full.SetC(node, v); err != nil {
-				t.Fatal(err)
-			}
-			if err := shadow.SetC(node, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	checkAgainstFull(t, "region-mode", region, shadow)
-	checkAgainstFull(t, "fallback-mode", full, shadow)
-	if st := full.Stats(); st.FullFallbacks == 0 {
-		t.Errorf("CrossoverFraction = 0 engine never fell back: %+v", st)
-	}
-	if st := region.Stats(); st.FullFallbacks != 0 {
-		t.Errorf("CrossoverFraction = +huge engine fell back: %+v", st)
-	}
-}
-
 // TestIncrementalPropertyRandomSequences is the satellite-required
 // property test: random SetR/SetC/Revert sequences over chains, stars
 // and deep fans, asserting bit-identical moments, sigma and Elmore
@@ -340,11 +285,6 @@ func TestIncrementalPropertyRandomSequences(t *testing.T) {
 				inc, err := NewIncremental(tree)
 				if err != nil {
 					t.Fatal(err)
-				}
-				// Exercise the crossover randomly so both paths see the
-				// same assertions.
-				if seed%2 == 1 {
-					inc.CrossoverFraction = 0.05
 				}
 				shadow := tree.Clone()
 				// committedShadow tracks the revert baseline.
@@ -483,8 +423,7 @@ func logUniformForest(seed int64, n, rootEvery int) *rctree.Tree {
 // ComputePRH bit for bit after random SetR/SetC/Revert/Commit
 // sequences — one to three edits between checks — on a chain, a
 // single-root tree and a multi-root forest whose element values span
-// seven decades, with the crossover at its default and forced to
-// either side.
+// seven decades.
 func TestIncrementalTRMatchesFresh(t *testing.T) {
 	trees := []struct {
 		name string
@@ -496,7 +435,6 @@ func TestIncrementalTRMatchesFresh(t *testing.T) {
 		}},
 		{"forest", func(seed int64) *rctree.Tree { return logUniformForest(seed, 90, 6) }},
 	}
-	crossovers := []float64{DefaultCrossoverFraction, 0, 1e9}
 	for _, tc := range trees {
 		for seed := int64(0); seed < 6; seed++ {
 			tree := tc.mk(seed)
@@ -504,7 +442,6 @@ func TestIncrementalTRMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inc.CrossoverFraction = crossovers[seed%3]
 			shadow, committed := tree.Clone(), tree.Clone()
 			rng := rand.New(rand.NewSource(seed + 101))
 			logU := func(lo, hi float64) float64 { return lo * math.Pow(hi/lo, rng.Float64()) }
@@ -554,4 +491,177 @@ func TestIncrementalTRMatchesFresh(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestIncrementalForestRanges pins what one edit re-sweeps on a
+// multi-root forest. A ΔR at an inner node k sweeps exactly k's
+// subtree for m1 (Elmore) and again for the path resistance
+// (PathResistance); a ΔC at k sweeps exactly k's component for m1 and
+// for each of the four order-2/3 passes (Sigma); and the moved set is
+// exactly k's component. Sizes come from Tree.Children, not from the
+// engine.
+func TestIncrementalForestRanges(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		tree := logUniformForest(seed, 90, 6)
+		subtree := func(k int) []int {
+			nodes := []int{k}
+			for i := 0; i < len(nodes); i++ {
+				nodes = append(nodes, tree.Children(nodes[i])...)
+			}
+			return nodes
+		}
+		var inner []int
+		for i := 0; i < tree.N(); i++ {
+			if tree.Parent(i) != rctree.Source && len(tree.Children(i)) > 0 {
+				inner = append(inner, i)
+			}
+		}
+		if len(inner) == 0 {
+			t.Fatalf("seed %d: forest has no inner non-root node", seed)
+		}
+		k := inner[rand.New(rand.NewSource(seed)).Intn(len(inner))]
+		root := k
+		for tree.Parent(root) != rctree.Source {
+			root = tree.Parent(root)
+		}
+		sub, comp := subtree(k), subtree(root)
+
+		inc, err := NewIncremental(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shadow := tree.Clone()
+		touched := func(query func()) int64 {
+			before := inc.Stats().NodesTouched
+			query()
+			return inc.Stats().NodesTouched - before
+		}
+		label := fmt.Sprintf("seed%d/k=%d", seed, k)
+
+		r := 2 * tree.R(k)
+		if err := inc.SetR(k, r); err != nil {
+			t.Fatal(err)
+		}
+		if err := shadow.SetR(k, r); err != nil {
+			t.Fatal(err)
+		}
+		if got := touched(func() { inc.Elmore(k) }); got != int64(len(sub)) {
+			t.Errorf("%s: SetR then Elmore touched %d nodes, want |subtree| = %d", label, got, len(sub))
+		}
+		if got := touched(func() { inc.PathResistance(k) }); got != int64(len(sub)) {
+			t.Errorf("%s: then PathResistance touched %d nodes, want |subtree| = %d", label, got, len(sub))
+		}
+		checkAgainstFull(t, label+"/SetR", inc, shadow)
+
+		c := 3 * tree.C(k)
+		if err := inc.SetC(k, c); err != nil {
+			t.Fatal(err)
+		}
+		if err := shadow.SetC(k, c); err != nil {
+			t.Fatal(err)
+		}
+		if got := touched(func() { inc.Sigma(k) }); got != 5*int64(len(comp)) {
+			t.Errorf("%s: SetC then Sigma touched %d nodes, want 5·|component| = %d", label, got, 5*len(comp))
+		}
+		moved := inc.DrainMoved(nil)
+		slices.Sort(moved)
+		slices.Sort(comp)
+		if !slices.Equal(moved, comp) {
+			t.Errorf("%s: moved set %v, want component %v", label, moved, comp)
+		}
+		checkAgainstFull(t, label+"/SetC", inc, shadow)
+	}
+}
+
+// FuzzIncrementalEdits builds a forest of at most 48 nodes from the
+// input and replays an input-chosen sequence of SetR/SetC/Revert/Commit
+// on an engine bound to it, checking every served value against a
+// fresh full recompute on a shadow tree after every operation.
+//
+// Input layout: one byte for the node count; three bytes per node
+// (parent, R, C); then three bytes per operation (kind, node, value).
+// A parent byte of 0 makes a root, and p > 0 attaches node i to node
+// (p-1) mod i. Value bytes are log-uniform over seven decades, R in
+// [1e-2, 1e5] and C in [1e-18, 1e-11]; a C byte of 0 is C = 0.
+func FuzzIncrementalEdits(f *testing.F) {
+	seed := func(parents []int, ops ...[3]byte) []byte {
+		data := []byte{byte(len(parents) - 1)}
+		for i, p := range parents {
+			data = append(data, byte(p+1), byte(37*i+90), byte(53*i+1))
+		}
+		for _, op := range ops {
+			data = append(data, op[:]...)
+		}
+		return data
+	}
+	ops := [][3]byte{{0, 5, 200}, {1, 3, 9}, {2, 0, 0}, {1, 11, 250}, {3, 0, 0}, {0, 0, 17}, {1, 7, 0}, {2, 0, 0}}
+	chain := []int{-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	star := []int{-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	forest := []int{-1, 0, 1, -1, 3, 3, 4, -1, 7, 8, 8, 7}
+	for _, parents := range [][]int{chain, star, forest} {
+		f.Add(seed(parents, ops...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		valR := func(b byte) float64 { return 1e-2 * math.Pow(1e7, float64(b)/255) }
+		valC := func(b byte) float64 {
+			if b == 0 {
+				return 0
+			}
+			return 1e-18 * math.Pow(1e7, float64(b)/255)
+		}
+		n := 1 + int(next())%48
+		b := rctree.NewBuilder()
+		for i := 0; i < n; i++ {
+			p, r, c := next(), valR(next()), valC(next())
+			name := fmt.Sprintf("n%d", i)
+			if i == 0 || p == 0 {
+				b.MustRoot(name, r, c)
+			} else {
+				b.MustAttach(int(p-1)%i, name, r, c)
+			}
+		}
+		tree, err := b.Build()
+		if err != nil {
+			t.Skip(err) // e.g. every C zero: not a tree Build accepts
+		}
+		inc, err := NewIncremental(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shadow, committed := tree.Clone(), tree.Clone()
+		for op := 0; len(data) > 0 && op < 64; op++ {
+			kind, node, v := next()%4, int(next())%n, next()
+			switch kind {
+			case 0:
+				if err := inc.SetR(node, valR(v)); err != nil {
+					t.Fatal(err)
+				}
+				if err := shadow.SetR(node, valR(v)); err != nil {
+					t.Fatal(err)
+				}
+			case 1:
+				if err := inc.SetC(node, valC(v)); err != nil {
+					t.Fatal(err)
+				}
+				if err := shadow.SetC(node, valC(v)); err != nil {
+					t.Fatal(err)
+				}
+			case 2:
+				inc.Revert()
+				shadow = committed.Clone()
+			default:
+				inc.Commit()
+				committed = shadow.Clone()
+			}
+			checkAgainstFull(t, fmt.Sprintf("op%d", op), inc, shadow)
+		}
+	})
 }

@@ -208,20 +208,11 @@ func (s *Set) DistMoment(q, i int) float64 {
 
 // Mu2 returns the second central moment (variance) of the impulse
 // response at node i: mu2 = 2 m2 - m1^2. Requires order >= 2.
-func (s *Set) Mu2(i int) float64 {
-	m1 := s.M(1, i)
-	m2 := s.M(2, i)
-	return 2*m2 - m1*m1
-}
+func (s *Set) Mu2(i int) float64 { return mu2(s.M(1, i), s.M(2, i)) }
 
 // Mu3 returns the third central moment of the impulse response at node
 // i: mu3 = -6 m3 + 6 m1 m2 - 2 m1^3. Requires order >= 3.
-func (s *Set) Mu3(i int) float64 {
-	m1 := s.M(1, i)
-	m2 := s.M(2, i)
-	m3 := s.M(3, i)
-	return -6*m3 + 6*m1*m2 - 2*m1*m1*m1
-}
+func (s *Set) Mu3(i int) float64 { return mu3(s.M(1, i), s.M(2, i), s.M(3, i)) }
 
 // Sigma returns the standard deviation sqrt(mu2) of the impulse
 // response at node i. Lemma 2 guarantees mu2 >= 0 for RC trees; tiny
@@ -230,11 +221,28 @@ func (s *Set) Mu3(i int) float64 {
 // on the node's branch) returns exactly +0, never -0. The clamp path
 // reports a health note (moments.sigma_degenerate) so degenerate
 // inputs are countable rather than silent.
-func (s *Set) Sigma(i int) float64 {
-	mu2 := s.Mu2(i)
+func (s *Set) Sigma(i int) float64 { return sigma(s.Mu2(i), s.tree, i) }
+
+// Skewness returns the coefficient of skewness
+// gamma = mu3 / mu2^(3/2) (paper Definition 5). Lemma 2 proves
+// gamma >= 0 at every node of an RC tree. For a node with zero
+// variance the skewness is defined as zero.
+func (s *Set) Skewness(i int) float64 {
+	return skewness(s.Mu2(i), func() float64 { return s.Mu3(i) })
+}
+
+// The order-3 statistics, shared by Set and Incremental so both serve
+// the same bits from the same moments.
+
+func mu2(m1, m2 float64) float64 { return 2*m2 - m1*m1 }
+
+func mu3(m1, m2, m3 float64) float64 { return -6*m3 + 6*m1*m2 - 2*m1*m1*m1 }
+
+// sigma is sqrt(mu2), with mu2 <= 0 clamped to +0 and noted against
+// node i of t when a health monitor is installed.
+func sigma(mu2 float64, t *rctree.Tree, i int) float64 {
 	if mu2 <= 0 {
 		if health.Enabled() {
-			t := s.tree
 			health.Note(health.Event{
 				Check:  "moments.sigma_degenerate",
 				Tree:   health.TreeLabel(t.N(), t.Fingerprint()),
@@ -248,16 +256,13 @@ func (s *Set) Sigma(i int) float64 {
 	return math.Sqrt(mu2)
 }
 
-// Skewness returns the coefficient of skewness
-// gamma = mu3 / mu2^(3/2) (paper Definition 5). Lemma 2 proves
-// gamma >= 0 at every node of an RC tree. For a node with zero
-// variance the skewness is defined as zero.
-func (s *Set) Skewness(i int) float64 {
-	mu2 := s.Mu2(i)
+// skewness is mu3 / mu2^(3/2), and 0 when mu2 <= 0; mu3 is evaluated
+// only when mu2 > 0.
+func skewness(mu2 float64, mu3 func() float64) float64 {
 	if mu2 <= 0 {
 		return 0
 	}
-	return s.Mu3(i) / math.Pow(mu2, 1.5)
+	return mu3() / math.Pow(mu2, 1.5)
 }
 
 func factorial(n int) float64 {

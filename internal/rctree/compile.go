@@ -7,7 +7,7 @@ package rctree
 // construction API, while the Compiled form is what the traversals,
 // moment recurrences, and transient solver iterate over.
 //
-// The BFS renumbering gives three properties at once:
+// The BFS renumbering gives two properties at once:
 //
 //   - Topological order: Parent[i] < i for every non-root node, so an
 //     ascending sweep 0..N-1 is a valid pre-order (parents before
@@ -18,10 +18,6 @@ package rctree
 //     index range [ChildStart[i], ChildStart[i+1]) — child iteration
 //     is a range loop over consecutive integers, and "gather from
 //     children" reads consecutive memory.
-//   - Contiguous levels: all nodes at depth d+1 occupy the index range
-//     [LevelStart[d], LevelStart[d+1]), the roots being level 0, so a
-//     per-level span of nodes is one index interval (moments.Incremental
-//     tracks its dirty regions this way).
 //
 // A Compiled plan snapshots the element values R and C. Like a cached
 // Fingerprint, it is invalidated by SetR/SetC: Compile tracks the
@@ -46,17 +42,10 @@ type Compiled struct {
 	// ToUser[i] is the Tree (user) index of compiled node i; FromUser
 	// is the inverse permutation.
 	ToUser, FromUser []int32
-	// LevelStart has length L+1 for L depth levels; level l (nodes at
-	// depth l+1, i.e. l resistors below a root's resistor) occupies
-	// compiled indices [LevelStart[l], LevelStart[l+1]).
-	LevelStart []int32
 }
 
 // N returns the node count.
 func (c *Compiled) N() int { return len(c.Parent) }
-
-// Levels returns the number of depth levels (the tree height).
-func (c *Compiled) Levels() int { return len(c.LevelStart) - 1 }
 
 // Compile returns the structure-of-arrays execution plan for t,
 // building it on first use and caching it on the tree. The cached plan
@@ -84,7 +73,6 @@ func compile(t *Tree, gen uint64) *Compiled {
 		ChildStart: make([]int32, n+1),
 		ToUser:     make([]int32, 0, n),
 		FromUser:   make([]int32, n),
-		LevelStart: make([]int32, 1, 16),
 	}
 	// BFS from the roots: ToUser doubles as the queue (nodes are
 	// appended in dequeue-discovery order, which is exactly the
@@ -95,22 +83,15 @@ func compile(t *Tree, gen uint64) *Compiled {
 			c.ToUser = append(c.ToUser, int32(u))
 		}
 	}
-	head := 0
-	levelEnd := len(c.ToUser)
-	for head < n {
-		if head == levelEnd {
+	rootCount := int32(len(c.ToUser))
+	for head := 0; head < n; head++ {
+		if head == len(c.ToUser) {
 			panic("rctree: Compile: unreachable nodes (corrupt tree)")
 		}
-		for head < levelEnd {
-			u := int(c.ToUser[head])
-			for _, ch := range t.nodes[u].children {
-				c.FromUser[ch] = int32(len(c.ToUser))
-				c.ToUser = append(c.ToUser, int32(ch))
-			}
-			head++
+		for _, ch := range t.nodes[c.ToUser[head]].children {
+			c.FromUser[ch] = int32(len(c.ToUser))
+			c.ToUser = append(c.ToUser, int32(ch))
 		}
-		c.LevelStart = append(c.LevelStart, int32(levelEnd))
-		levelEnd = len(c.ToUser)
 	}
 	for i := 0; i < n; i++ {
 		u := int(c.ToUser[i])
@@ -127,7 +108,6 @@ func compile(t *Tree, gen uint64) *Compiled {
 	// ChildStart currently holds cumulative child counts; shift by the
 	// root count so blocks address compiled indices directly: the
 	// first child block begins right after the roots.
-	rootCount := c.LevelStart[1]
 	for i := range c.ChildStart {
 		c.ChildStart[i] += rootCount
 	}

@@ -23,8 +23,8 @@ func randomTestTree(seed int64, n int) *Tree {
 }
 
 // Compile must produce a permutation that is (a) a bijection, (b)
-// topologically ordered (parents before children), (c) partitioned
-// into contiguous depth levels, with element values and child ranges
+// topologically ordered (parents before children), (c) breadth-first
+// (depth never decreases), with element values and child ranges
 // matching the tree.
 func TestCompileInvariants(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
@@ -72,15 +72,10 @@ func TestCompileInvariants(t *testing.T) {
 				}
 			}
 		}
-		// Levels: contiguous, cover [0, n), node at level l has depth l+1.
-		if int(c.LevelStart[0]) != 0 || int(c.LevelStart[c.Levels()]) != n {
-			t.Fatalf("seed %d: level bounds %v", seed, c.LevelStart)
-		}
-		for l := 0; l < c.Levels(); l++ {
-			for i := c.LevelStart[l]; i < c.LevelStart[l+1]; i++ {
-				if d := tree.Depth(int(c.ToUser[i])); d != l+1 {
-					t.Fatalf("seed %d: compiled %d at level %d has depth %d", seed, i, l, d)
-				}
+		// BFS order: depth never decreases along the compiled order.
+		for i := 1; i < n; i++ {
+			if d0, d1 := tree.Depth(int(c.ToUser[i-1])), tree.Depth(int(c.ToUser[i])); d1 < d0 {
+				t.Fatalf("seed %d: compiled %d has depth %d after depth %d", seed, i, d1, d0)
 			}
 		}
 	}

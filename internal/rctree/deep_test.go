@@ -2,6 +2,7 @@ package rctree
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -74,14 +75,17 @@ func TestCompileDegenerateExtremes(t *testing.T) {
 			if cp.N() != n {
 				t.Fatalf("N = %d, want %d", cp.N(), n)
 			}
-			if got := cp.Levels(); got != tc.levels {
-				t.Fatalf("Levels = %d, want %d", got, tc.levels)
+			width := make([]int, n+1) // nodes per depth
+			levels := 0
+			for i := 0; i < n; i++ {
+				d := tc.tree.Depth(i)
+				width[d]++
+				levels = max(levels, d)
 			}
-			maxWidth := 0
-			for l := 0; l < cp.Levels(); l++ {
-				maxWidth = max(maxWidth, int(cp.LevelStart[l+1]-cp.LevelStart[l]))
+			if levels != tc.levels {
+				t.Fatalf("levels = %d, want %d", levels, tc.levels)
 			}
-			if maxWidth != tc.maxWidth {
+			if maxWidth := slices.Max(width); maxWidth != tc.maxWidth {
 				t.Fatalf("widest level = %d, want %d", maxWidth, tc.maxWidth)
 			}
 			for i := 0; i < n; i++ {

@@ -24,8 +24,7 @@ var standardHelp = map[string]string{
 	"incremental.sets":                  "SetR/SetC delta updates applied to incremental engines.",
 	"incremental.reverts":               "Incremental delta batches rolled back.",
 	"incremental.commits":               "Incremental delta batches committed.",
-	"incremental.flushes":               "Lazy dirty-span flushes run by incremental engines.",
-	"incremental.full_fallbacks":        "Incremental updates that crossed over to a full recompute.",
+	"incremental.flushes":               "Pending pre-order ranges swept by incremental engines.",
 	"incremental.nodes_touched":         "Nodes recomputed by incremental flushes.",
 	"sim.runs":                          "Fixed-step transient simulations run.",
 	"sim.plan_runs":                     "Reusable-plan transient simulations run.",

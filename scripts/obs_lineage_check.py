@@ -107,8 +107,6 @@ def main(jobs_path, results_path, flight_path, bytrace_path, summary_path):
         if row["good"] + row["bad"] != len(job_ids):
             sys.exit(f"slo row {row} does not account for all "
                      f"{len(job_ids)} jobs")
-    if summary.get("latency_source") not in ("exact", "sketch"):
-        sys.exit(f"summary latency_source = {summary.get('latency_source')!r}")
 
     print(f"obs lineage ok: {len(job_ids)} jobs, {len(degraded)} degraded, "
           f"{headers} dump block(s), {linked} flight events linked, "
