@@ -6,10 +6,13 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
 
+	"elmore/internal/rctree"
 	"elmore/internal/topo"
 )
 
@@ -18,9 +21,10 @@ import (
 // text, and for accepted decks the same title, input node, warnings and
 // tree (fingerprint, orders, child lists, names, R and C). The one
 // intended difference: a deck that repeats a resistor name must now be
-// rejected. Accepted decks must also yield a valid tree that
-// round-trips through Format. The seeds run in the normal test suite;
-// `go test -fuzz=FuzzParse` explores further.
+// rejected, at the first repeating card, unless a card before it fails
+// (see wantDuplicateError). Accepted decks must also yield a valid tree
+// that round-trips through Format. The seeds run in the normal test
+// suite; `go test -fuzz=FuzzParse` explores further.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"",
@@ -57,9 +61,16 @@ func FuzzParse(f *testing.F) {
 		".TİTLE x\nV1 a 0 1\nR1 a b 1\nC1 b 0 1p\n",
 		"V1 a 0 1\nK1 a b 1\n",
 		"V1 a 0 1\nR1 a \xff 1\nC1 \xff 0 1p\n",
-		// Repeated resistor names (now rejected).
+		// Repeated resistor names (now rejected), before and after
+		// other card errors, and before topology errors.
 		"V1 a 0 1\nR1 a b 1\nR1 b c 1\nC1 b 0 1p\n",
 		"V1 a 0 1\nR1 a b 1\nR1 b c 1\nC1 b 0 1p\nC2 c 0 1p\n",
+		"V1 a 0 1\nR1 a b 1\nR2 b c 1\nR2 c d 1\nR1 d e 1\nC1 e 0 1p\n",
+		"V1 a 0 1\nR1 a b 1\nR1 b c 1\nR2 c d xyz\n",
+		"V1 a 0 1\nR1 a b 1\nR2 b c xyz\nR1 c d 1\n",
+		"V1 a 0 1\nR1 a b 1\nR1 b\n+ c x\n",
+		"R1 a b 1\nL1 a b 1\nR1 b c 1\n",
+		"R1 a b 1\nr1 b c 1\nR1 c 0 1\nR1 a a 1\n",
 		// Topology and value errors found after the cards are read.
 		"V1 a 0 1\nR1 a b 1\nR2 a b 2\nC1 b 0 1p\n",
 		"V1 s 0 1\nR1 s a 1\nR2 s b 2\nC1 a 0 1p\nC2 b 0 1p\nR3 a c 1\nC3 c 0 1p\n",
@@ -74,9 +85,9 @@ func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, deck string) {
 		want, wantErr := referenceParseString(deck)
 		d, err := ParseString(deck)
-		if name := repeatedResistorName(deck); name != "" {
-			if err == nil {
-				t.Fatalf("deck repeats resistor name %s but was accepted", name)
+		if dup := wantDuplicateError(deck, wantErr); dup != "" {
+			if err == nil || err.Error() != dup {
+				t.Fatalf("deck repeats a resistor name: error %v, want %q", err, dup)
 			}
 			return
 		}
@@ -136,13 +147,20 @@ func sameParse(t *testing.T, label string, got *Deck, err error, want *Deck, wan
 	}
 }
 
-// repeatedResistorName returns a resistor card name that occurs twice
-// in deck, read the way the reference reader reads cards, or "".
-func repeatedResistorName(deck string) string {
+// wantDuplicateError returns the error Parse must report for a deck
+// that repeats a resistor name, or "" if deck repeats none. A card is
+// read as the reference reader reads it, and the first card, in deck
+// order, that repeats an earlier card's name fails with a duplicate-name
+// error, unless reading had already failed before it. refErr is the
+// reference reader's error for deck: since that reader stops at its
+// first card error, an error it reports while reading, at an earlier
+// line, is that earlier failure.
+func wantDuplicateError(deck string, refErr error) string {
 	sc := bufio.NewScanner(strings.NewReader(deck))
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var logical []string
-	for sc.Scan() {
+	var lineNos []int
+	for n := 1; sc.Scan(); n++ {
 		line := strings.TrimRight(sc.Text(), " \t\r")
 		if trimmed := strings.TrimSpace(line); strings.HasPrefix(trimmed, "+") {
 			if len(logical) == 0 {
@@ -152,39 +170,125 @@ func repeatedResistorName(deck string) string {
 			continue
 		}
 		logical = append(logical, line)
+		lineNos = append(lineNos, n)
 	}
-	seen := map[string]bool{}
-	for _, line := range logical {
+	firstLine := map[string]int{}
+	for k, line := range logical {
 		fields := strings.Fields(refStripComment(line))
 		if len(fields) < 4 || strings.ToLower(fields[0])[0] != 'r' {
 			continue
 		}
-		if seen[fields[0]] {
-			return fields[0]
+		if _, err := rctree.ParseValue(fields[3]); err != nil {
+			continue // the reader fails at this card first
 		}
-		seen[fields[0]] = true
+		first, seen := firstLine[fields[0]]
+		if !seen {
+			firstLine[fields[0]] = lineNos[k]
+			continue
+		}
+		if refErr != nil && readingErrorBefore(refErr.Error(), lineNos[k]) {
+			return refErr.Error()
+		}
+		return fmt.Sprintf("netlist: line %d: duplicate resistor name %s (first at line %d)", lineNos[k], fields[0], first)
 	}
 	return ""
+}
+
+// readingErrorBefore reports whether msg is an error a reader reports
+// while reading the deck, before any topology check, at a line before
+// line. Each phrase below occurs in one such error and in no other (a
+// name or value quoted in an error holds no white space).
+func readingErrorBefore(msg string, line int) bool {
+	for _, phrase := range []string{
+		"netlist: read:", "continuation with no previous card", "needs '",
+		"rctree: empty numeric value", " is not a number", "rctree: parse ",
+		" has both terminals grounded", " couples two non-ground nodes",
+		" must connect one node to ground", "second voltage source", "unsupported element ",
+	} {
+		if strings.Contains(msg, phrase) {
+			var n int
+			if _, err := fmt.Sscanf(msg, "netlist: line %d:", &n); err != nil {
+				return true // a read error: it precedes every card
+			}
+			return n < line
+		}
+	}
+	return false
 }
 
 // TestParseMatchesReferenceOnShuffledDecks runs the FuzzParse
 // comparison on decks far larger than the fuzzer builds: random trees of
 // up to 3000 nodes, written out and then with their R and C cards
 // shuffled, so nodes appear before their parents and adjacency order
-// differs from tree order.
+// differs from tree order. Two 100k-node decks shaped like the
+// benchmark's big nets, one bushy and one with a 1500-node spine, are
+// compared as written and shuffled: they check the adopted name index,
+// the copied names and the last-name shortcut at full size.
 func TestParseMatchesReferenceOnShuffledDecks(t *testing.T) {
+	compare := func(label string, deck string) {
+		t.Helper()
+		want, wantErr := referenceParseString(deck)
+		got, err := ParseString(deck)
+		sameParse(t, label, got, err, want, wantErr)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+	shuffled := func(seed int64, head, cards []string) string {
+		cards = slices.Clone(cards)
+		rng := rand.New(rand.NewSource(seed))
+		rng.Shuffle(len(cards), func(i, j int) { cards[i], cards[j] = cards[j], cards[i] })
+		return strings.Join(append(slices.Clone(head), cards...), "\n")
+	}
 	for seed := int64(1); seed <= 8; seed++ {
 		tree := topo.Random(seed, topo.RandomOptions{N: 500 * int(seed%6+1), Chaininess: 0.3})
 		lines := strings.Split(strings.TrimSuffix(Format(tree, "shuffled"), ".end\n"), "\n")
 		head, cards := lines[:2], lines[2:] // title comment and V card
-		rng := rand.New(rand.NewSource(seed))
-		rng.Shuffle(len(cards), func(i, j int) { cards[i], cards[j] = cards[j], cards[i] })
-		deck := strings.Join(append(head, cards...), "\n")
-		want, wantErr := referenceParseString(deck)
-		got, err := ParseString(deck)
-		sameParse(t, fmt.Sprintf("seed %d", seed), got, err, want, wantErr)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		compare(fmt.Sprintf("seed %d", seed), shuffled(seed, head, cards))
 	}
+	for _, big := range []struct {
+		name  string
+		spine int
+	}{{"bushy", 0}, {"spine", 1500}} {
+		head := []string{"* " + big.name, "Vin in 0 1"}
+		cards := bigDeckCards(31, 100000, big.spine)
+		compare(big.name, strings.Join(append(slices.Clone(head), cards...), "\n")+"\n.end\n")
+		compare(big.name+" shuffled", shuffled(32, head, cards))
+	}
+}
+
+// bigDeckCards returns the R and C cards of an n-node deck shaped like
+// the benchmark's big nets: node i is "n<i>", with an R card to its
+// parent (the input "in" for node 0) and then a C card, and values
+// log-uniform over 10..1000 ohm and 1f..1p with five significant
+// digits. The first spine nodes form a chain; after them each node
+// extends the previous one or hangs off a random earlier node, with
+// equal odds.
+func bigDeckCards(seed int64, n, spine int) []string {
+	rng := rand.New(rand.NewSource(seed))
+	value := func(lo, hi float64) string {
+		v := math.Exp(math.Log(lo) + rng.Float64()*(math.Log(hi)-math.Log(lo)))
+		return strconv.FormatFloat(v, 'g', 5, 64)
+	}
+	cards := make([]string, 0, 2*n)
+	for i := 0; i < n; i++ {
+		parent := "in"
+		if i > 0 {
+			p := i - 1
+			if i >= spine && rng.Float64() >= 0.5 {
+				p = rng.Intn(i)
+			}
+			parent = "n" + strconv.Itoa(p)
+		}
+		cards = append(cards,
+			fmt.Sprintf("R%d %s n%d %s", i, parent, i, value(10, 1000)),
+			fmt.Sprintf("C%d n%d 0 %s", i, i, value(1e-15, 1e-12)))
+	}
+	return cards
+}
+
+// bigDeck is the bushy 100k-node deck of bigDeckCards, as a file would
+// hold it.
+func bigDeck() string {
+	return "* big\nVin in 0 1\n" + strings.Join(bigDeckCards(31, 100000, 0), "\n") + "\n.end\n"
 }

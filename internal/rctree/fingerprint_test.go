@@ -2,6 +2,7 @@ package rctree
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -44,12 +45,64 @@ func TestFingerprintSensitivity(t *testing.T) {
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatal("identical circuits must share a fingerprint")
 	}
-	fp := a.Fingerprint()
-	if err := a.SetR(5, a.R(5)*1.0000001); err != nil {
-		t.Fatal(err)
+	// The fingerprint is kept per generation: every mutator must bump
+	// it, so the next call hashes the new values.
+	edits := []struct {
+		name string
+		edit func() error
+	}{
+		{"SetR", func() error { return a.SetR(5, a.R(5)*1.0000001) }},
+		{"SetC", func() error { return a.SetC(7, a.C(7)*1.0000001) }},
+		{"SetValues", func() error {
+			c := make([]float64, a.N())
+			for i := range c {
+				c[i] = a.C(i)
+			}
+			c[3] *= 1.0000001
+			return a.SetValues(nil, c)
+		}},
+		{"ScaleValues", func() error { return a.ScaleValues(1, 1.0000001) }},
 	}
-	if a.Fingerprint() == fp {
-		t.Fatal("SetR did not change the fingerprint")
+	for _, e := range edits {
+		fp := a.Fingerprint()
+		if a.Fingerprint() != fp {
+			t.Fatalf("before %s: two calls at one generation disagree", e.name)
+		}
+		if err := e.edit(); err != nil {
+			t.Fatal(err)
+		}
+		got := a.Fingerprint()
+		if got == fp {
+			t.Fatalf("%s did not change the fingerprint", e.name)
+		}
+		if want := a.Clone().Fingerprint(); got != want {
+			t.Fatalf("after %s: fingerprint %x, a fresh hash of the same values %x", e.name, got, want)
+		}
+	}
+}
+
+// Concurrent first calls on one tree agree (run under -race: the kept
+// value is published atomically).
+func TestFingerprintConcurrent(t *testing.T) {
+	tree := randomTestTree(11, 2000)
+	want := tree.Clone().Fingerprint()
+	const workers = 8
+	got := make([]uint64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < 20; k++ {
+				got[w] = tree.Fingerprint()
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, fp := range got {
+		if fp != want {
+			t.Fatalf("goroutine %d: fingerprint %x, want %x", w, fp, want)
+		}
 	}
 }
 

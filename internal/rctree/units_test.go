@@ -115,3 +115,54 @@ func TestFormatParseRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FuzzParseValue checks ParseValue against the previous parser, kept
+// verbatim in reference_test.go: the same error text for every rejected
+// token and the same float64 bits for every accepted one. The seeds sit
+// on the edges of the exact conversion path (15 and 16 significant
+// digits, exponents ±22 and ±23, 2^53±1) and of the grammar. They run
+// in the normal test suite; `go test -fuzz=FuzzParseValue` explores
+// further.
+func FuzzParseValue(f *testing.F) {
+	seeds := []string{
+		// 15 and 16 significant digits.
+		"123456789012345", "1234567890123456", "999999999999999", "9999999999999999",
+		"0.000123456789012345", "1.234567890123456e-5", "12345.6789012345",
+		// Exponents ±22 and ±23, plain and with a long mantissa.
+		"1e22", "1e-22", "1e23", "1e-23", "4.5e22", "9.87654321e-23",
+		"123456789012345e22", "123456789012345e-22", "1.5e-21", "0.001e-20", "100e21",
+		// 2^53 and its neighbours.
+		"9007199254740991", "9007199254740992", "9007199254740993",
+		// Leading and trailing zeros, and signed zeros.
+		"000123", "0.000", "1.2300000", "100000000000000000000", "0.0000000000000000000000001",
+		"-0", "-0.0e5", "+0", "0e-30", "-0e400",
+		// Subnormals, the largest float and overflow.
+		"4.9e-324", "2.2250738585072011e-308", "1e-320", "1e-400",
+		"1.7976931348623157e308", "1e309", "-1e309",
+		// Every suffix, in both cases.
+		"1t", "1T", "1g", "1G", "1k", "1K", "1m", "1M", "1u", "1U", "1n", "1N",
+		"1p", "1P", "1f", "1F", "1a", "1A", "1meg", "1MEG", "1Meg", "1me", "1x", "1X",
+		"1mil", "1MIL", "10pF", "4.7kohm", "2.5E-3k",
+		// A suffix that starts with e.
+		"1ek", "2.5e", "3e-", "4Ex", "5e+k",
+		// Malformed numbers.
+		"1e", "1e+", ".5", "5.", "1.2.3", "+-1", "0x10", "1_0", "", " ", "abc", "-", ".",
+		"e5", "1e5e3", "1-2", "--3", "k12", "1E309",
+		// White space and non-ASCII runes, some of which case-map to
+		// ASCII letters.
+		" 5p ", "\t1k\n", "1\u212a", "\u00a05", "5\u0085", "1\u0130", "\xff1", "1\xff", "1M\u212a",
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, wantErr := referenceParseValue(s)
+		got, err := ParseValue(s)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("ParseValue(%q): error %v, reference %v", s, err, wantErr)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("ParseValue(%q) = %v (%#x), reference %v (%#x)", s, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	})
+}
