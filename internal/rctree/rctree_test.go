@@ -463,7 +463,7 @@ func TestSetValuesBulkMutation(t *testing.T) {
 // Build lays the child lists out in one shared array: each list keeps
 // attach order, and appending to one cannot overwrite its neighbour.
 func TestBuildChildListsInAttachOrder(t *testing.T) {
-	b := NewBuilderSize(6)
+	b := NewBuilder()
 	a := b.MustRoot("a", 1, 1)
 	x := b.MustRoot("x", 1, 1)
 	a1 := b.MustAttach(a, "a1", 1, 1)
