@@ -1,6 +1,7 @@
 // Command elmored is the persistent delay-bound service: the batch
-// engine, fingerprint caches, breaker, journal, and SLO tracker behind
-// an HTTP API, hardened for production load.
+// engine, hot-tree cache, breaker, journal, and SLO tracker behind an
+// HTTP API, hardened for production load. Job specs carry their decks
+// inline ("netlist"); the server opens no file a client names.
 //
 // Endpoints:
 //
@@ -62,11 +63,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "graceful-drain window after SIGTERM before in-flight batches are cancelled (journaled batches resume on restart)")
 		sloSpec      = fs.String("slo", "", "request latency objectives like `p99=250ms`; published as serve.slo.* gauges")
 	)
-	fs.IntVar(&cfg.Workers, "workers", 0, "batch workers per request (0 = GOMAXPROCS)")
-	fs.DurationVar(&cfg.Timeout, "timeout", 0, "per-attempt job time limit (0 = none; client deadlines tighten it per request)")
-	fs.IntVar(&cfg.Retries, "retries", 0, "retry transiently failing jobs up to `n` extra times")
-	fs.IntVar(&cfg.Breaker, "breaker", 0, "cut off a net after `n` consecutive transient failures (0 = off)")
-	fs.BoolVar(&cfg.Degrade, "degrade", true, "answer exhausted sim jobs with the elmore-bound interval instead of an error")
+	ef := cliutil.AddEngine(fs)
 	fs.Float64Var(&cfg.Rate, "rate", 0, "per-tenant sustained admissions per second (0 = unlimited)")
 	fs.Float64Var(&cfg.Burst, "burst", 0, "per-tenant admission burst (0 = max(rate, 1))")
 	fs.IntVar(&cfg.MaxInFlight, "max-inflight", 0, "process-wide concurrent request cap (0 = unlimited)")
@@ -88,8 +85,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments %v", fs.Args())
 	}
+	if err := ef.Validate(); err != nil {
+		return err
+	}
+	cfg.Engine = *ef
 	if cfg.Rate < 0 || cfg.Burst < 0 || cfg.MaxInFlight < 0 || cfg.MaxTenants < 0 ||
-		cfg.Workers < 0 || cfg.Timeout < 0 || cfg.Retries < 0 || cfg.Breaker < 0 ||
 		cfg.TenantTrips < 0 || cfg.MaxDeadline < 0 || cfg.MaxJobs < 0 || cfg.MaxBody < 0 ||
 		cfg.HotTrees < 0 || *drainTimeout < 0 {
 		return fmt.Errorf("flag values must be >= 0")

@@ -15,18 +15,17 @@ import (
 	"time"
 
 	"elmore/internal/batch"
+	"elmore/internal/cliutil"
 	"elmore/internal/faultinject"
+	"elmore/internal/rctree"
 	"elmore/internal/resilience"
 	"elmore/internal/telemetry"
 )
 
 // config is the server's tuning, filled from flags in main.
 type config struct {
-	Workers     int           // batch workers per request
-	Timeout     time.Duration // per-attempt job limit; 0 = none
-	Retries     int           // extra attempts for transient failures
-	Breaker     int           // per-net consecutive-failure threshold; 0 = off
-	Degrade     bool          // elmore-bound fallback for exhausted sim jobs
+	Engine cliutil.EngineFlags // the engine flags the -jobs CLIs share
+
 	Rate        float64       // per-tenant admissions/second; 0 = off
 	Burst       float64       // per-tenant bucket capacity
 	MaxInFlight int           // process-wide concurrent requests; 0 = off
@@ -41,10 +40,11 @@ type config struct {
 }
 
 // server is the elmored HTTP state. One instance serves the process
-// lifetime; per-request engines are shallow copies sharing its caches.
+// lifetime; per-request engines are shallow copies of its template
+// sharing the breaker, each with a moment cache of its own.
 type server struct {
 	cfg     config
-	eng     *batch.Engine // template: shared cache, resilience policy
+	eng     *batch.Engine // template: workers, timeout, resilience policy
 	limiter *resilience.Limiter
 	gate    *batch.Gate
 	hot     *batch.TreeCache
@@ -65,23 +65,6 @@ type server struct {
 
 // newServer builds the server and its lifetime context from ctx.
 func newServer(ctx context.Context, cfg config) *server {
-	eng := &batch.Engine{
-		Workers:   cfg.Workers,
-		Timeout:   cfg.Timeout,
-		Cache:     batch.NewCache(),
-		NoDegrade: !cfg.Degrade,
-	}
-	if cfg.Retries > 0 {
-		eng.Retry = &resilience.Policy{
-			MaxAttempts: cfg.Retries + 1,
-			BaseDelay:   50 * time.Millisecond,
-			MaxDelay:    2 * time.Second,
-			RetryPanics: true,
-		}
-	}
-	if cfg.Breaker > 0 {
-		eng.Breaker = &resilience.Breaker{Threshold: cfg.Breaker}
-	}
 	var tenantBreaker *resilience.Breaker
 	if cfg.TenantTrips > 0 {
 		tenantBreaker = &resilience.Breaker{Threshold: cfg.TenantTrips}
@@ -89,7 +72,7 @@ func newServer(ctx context.Context, cfg config) *server {
 	runCtx, cancel := context.WithCancel(ctx)
 	s := &server{
 		cfg: cfg,
-		eng: eng,
+		eng: cfg.Engine.Engine(),
 		limiter: &resilience.Limiter{
 			Rate:        cfg.Rate,
 			Burst:       cfg.Burst,
@@ -261,14 +244,31 @@ func (s *server) requestCtx(r *http.Request, deadline time.Duration) (context.Co
 
 // requestEngine copies the template engine, tightening the per-job
 // timeout to the request deadline so a slow job can never outlive its
-// request and pin a worker.
+// request and pin a worker. The copy gets a moment cache of its own,
+// as a CLI run does: moments are shared within a request, and nothing
+// keyed by a client's nets outlives it.
 func (s *server) requestEngine(deadline time.Duration) *batch.Engine {
 	eng := *s.eng
+	eng.Cache = batch.NewCache()
 	if deadline > 0 && (eng.Timeout <= 0 || deadline < eng.Timeout) {
 		eng.Timeout = deadline
 		telemetry.C("serve.deadline_truncations").Inc()
 	}
 	return &eng
+}
+
+// errNetFile is the per-job error for a spec (or path stage) that
+// names a deck by "net". elmored opens no file a client names, so
+// neither a path nor a byte of any file reaches the answer.
+var errNetFile = errors.New(`elmored reads no server files: send the deck inline as "netlist" instead of naming it in "net"`)
+
+// load is the server's TreeLoader: inline decks through the hot-tree
+// cache, and errNetFile for a file reference.
+func (s *server) load(net, netlist string) (*rctree.Tree, error) {
+	if netlist == "" {
+		return nil, errNetFile
+	}
+	return s.hot.Load("", netlist)
 }
 
 // batchIDPat is the allowed shape of a client batch ID: it becomes a
@@ -438,7 +438,7 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 	st, runErr := batch.RunSpecsOpts(ctx, s.requestEngine(deadline), nil, fw, batch.SpecRunOptions{
 		Specs:   specs,
-		Loader:  s.hot.Load,
+		Loader:  s.load,
 		Journal: jr,
 		Replay:  rp,
 	})
@@ -504,7 +504,7 @@ func (s *server) handleBound(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := s.requestCtx(r, deadline)
 	defer cancel()
-	job := spec.JobLoader(nil, 0, s.hot.Load)
+	job := spec.JobLoader(nil, 0, s.load)
 	res := s.requestEngine(deadline).Run(ctx, []batch.Job{job})
 	telemetry.C("serve.jobs").Inc()
 	rec := batch.Record(res[0])

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"elmore/internal/batch"
+	"elmore/internal/cliutil"
 	"elmore/internal/core"
 	"elmore/internal/faultinject"
 	"elmore/internal/telemetry"
@@ -43,8 +45,8 @@ func specBody(n int) string {
 
 func testConfig() config {
 	return config{
-		Workers: 2, Degrade: true, MaxDeadline: time.Minute,
-		MaxJobs: 1000, MaxBody: 1 << 20, HotTrees: 8,
+		Engine:      cliutil.EngineFlags{Workers: 2, Degrade: true},
+		MaxDeadline: time.Minute, MaxJobs: 1000, MaxBody: 1 << 20, HotTrees: 8,
 	}
 }
 
@@ -281,21 +283,16 @@ func TestHotTreeLRUSkipsReparse(t *testing.T) {
 	}
 }
 
-// A net file rewritten in place must be answered from its new text:
-// the hot-tree LRU is keyed on the deck text, never on the path. Keyed
-// on the path, the rewritten deck (Elmore delay 50 ps at z) was
-// answered from the old tree's 9.5 ps, an anti-conservative bound.
+// Each deck is answered from its own text: the hot-tree LRU is keyed on
+// the deck text, so a changed deck is parsed again. (TreeCache.Load's
+// test covers a file rewritten in place.)
 func TestHotTreeRewrittenNetReparsed(t *testing.T) {
 	_, ts := startTestServer(t, testConfig())
 	deckB := strings.Replace(testDeck, "R2 a z 150", "R2 a z 1500", 1)
 	for _, endpoint := range []string{"/v1/analyze", "/v1/bound"} {
-		path := filepath.Join(t.TempDir(), "net.sp")
-		spec := fmt.Sprintf(`{"id":"n","net":%q,"sinks":["z"]}`, path)
 		for _, deck := range []string{testDeck, deckB} {
-			if err := os.WriteFile(path, []byte(deck), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			resp, err := http.Post(ts.URL+endpoint, "application/json", strings.NewReader(spec+"\n"))
+			spec, _ := json.Marshal(map[string]any{"id": "n", "netlist": deck, "sinks": []string{"z"}})
+			resp, err := http.Post(ts.URL+endpoint, "application/json", strings.NewReader(string(spec)+"\n"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -316,6 +313,67 @@ func TestHotTreeRewrittenNetReparsed(t *testing.T) {
 			if want := fresh.Bounds[tree.MustIndex("z")].Elmore; rec.Sinks[0].Elmore != want {
 				t.Fatalf("%s answered Elmore %g s at z for a deck whose fresh analysis gives %g s", endpoint, rec.Sinks[0].Elmore, want)
 			}
+		}
+	}
+}
+
+// A spec that names a server file in "net" gets a per-job error asking
+// for the deck inline, and no byte of the file: the server opens no
+// path a client names.
+func TestNetFileRefused(t *testing.T) {
+	_, ts := startTestServer(t, testConfig())
+	path := filepath.Join(t.TempDir(), "secret.txt")
+	const secret = "s3cr3t-token-9f2c line two\n"
+	if err := os.WriteFile(path, []byte(secret), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	net, _ := json.Marshal(map[string]any{"id": "f", "net": path})
+	stage, _ := json.Marshal(map[string]any{"id": "p", "stages": []map[string]string{{"cell": "inv", "net": path, "sink": "z"}}})
+	for _, endpoint := range []string{"/v1/analyze", "/v1/bound"} {
+		for _, spec := range [][]byte{net, stage} {
+			resp, err := http.Post(ts.URL+endpoint, "application/json", strings.NewReader(string(spec)+"\n"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(string(body), "s3cr3t") || strings.Contains(string(body), "line two") {
+				t.Fatalf("%s %s: response echoes the file: %s", endpoint, spec, body)
+			}
+			var rec batch.ResultRecord
+			if err := json.NewDecoder(strings.NewReader(string(body))).Decode(&rec); err != nil {
+				t.Fatalf("%s: %v: %s", endpoint, err, body)
+			}
+			if rec.Error == "" || rec.Sinks != nil {
+				t.Fatalf("%s %s: want a per-job error record, got %s", endpoint, spec, body)
+			}
+			if rec.ID == "f" && !strings.Contains(rec.Error, `inline as "netlist"`) {
+				t.Errorf("%s: error %q does not ask for the deck inline", endpoint, rec.Error)
+			}
+		}
+	}
+}
+
+// Moments are cached per request, as in a CLI run: a deck seen by one
+// request is a moment-cache miss again in the next.
+func TestMomentCachePerRequest(t *testing.T) {
+	_, ts := startTestServer(t, testConfig())
+	for round := 0; round < 2; round++ {
+		lines, sum, _ := analyze(t, ts.URL, specBody(3), nil)
+		if sum.Failed != 0 || len(lines) != 3 {
+			t.Fatalf("round %d: %d lines, %+v", round, len(lines), sum)
+		}
+		hits := 0
+		for _, m := range lines {
+			if m["cache_hit"] == true {
+				hits++
+			}
+		}
+		if hits != 2 {
+			t.Errorf("round %d: %d of 3 jobs on one deck hit the moment cache, want 2 (one miss per request)", round, hits)
 		}
 	}
 }

@@ -25,12 +25,11 @@
 //     fingerprint lets repeated nets reuse one moments.Set.
 //   - Resilience: an optional retry Policy re-runs transiently failing
 //     attempts with backoff, a Breaker cuts off trees that keep
-//     failing, a Watchdog flags stuck attempts, and — because the
-//     paper guarantees the Elmore delay T_D = m1 bounds the 50% delay
-//     from above and max(mu-sigma, 0) from below — a transient sweep
-//     whose simulation keeps failing degrades gracefully to those
-//     moment bounds instead of erroring (Result.Degraded
-//     "elmore-bound").
+//     failing, and — because the paper guarantees the Elmore delay
+//     T_D = m1 bounds the 50% delay from above and max(mu-sigma, 0)
+//     from below — a transient sweep whose simulation keeps failing
+//     degrades gracefully to those moment bounds instead of erroring
+//     (Result.Degraded "elmore-bound").
 //
 // The engine is instrumented with the telemetry package: a
 // batch.queue_depth gauge, batch.jobs / batch.job_errors /
@@ -147,29 +146,18 @@ type Engine struct {
 	// failing transiently; nil disables. Jobs rejected by an open
 	// breaker degrade like any other transient failure.
 	Breaker *resilience.Breaker
-	// Watchdog flags attempts running far past expectations; nil
-	// disables. With CancelStuck set it also cancels them.
-	Watchdog *resilience.Watchdog
 	// NoDegrade turns off graceful degradation: transient jobs whose
 	// simulation exhausts its attempts report the error instead of the
 	// moment-bound interval.
 	NoDegrade bool
 
-	// OnStart, when non-nil, observes each job the moment a worker
-	// picks it up (before any attempt). It is called concurrently from
-	// worker goroutines with the worker's context (which carries the
-	// values OnWorker attached) and the job's trace context; the
-	// crash-safe journal uses it to record in-flight jobs — with their
-	// lineage — through a per-worker buffered writer.
-	OnStart func(ctx context.Context, index int, id string, trace telemetry.TraceContext)
-
-	// OnWorker, when non-nil, runs once per worker goroutine before it
-	// takes its first job. The returned context (when non-nil) replaces
-	// the worker's context for everything it runs, and the returned
-	// cleanup (when non-nil) runs as the worker exits. The journal
-	// layer uses it to give each worker a private buffered journal
-	// writer flushed at worker exit.
-	OnWorker func(ctx context.Context, worker int) (context.Context, func())
+	// OnStart, when non-nil, observes each job once a worker has taken
+	// it, with the trace the job runs under. It is called from the one
+	// goroutine that hands jobs to workers (never concurrently with
+	// itself), and it may run after the job has finished; the
+	// crash-safe journal uses it to record in-flight jobs with their
+	// lineage.
+	OnStart func(index int, id string, trace telemetry.TraceContext)
 
 	// OnStats, when non-nil, receives the run's per-worker accounting
 	// (PoolStats) once every worker has exited, on the RunFunc goroutine.
@@ -223,9 +211,6 @@ func (e *Engine) RunFunc(ctx context.Context, jobs []Job, emit func(Result)) {
 		return
 	}
 
-	stopWatch := e.Watchdog.Watch()
-	defer stopWatch()
-
 	// The queue-depth gauge is driven exclusively through Add deltas on
 	// its own atomic: publishing pending.Add(-1) via Set would let two
 	// workers' loads/stores interleave and write an older depth over a
@@ -244,7 +229,13 @@ func (e *Engine) RunFunc(ctx context.Context, jobs []Job, emit func(Result)) {
 		defer rr.finish()
 	}
 
-	idxCh := make(chan int)
+	// The dispatcher mints each job's trace, so the journal's start
+	// record and the job's result carry the same lineage.
+	type handoff struct {
+		i  int
+		tr telemetry.TraceContext
+	}
+	feed := make(chan handoff)
 	resCh := make(chan Result, workers)
 	stats := make([]WorkerStats, workers)
 	runStart := time.Now()
@@ -267,19 +258,9 @@ func (e *Engine) RunFunc(ctx context.Context, jobs []Job, emit func(Result)) {
 			// of allocating 2n floats twice per job, and since a worker
 			// runs one job at a time the reuse is race-free.
 			wctx = moments.WithArena(wctx, new(moments.Arena))
-			if e.OnWorker != nil {
-				ctx2, cleanup := e.OnWorker(wctx, w)
-				if ctx2 != nil {
-					wctx = ctx2
-				}
-				if cleanup != nil {
-					defer cleanup()
-				}
-			}
 			wallStart := time.Now()
 			defer func() { ws.WallNS = time.Since(wallStart).Nanoseconds() }()
-			// Lineage is minted unconditionally (an atomic increment plus
-			// integer mixing — free) but attached to the context only when
+			// A job's lineage is attached to its context only when
 			// something can observe it: a tracer, the flight recorder, or
 			// the reporter's slow-span capture. The disabled path thus
 			// stays inside the per-job allocation budget.
@@ -287,26 +268,19 @@ func (e *Engine) RunFunc(ctx context.Context, jobs []Job, emit func(Result)) {
 				telemetry.FlightEnabled() || e.Report.captureSpans(wctx)
 			for {
 				t0 := time.Now()
-				i, ok := <-idxCh
+				h, ok := <-feed
 				ws.IdleNS += time.Since(t0).Nanoseconds()
 				if !ok {
 					return
 				}
 				pending.Add(-1)
 				qd.Add(-1)
-				tr := jobs[i].Trace
-				if !tr.Valid() {
-					tr = telemetry.MintTrace()
-				}
 				jctx := wctx
 				if obsCtx {
-					jctx = telemetry.WithTraceContext(wctx, tr)
-				}
-				if e.OnStart != nil {
-					e.OnStart(jctx, i, jobs[i].ID, tr)
+					jctx = telemetry.WithTraceContext(wctx, h.tr)
 				}
 				t1 := time.Now()
-				r := e.runJob(jctx, w, i, jobs[i], tr)
+				r := e.runJob(jctx, w, h.i, jobs[h.i], h.tr)
 				ws.BusyNS += time.Since(t1).Nanoseconds()
 				ws.Jobs++
 				t2 := time.Now()
@@ -319,10 +293,19 @@ func (e *Engine) RunFunc(ctx context.Context, jobs []Job, emit func(Result)) {
 		// The dispatcher stops on cancellation instead of force-feeding
 		// the remaining indices: workers drain what is already queued
 		// and exit, and the undispatched jobs settle the gauges here.
-		defer close(idxCh)
+		defer close(feed)
 		for i := range jobs {
+			// Lineage is minted unconditionally: an atomic increment plus
+			// integer mixing, free next to a job.
+			tr := jobs[i].Trace
+			if !tr.Valid() {
+				tr = telemetry.MintTrace()
+			}
 			select {
-			case idxCh <- i:
+			case feed <- handoff{i, tr}:
+				if e.OnStart != nil {
+					e.OnStart(i, jobs[i].ID, tr)
+				}
 			case <-bctx.Done():
 				skipped := int64(len(jobs) - i)
 				pending.Add(-skipped)
@@ -403,7 +386,7 @@ func (e *Engine) RunFunc(ctx context.Context, jobs []Job, emit func(Result)) {
 	}
 }
 
-// jobLabel names one job for watchdog and health reporting.
+// jobLabel names one job for health reporting.
 func jobLabel(idx int, id string) string {
 	if id != "" {
 		return id
@@ -598,20 +581,16 @@ type payload struct {
 }
 
 // attemptOnce executes one attempt of a job under the per-attempt
-// timeout and watchdog, converting panics into *resilience.PanicError
-// so the retry loop can classify them. tree memoizes Net/Tran net
-// resolution across attempts.
+// timeout, converting panics into *resilience.PanicError so the retry
+// loop can classify them. tree memoizes Net/Tran net resolution across
+// attempts.
 func (e *Engine) attemptOnce(ctx context.Context, idx int, j Job, tree **rctree.Tree) (pl payload, hit bool, err error) {
 	actx := ctx
-	cancel := context.CancelFunc(func() {})
 	if e.Timeout > 0 {
+		var cancel context.CancelFunc
 		actx, cancel = context.WithTimeout(ctx, e.Timeout)
-	} else if e.Watchdog != nil && e.Watchdog.CancelStuck {
-		actx, cancel = context.WithCancel(ctx)
+		defer cancel()
 	}
-	defer cancel()
-	unregister := e.Watchdog.Register(jobLabel(idx, j.ID), cancel)
-	defer unregister()
 	defer func() {
 		if p := recover(); p != nil {
 			pl = payload{}

@@ -351,7 +351,7 @@ func TestReadSpecsAndMaterialize(t *testing.T) {
 	}
 	jobs := make([]Job, len(specs))
 	for i, s := range specs {
-		jobs[i] = s.Job(lib, 25e-12)
+		jobs[i] = s.JobLoader(lib, 25e-12, nil)
 	}
 	res := (&Engine{Workers: 4, Cache: NewCache()}).Run(context.Background(), jobs)
 	byID := map[string]Result{}

@@ -42,7 +42,7 @@ func FuzzReadSpecs(f *testing.F) {
 			return // rejected streams just need a graceful error
 		}
 		for i, s := range specs {
-			j := s.Job(nil, 25e-12)
+			j := s.JobLoader(nil, 25e-12, nil)
 			kinds := 0
 			if j.Net != nil {
 				kinds++

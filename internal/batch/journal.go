@@ -2,7 +2,6 @@ package batch
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,39 +16,41 @@ import (
 // Journal is the crash-safe checkpoint log of a batch run: an
 // append-only NDJSON file with one record per state transition,
 //
-//	{"op":"start","key":"17:n17"}
+//	{"op":"start","key":"17:n17","trace":"..."}
 //	{"op":"done","key":"17:n17"}
 //
 // where the key is the job's position in the spec stream plus its ID
-// (JobKey). "start" is appended the moment a worker picks the job up;
-// "done" only after the job's result line has reached the output
-// writer, so on replay a done job is provably emitted exactly once and
-// a started-but-not-done job was in flight when the process died and
-// must be re-queued.
+// (JobKey). "start" is appended once a worker has taken the job; "done"
+// only after the job's result line has reached the output writer, so on
+// replay a done job is provably emitted exactly once and a
+// started-but-not-done job was in flight when the process died and
+// must be re-queued. A start may reach the file after its job's done;
+// replay keeps such a job done.
 //
-// Durability is batched: the file is fsynced every SyncEvery done
+// Durability is batched: the file is fsynced every donesPerSync done
 // records (and on Close), bounding both the data-loss window after a
-// crash — at most SyncEvery duplicated result lines, never a lost one —
-// and the per-job fsync cost. A torn final line (the crash happened
-// mid-append) is tolerated on replay; torn interior lines are not, as
-// they indicate corruption rather than an interrupted append.
+// crash — at most donesPerSync duplicated result lines, never a lost
+// one — and the per-job fsync cost. A torn final line (the crash
+// happened mid-append) is tolerated on replay; torn interior lines are
+// not, as they indicate corruption rather than an interrupted append.
 //
-// A Journal is safe for concurrent use by the engine's workers.
+// A Journal is safe for concurrent use. A batch run has two writers:
+// the goroutine that hands jobs to workers appends the starts, and the
+// goroutine that emits results appends the dones.
 type Journal struct {
-	// SyncEvery is the number of done records between fsyncs; <= 0
-	// means 32.
-	SyncEvery int
-
 	mu      sync.Mutex
 	f       *os.File
 	w       *bufio.Writer
 	pending int // done records since the last fsync
 }
 
+// donesPerSync is the number of done records between fsyncs.
+const donesPerSync = 32
+
 // journalRecord is one NDJSON journal line. Start records carry the
-// job's trace ID (PR 9) so a crashed run's in-flight jobs keep their
-// lineage across resume; done records don't repeat it. Pre-PR-9
-// journals without the field replay unchanged.
+// job's trace ID so a crashed run's in-flight jobs keep their lineage
+// across resume; done records don't repeat it. Journals without the
+// field replay unchanged, and their re-queued jobs mint a fresh trace.
 type journalRecord struct {
 	Op    string `json:"op"` // "start" or "done"
 	Key   string `json:"key"`
@@ -68,10 +69,11 @@ func JobKey(index int, id string) string {
 type Replay struct {
 	// Done holds the keys of jobs whose results were fully emitted.
 	Done map[string]bool
-	// Started holds the keys of jobs that were picked up but never
-	// finished — in flight when the previous run died. (Keys in Done
-	// are removed from Started.)
-	Started map[string]bool
+	// Started maps the keys of jobs that were picked up but never
+	// finished — in flight when the previous run died — to the trace
+	// their last start record carried (the zero value when it carried
+	// none). Keys in Done are removed from Started.
+	Started map[string]telemetry.TraceContext
 }
 
 // OpenJournal opens (creating if needed) the journal at path, replays
@@ -99,7 +101,7 @@ func OpenJournal(path string) (*Journal, *Replay, error) {
 // tolerated (the previous process died mid-append); any other
 // malformed line fails the replay.
 func readReplay(r io.Reader) (*Replay, error) {
-	rp := &Replay{Done: make(map[string]bool), Started: make(map[string]bool)}
+	rp := &Replay{Done: make(map[string]bool), Started: make(map[string]telemetry.TraceContext)}
 	br := bufio.NewReader(r)
 	lineNo := 0
 	for {
@@ -130,7 +132,7 @@ func readReplay(r io.Reader) (*Replay, error) {
 		switch rec.Op {
 		case "start":
 			if !rp.Done[rec.Key] {
-				rp.Started[rec.Key] = true
+				rp.Started[rec.Key], _ = telemetry.ParseTraceID(rec.Trace)
 			}
 		case "done":
 			rp.Done[rec.Key] = true
@@ -144,7 +146,8 @@ func readReplay(r io.Reader) (*Replay, error) {
 	}
 }
 
-// append writes one record; sync forces the fsync batching to count it.
+// append writes one record; countSync counts it toward the fsync
+// batching.
 func (j *Journal) append(op, key, trace string, countSync bool) error {
 	if j == nil {
 		return nil
@@ -164,137 +167,23 @@ func (j *Journal) append(op, key, trace string, countSync bool) error {
 	}
 	if countSync {
 		j.pending++
-		if j.pending >= j.syncEvery() {
+		if j.pending >= donesPerSync {
 			return j.syncLocked()
 		}
 	}
 	return nil
 }
 
-// Start records that the job was picked up by a worker; trace is the
-// job's lineage ID ("" when observability is off).
+// Start records that the job was taken by a worker; trace is the job's
+// lineage ID.
 func (j *Journal) Start(index int, id, trace string) error {
 	return j.append("start", JobKey(index, id), trace, false)
 }
 
-// Done records that the job's result was emitted. Every SyncEvery done
-// records the journal is flushed and fsynced.
+// Done records that the job's result was emitted. Every donesPerSync
+// done records the journal is flushed and fsynced.
 func (j *Journal) Done(index int, id string) error {
 	return j.append("done", JobKey(index, id), "", true)
-}
-
-// Writer returns a private buffered appender onto the journal. Each
-// batch worker holds its own Writer: records accumulate in a local
-// buffer with no locking at all, and the shared file lock is taken
-// once per flush — a batch boundary — instead of once per record, so
-// journal durability stops serializing the workers and the result
-// emitter. A nil journal returns a nil writer, whose methods are all
-// no-ops, mirroring the nil-*Journal contract.
-//
-// Durability window: start records are advisory (a lost start replays
-// exactly like a never-started job — re-queued), so buffering them
-// costs nothing on crash. Done records buffer at most SyncEvery deep
-// before the writer flushes, and only the single emit goroutine writes
-// dones, so the crash window stays the documented "at most SyncEvery
-// duplicated result lines, never a lost one".
-func (j *Journal) Writer() *JournalWriter {
-	if j == nil {
-		return nil
-	}
-	return &JournalWriter{j: j}
-}
-
-// JournalWriter is one goroutine's buffered view of a Journal. Not
-// safe for concurrent use — that is the point: each worker owns one.
-type JournalWriter struct {
-	j       *Journal
-	buf     []byte
-	records int // buffered records of any kind (flush trigger)
-	dones   int // buffered done records (fsync accounting at flush)
-}
-
-// append buffers one record, flushing when a batch has accumulated.
-func (w *JournalWriter) append(op, key, trace string, done bool) error {
-	if w == nil {
-		return nil
-	}
-	if err := faultinject.Fire("batch.journal"); err != nil {
-		return fmt.Errorf("batch: journal: %w", err)
-	}
-	b, err := json.Marshal(journalRecord{Op: op, Key: key, Trace: trace})
-	if err != nil {
-		return fmt.Errorf("batch: journal: %w", err)
-	}
-	w.buf = append(w.buf, b...)
-	w.buf = append(w.buf, '\n')
-	w.records++
-	if done {
-		w.dones++
-	}
-	if w.records >= w.j.syncEvery() {
-		return w.Flush()
-	}
-	return nil
-}
-
-// Start buffers a record that the job was picked up by a worker;
-// trace is the job's lineage ID ("" when observability is off).
-func (w *JournalWriter) Start(index int, id, trace string) error {
-	return w.append("start", JobKey(index, id), trace, false)
-}
-
-// Done buffers a record that the job's result was emitted. The caller
-// must already have written the result line: the journal's done-after-
-// write ordering only deepens under buffering (the done record reaches
-// the file later, never earlier).
-func (w *JournalWriter) Done(index int, id string) error {
-	return w.append("done", JobKey(index, id), "", true)
-}
-
-// Flush hands the buffered records to the journal under one lock
-// acquisition, counting the buffered dones toward the journal's fsync
-// batching. Call it at batch boundaries (worker exit, end of run);
-// full buffers flush themselves.
-func (w *JournalWriter) Flush() error {
-	if w == nil || len(w.buf) == 0 {
-		return nil
-	}
-	w.j.mu.Lock()
-	defer w.j.mu.Unlock()
-	if _, err := w.j.w.Write(w.buf); err != nil {
-		return fmt.Errorf("batch: journal: %w", err)
-	}
-	w.buf = w.buf[:0]
-	w.records = 0
-	w.j.pending += w.dones
-	w.dones = 0
-	if w.j.pending >= w.j.syncEvery() {
-		return w.j.syncLocked()
-	}
-	return nil
-}
-
-// journalWriterKey carries a worker's *JournalWriter through the
-// worker context, the same pattern WorkerStats rides.
-type journalWriterKey struct{}
-
-func withJournalWriter(ctx context.Context, w *JournalWriter) context.Context {
-	return context.WithValue(ctx, journalWriterKey{}, w)
-}
-
-// journalWriterFrom returns the writer carried by ctx, or nil (whose
-// methods are no-ops) when the context has none.
-func journalWriterFrom(ctx context.Context) *JournalWriter {
-	w, _ := ctx.Value(journalWriterKey{}).(*JournalWriter)
-	return w
-}
-
-// syncEvery returns the effective fsync batch size.
-func (j *Journal) syncEvery() int {
-	if j.SyncEvery > 0 {
-		return j.SyncEvery
-	}
-	return 32
 }
 
 // syncLocked flushes the buffer and fsyncs; callers hold j.mu.

@@ -47,7 +47,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if !rp2.Done[JobKey(0, "a")] || len(rp2.Done) != 1 {
 		t.Errorf("Done = %v, want exactly {0:a}", rp2.Done)
 	}
-	if !rp2.Started[JobKey(1, "b")] || len(rp2.Started) != 1 {
+	if _, ok := rp2.Started[JobKey(1, "b")]; !ok || len(rp2.Started) != 1 {
 		t.Errorf("Started = %v, want exactly {1:b} (done keys must leave Started)", rp2.Started)
 	}
 	// The reopened journal appends, never truncates.
@@ -124,26 +124,66 @@ func TestJournalInteriorCorruptionRejected(t *testing.T) {
 func TestJournalSyncBatching(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.ndjson")
 	jr, _ := openJournal(t, path)
-	jr.SyncEvery = 2
-	if err := jr.Done(0, "a"); err != nil {
-		t.Fatal(err)
+	// Start records do not count toward the fsync batch.
+	for i := 0; i < donesPerSync; i++ {
+		if err := jr.Start(i, "s", ""); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// One done record is below the batch size: still buffered.
+	for i := 0; i < donesPerSync-1; i++ {
+		if err := jr.Done(i, "s"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One done record short of the batch: still buffered.
 	if b, err := os.ReadFile(path); err != nil || len(b) != 0 {
-		t.Errorf("journal flushed before the batch filled: %q err=%v", b, err)
+		t.Errorf("journal flushed before the batch filled: %d bytes, err=%v", len(b), err)
 	}
-	if err := jr.Done(1, "b"); err != nil {
+	if err := jr.Done(donesPerSync-1, "s"); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Count(string(b), "\n"); got != 2 {
-		t.Errorf("after SyncEvery dones the file holds %d lines, want 2", got)
+	if got, want := strings.Count(string(b), "\n"), 2*donesPerSync; got != want {
+		t.Errorf("after %d dones the file holds %d lines, want %d", donesPerSync, got, want)
 	}
 	if err := jr.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJournalWriterReplayInterleaved: a run's two journal writers, the
+// dispatcher (starts) and the emitter (dones), interleave freely — a
+// job can finish and be journaled done before the dispatcher appends
+// its start. Replay must still classify every job: done keys in Done
+// only, started-but-not-done keys re-queued with their trace.
+func TestJournalWriterReplayInterleaved(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.ndjson")
+	jr, _ := openJournal(t, path)
+	tr := telemetry.MintTrace()
+	for _, err := range []error{ // appended in this order
+		jr.Start(0, "a", ""),
+		jr.Done(0, "a"),
+		jr.Done(2, "c"), // done before its start
+		jr.Start(2, "c", tr.TraceID()),
+		jr.Start(3, "d", tr.TraceID()),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	jr2, rp := openJournal(t, path)
+	defer jr2.Close()
+	if !rp.Done[JobKey(0, "a")] || !rp.Done[JobKey(2, "c")] || len(rp.Done) != 2 {
+		t.Errorf("Done = %v, want exactly {0:a, 2:c}", rp.Done)
+	}
+	if got, ok := rp.Started[JobKey(3, "d")]; !ok || got != tr || len(rp.Started) != 1 {
+		t.Errorf("Started = %v, want exactly {3:d: %s}", rp.Started, tr.TraceID())
 	}
 }
 
@@ -205,13 +245,14 @@ func TestRunSpecsJournalResumeExactlyOnce(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var started atomic.Int32
-	eng := &Engine{Workers: 4, OnStart: func(context.Context, int, string, telemetry.TraceContext) {
+	eng := &Engine{Workers: 4, OnStart: func(int, string, telemetry.TraceContext) {
 		if started.Add(1) == 12 {
 			cancel()
 		}
 	}}
 	var out1 bytes.Buffer
-	st1, err := RunSpecsJournal(ctx, eng, strings.NewReader(stream), lib, 25e-12, &out1, jr1, rp1)
+	st1, err := RunSpecsOpts(ctx, eng, strings.NewReader(stream), &out1,
+		SpecRunOptions{Lib: lib, DefaultSlew: 25e-12, Journal: jr1, Replay: rp1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run returned %v, want context.Canceled", err)
 	}
@@ -232,8 +273,8 @@ func TestRunSpecsJournalResumeExactlyOnce(t *testing.T) {
 		t.Errorf("journal replayed %d done jobs, want %d (one per emitted line)", len(rp2.Done), st1.Emitted)
 	}
 	var out2 bytes.Buffer
-	st2, err := RunSpecsJournal(context.Background(), &Engine{Workers: 4},
-		strings.NewReader(stream), lib, 25e-12, &out2, jr2, rp2)
+	st2, err := RunSpecsOpts(context.Background(), &Engine{Workers: 4}, strings.NewReader(stream), &out2,
+		SpecRunOptions{Lib: lib, DefaultSlew: 25e-12, Journal: jr2, Replay: rp2})
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
@@ -270,8 +311,8 @@ func TestRunSpecsJournalResumeExactlyOnce(t *testing.T) {
 	// Run 3: everything is done; nothing runs, nothing is emitted.
 	jr3, rp3 := openJournal(t, journalPath)
 	var out3 bytes.Buffer
-	st3, err := RunSpecsJournal(context.Background(), &Engine{Workers: 4},
-		strings.NewReader(stream), lib, 25e-12, &out3, jr3, rp3)
+	st3, err := RunSpecsOpts(context.Background(), &Engine{Workers: 4}, strings.NewReader(stream), &out3,
+		SpecRunOptions{Lib: lib, DefaultSlew: 25e-12, Journal: jr3, Replay: rp3})
 	if err != nil {
 		t.Fatalf("third run: %v", err)
 	}

@@ -68,8 +68,8 @@ func TestSpecLineageEndToEnd(t *testing.T) {
 	}
 	var out bytes.Buffer
 	eng := &Engine{Workers: 2, Cache: NewCache()}
-	if _, err := RunSpecsJournal(context.Background(), eng,
-		strings.NewReader(stream), lib, 25e-12, &out, jr, rp); err != nil {
+	if _, err := RunSpecsOpts(context.Background(), eng, strings.NewReader(stream), &out,
+		SpecRunOptions{Lib: lib, DefaultSlew: 25e-12, Journal: jr, Replay: rp}); err != nil {
 		t.Fatal(err)
 	}
 	if err := jr.Close(); err != nil {
@@ -135,6 +135,59 @@ func TestSpecLineageEndToEnd(t *testing.T) {
 			t.Errorf("journal start trace for %q = %q, result line says %q",
 				id, got, want)
 		}
+	}
+}
+
+// TestResumeContinuesStartTrace: a job in flight when a run died keeps
+// its lineage across resume. Its start record's trace is the trace of
+// the resumed run's result line, unless the spec names a trace_id;
+// a start record without a trace leaves the job a fresh mint.
+func TestResumeContinuesStartTrace(t *testing.T) {
+	netPath, lib := writeSpecFiles(t)
+	const handoff = "00000000deadbeef00000000cafef00d"
+	stream := strings.Join([]string{
+		fmt.Sprintf(`{"id":"k","net":%q,"sinks":["z"]}`, netPath),
+		fmt.Sprintf(`{"id":"spec","net":%q,"sinks":["z"],"trace_id":%q}`, netPath, handoff),
+		fmt.Sprintf(`{"id":"bare","net":%q,"sinks":["z"]}`, netPath),
+	}, "\n")
+	crashed := telemetry.MintTrace()
+	other := telemetry.MintTrace()
+	jpath := filepath.Join(t.TempDir(), "run.journal")
+	journal := fmt.Sprintf(`{"op":"start","key":"0:k","trace":%q}
+{"op":"start","key":"1:spec","trace":%q}
+{"op":"start","key":"2:bare"}
+`, crashed.TraceID(), other.TraceID())
+	if err := os.WriteFile(jpath, []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jr, rp, err := OpenJournal(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	st, err := RunSpecsOpts(context.Background(), &Engine{Workers: 2}, strings.NewReader(stream), &out,
+		SpecRunOptions{Lib: lib, Journal: jr, Replay: rp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Requeued != 3 {
+		t.Fatalf("re-queued %d jobs, want 3", st.Requeued)
+	}
+	traces := make(map[string]string)
+	for _, rec := range decodeRecords(t, out.Bytes()) {
+		traces[rec.ID] = rec.TraceID
+	}
+	if traces["k"] != crashed.TraceID() {
+		t.Errorf("re-queued job carries trace %q, want its start record's %q", traces["k"], crashed.TraceID())
+	}
+	if traces["spec"] != handoff {
+		t.Errorf("spec trace_id lost to the journal: got %q, want %q", traces["spec"], handoff)
+	}
+	if _, ok := telemetry.ParseTraceID(traces["bare"]); !ok || traces["bare"] == crashed.TraceID() {
+		t.Errorf("job whose start record has no trace got %q, want a fresh mint", traces["bare"])
 	}
 }
 

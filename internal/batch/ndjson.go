@@ -201,19 +201,7 @@ func WriteResult(w io.Writer, r Result) error {
 	return err
 }
 
-// RunSpecs is the -jobs entry point shared by the CLIs: it decodes the
-// NDJSON job stream from r, materializes the jobs (lib and defaultSlew
-// as in JobSpec.Job), evaluates them on the engine, and streams one
-// NDJSON result line per job to w, in job order. failed counts per-job
-// error records (the batch itself still completes: fail-soft); err is
-// reserved for an unreadable spec stream, a failing writer, or an
-// interrupted run (the batch context's error).
-func RunSpecs(ctx context.Context, e *Engine, r io.Reader, lib *gate.Library, defaultSlew float64, w io.Writer) (failed, total int, err error) {
-	st, err := RunSpecsJournal(ctx, e, r, lib, defaultSlew, w, nil, nil)
-	return st.Failed, st.Total, err
-}
-
-// RunStats summarizes one RunSpecsJournal invocation.
+// RunStats summarizes one RunSpecsOpts run.
 type RunStats struct {
 	Total    int // spec lines decoded
 	Emitted  int // result lines written this run
@@ -223,9 +211,9 @@ type RunStats struct {
 	Requeued int // jobs re-queued after being in flight at the crash
 }
 
-// SpecRunOptions parameterizes RunSpecsOpts beyond the positional
-// arguments of RunSpecsJournal. The zero value matches RunSpecsJournal's
-// behavior exactly.
+// SpecRunOptions parameterizes RunSpecsOpts. The zero value reads the
+// spec stream, runs every job with a tree cache of its own, and keeps
+// no journal.
 type SpecRunOptions struct {
 	// Lib resolves path-job cells; nil is fine when no path jobs occur.
 	Lib *gate.Library
@@ -248,26 +236,26 @@ type SpecRunOptions struct {
 	Specs []JobSpec
 }
 
-// RunSpecsJournal is RunSpecs with crash-safe checkpointing: jobs the
-// replayed journal rp marks done are skipped (their results were
-// already emitted by the previous run), jobs it marks started are
-// re-queued, and every job this run completes is journaled to jr —
-// "start" when a worker picks it up, "done" only after its result line
-// reached w — so a kill-and-restart cycle emits every result exactly
-// once across the concatenated outputs. jr and rp may each be nil (no
-// journaling / fresh start). Jobs that ended with the batch context's
-// cancellation are neither emitted nor journaled: the next resume
-// re-queues them. The returned error reports an unreadable spec
-// stream, a failing writer or journal, or an interrupted run.
-func RunSpecsJournal(ctx context.Context, e *Engine, r io.Reader, lib *gate.Library, defaultSlew float64, w io.Writer, jr *Journal, rp *Replay) (RunStats, error) {
-	return RunSpecsOpts(ctx, e, r, w, SpecRunOptions{
-		Lib: lib, DefaultSlew: defaultSlew, Journal: jr, Replay: rp,
-	})
-}
-
-// RunSpecsOpts is the options form of RunSpecsJournal; see
-// SpecRunOptions for the extra knobs (injected tree loader, pre-decoded
-// specs). r is ignored when opts.Specs is non-nil.
+// RunSpecsOpts runs a spec stream, for the -jobs mode of the CLIs and
+// for elmored: it decodes the NDJSON job stream from r (ignored when
+// opts.Specs is non-nil), materializes the jobs, evaluates them on the
+// engine, and streams one NDJSON result line per job to w, in job
+// order.
+//
+// With a journal it checkpoints crash-safely: jobs the replay marks
+// done are skipped (their results were already emitted by the previous
+// run), jobs it marks started are re-queued under the trace their start
+// record carried (a spec's own trace_id still wins), and every job this
+// run completes is journaled — "start" once a worker takes it, "done"
+// only after its result line reached w — so a kill-and-restart cycle
+// emits every result exactly once across the concatenated outputs. Jobs
+// that ended with the batch context's cancellation are neither emitted
+// nor journaled done: the next resume re-queues them.
+//
+// Per-job failures are error records in the stream (fail-soft) counted
+// in RunStats.Failed. The returned error reports an unreadable spec
+// stream, a failing writer or journal, or an interrupted run (the batch
+// context's error).
 func RunSpecsOpts(ctx context.Context, e *Engine, r io.Reader, w io.Writer, opts SpecRunOptions) (RunStats, error) {
 	specs := opts.Specs
 	if specs == nil {
@@ -285,63 +273,46 @@ func RunSpecsOpts(ctx context.Context, e *Engine, r io.Reader, w io.Writer, opts
 	jobs := make([]Job, 0, len(specs))
 	orig := make([]int, 0, len(specs)) // submitted index -> spec index
 	for i, s := range specs {
+		var resumed telemetry.TraceContext
 		if rp != nil {
 			key := JobKey(i, s.ID)
 			if rp.Done[key] {
 				st.Skipped++
 				continue
 			}
-			if rp.Started[key] {
+			if tr, ok := rp.Started[key]; ok {
 				st.Requeued++
+				resumed = tr
 			}
 		}
-		jobs = append(jobs, s.JobLoader(opts.Lib, opts.DefaultSlew, load))
+		j := s.JobLoader(opts.Lib, opts.DefaultSlew, load)
+		if !j.Trace.Valid() {
+			j.Trace = resumed
+		}
+		jobs = append(jobs, j)
 		orig = append(orig, i)
 	}
 	if st.Requeued > 0 {
 		telemetry.C("batch.resumed_jobs").Add(int64(st.Requeued))
 	}
 
-	// Shallow-copy the engine to chain the journal onto the worker
-	// hooks without mutating the caller's value. Start records flow
-	// through a per-worker buffered JournalWriter (attached to the
-	// worker context by OnWorker, flushed when the worker exits), so
-	// workers never convoy on the journal lock per job; done records
-	// flow through one buffered writer on the emit goroutine below.
+	// Shallow-copy the engine to chain the journal onto OnStart without
+	// mutating the caller's value. The dispatcher writes the start
+	// records and the emit callback below the done records, both
+	// straight into the journal: two writers, whatever the worker count.
 	eng := *e
 	if jr != nil {
-		prevWorker := eng.OnWorker
-		eng.OnWorker = func(ctx context.Context, w int) (context.Context, func()) {
-			var cleanup func()
-			if prevWorker != nil {
-				ctx2, prevCleanup := prevWorker(ctx, w)
-				if ctx2 != nil {
-					ctx = ctx2
-				}
-				cleanup = prevCleanup
-			}
-			jw := jr.Writer()
-			return withJournalWriter(ctx, jw), func() {
-				if jerr := jw.Flush(); jerr != nil {
-					health.Note(health.Event{Check: "batch.journal_error", Detail: jerr.Error()})
-				}
-				if cleanup != nil {
-					cleanup()
-				}
-			}
-		}
 		prev := eng.OnStart
-		eng.OnStart = func(ctx context.Context, idx int, id string, trace telemetry.TraceContext) {
+		eng.OnStart = func(idx int, id string, trace telemetry.TraceContext) {
 			if prev != nil {
-				prev(ctx, idx, id, trace)
+				prev(idx, id, trace)
 			}
-			if jerr := journalWriterFrom(ctx).Start(orig[idx], id, trace.TraceID()); jerr != nil {
+			if jerr := jr.Start(orig[idx], id, trace.TraceID()); jerr != nil {
 				health.Note(health.Event{Check: "batch.journal_error", Detail: jerr.Error()})
 			}
 		}
 	}
 
-	dw := jr.Writer() // buffered done records; emit goroutine only
 	var werr error
 	eng.RunFunc(ctx, jobs, func(res Result) {
 		if res.Err != nil && resilience.Classify(res.Err) == resilience.Canceled {
@@ -363,27 +334,13 @@ func RunSpecsOpts(ctx context.Context, e *Engine, r io.Reader, w io.Writer, opts
 		if res.Degraded != "" {
 			st.Degraded++
 		}
-		if jr != nil {
-			if jerr := dw.Done(res.Index, res.ID); jerr != nil {
-				werr = jerr
-			}
-		}
+		werr = jr.Done(res.Index, res.ID)
 	})
-	if jr != nil {
-		// Flush the emitter's buffered dones even when the run was cut
-		// short: every result line already written must have its done
-		// record on disk before Sync, or a resume would duplicate it.
-		if ferr := dw.Flush(); ferr != nil && werr == nil {
-			werr = ferr
-		}
-	}
 	if werr != nil {
 		return st, werr
 	}
-	if jr != nil {
-		if err := jr.Sync(); err != nil {
-			return st, err
-		}
+	if err := jr.Sync(); err != nil {
+		return st, err
 	}
 	return st, ctx.Err()
 }

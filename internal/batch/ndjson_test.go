@@ -20,12 +20,13 @@ func TestRunSpecsStreamsNDJSON(t *testing.T) {
 	}, "\n")
 	var out bytes.Buffer
 	eng := &Engine{Workers: 4, Cache: NewCache()}
-	failed, total, err := RunSpecs(context.Background(), eng, strings.NewReader(stream), lib, 25e-12, &out)
+	st, err := RunSpecsOpts(context.Background(), eng, strings.NewReader(stream), &out,
+		SpecRunOptions{Lib: lib, DefaultSlew: 25e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != 3 || failed != 1 {
-		t.Fatalf("failed=%d total=%d, want 1/3", failed, total)
+	if st.Total != 3 || st.Failed != 1 {
+		t.Fatalf("failed=%d total=%d, want 1/3", st.Failed, st.Total)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
 	if len(lines) != 3 {
@@ -66,7 +67,7 @@ func TestRunSpecsStreamsNDJSON(t *testing.T) {
 func TestRunSpecsRejectsBadStream(t *testing.T) {
 	eng := &Engine{}
 	var out bytes.Buffer
-	_, _, err := RunSpecs(context.Background(), eng, strings.NewReader("{oops\n"), nil, 0, &out)
+	_, err := RunSpecsOpts(context.Background(), eng, strings.NewReader("{oops\n"), &out, SpecRunOptions{})
 	if err == nil || !strings.Contains(err.Error(), "line 1") {
 		t.Errorf("want a line-numbered error, got %v", err)
 	}

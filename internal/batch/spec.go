@@ -128,8 +128,8 @@ func ParseRise(tok string) (signal.Signal, error) {
 type TreeLoader func(net, netlist string) (*rctree.Tree, error)
 
 // DefaultTreeLoader opens net as a netlist file, or parses netlist as
-// inline deck text, afresh on every call. It is what Job uses when no
-// loader is injected.
+// inline deck text, afresh on every call. It is what JobLoader uses
+// when no loader is injected.
 func DefaultTreeLoader(net, netlist string) (*rctree.Tree, error) {
 	return loadTree(net, netlist, parseDeck)
 }
@@ -175,12 +175,6 @@ func parseDeck(text string) (*rctree.Tree, error) {
 		return nil, err
 	}
 	return deck.Tree, nil
-}
-
-// Job materializes a spec with the default filesystem loader. See
-// JobLoader.
-func (s JobSpec) Job(lib *gate.Library, defaultSlew float64) Job {
-	return s.JobLoader(lib, defaultSlew, nil)
 }
 
 // JobLoader materializes a spec. Spec-level problems (no kind, bad rise

@@ -90,6 +90,36 @@ func TestTreeCacheOff(t *testing.T) {
 	}
 }
 
+// A net file rewritten in place is answered from its new text: Load
+// reads the file on every call and looks the tree up by its contents,
+// never by the path. Keyed on the path, a rewritten deck (Elmore delay
+// 50 ps at z) was answered from the old tree's 9.5 ps, an
+// anti-conservative bound.
+func TestTreeCacheLoadRewrittenFile(t *testing.T) {
+	c := NewTreeCache(8, "batch.hot_tree")
+	path := filepath.Join(t.TempDir(), "net.sp")
+	deckB := strings.Replace(specNet, "R2 a z 150", "R2 a z 1500", 1)
+	for _, deck := range []string{specNet, deckB, specNet} {
+		if err := os.WriteFile(path, []byte(deck), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Load(path, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := parseDeck(deck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Fingerprint() != want.Fingerprint() {
+			t.Fatalf("Load after a rewrite returned the tree of another text")
+		}
+	}
+	if c.Len() != 2 {
+		t.Fatalf("cache holds %d trees for 2 distinct texts", c.Len())
+	}
+}
+
 var (
 	elapsedField = regexp.MustCompile(`"elapsed_ns":\d+`)
 	traceField   = regexp.MustCompile(`"trace_id":"[0-9a-f]*"`)

@@ -1,107 +1,13 @@
 package batch
 
-// Tests for the per-worker plumbing the scaling fix added to the
-// worker loop: the context-carried scratch arena, the OnWorker
-// decorate/cleanup hook, and the steady-state allocation budget of a
-// cache-warm net job.
+// The steady-state allocation budget of a cache-warm net job in the
+// worker loop, which the per-worker scratch arena keeps low.
 
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
-
-	"elmore/internal/moments"
-	"elmore/internal/telemetry"
 )
-
-// TestWorkerOwnsDistinctArena asserts each worker goroutine gets its
-// own scratch arena in its context — sharing one across workers would
-// race the sweep buffers — and that OnWorker observes the context
-// after the arena is attached, so journal-style decorators can rely on
-// it being there.
-func TestWorkerOwnsDistinctArena(t *testing.T) {
-	const workers = 4
-	var mu sync.Mutex
-	arenas := make(map[*moments.Arena]int)
-	e := &Engine{
-		Workers: workers,
-		OnWorker: func(ctx context.Context, worker int) (context.Context, func()) {
-			ar := moments.ArenaFrom(ctx)
-			if ar == nil {
-				t.Errorf("worker %d: context carries no arena", worker)
-				return nil, nil
-			}
-			mu.Lock()
-			arenas[ar]++
-			mu.Unlock()
-			return nil, nil
-		},
-	}
-	tree := chainNet(t, 8)
-	jobs := make([]Job, 64)
-	for i := range jobs {
-		jobs[i] = netJob(fmt.Sprintf("j%d", i), tree)
-	}
-	for _, r := range e.Run(context.Background(), jobs) {
-		if r.Err != nil {
-			t.Fatalf("job %s: %v", r.ID, r.Err)
-		}
-	}
-	if len(arenas) != workers {
-		t.Errorf("%d workers share %d arenas, want one each", workers, len(arenas))
-	}
-	for ar, n := range arenas {
-		if n != 1 {
-			t.Errorf("arena %p handed to %d workers", ar, n)
-		}
-	}
-}
-
-// TestOnWorkerDecoratesAndCleansUp pins the hook contract: the
-// returned context replaces the worker's context for OnStart and every
-// job, and the returned cleanup runs exactly once per worker at exit.
-func TestOnWorkerDecoratesAndCleansUp(t *testing.T) {
-	type markKey struct{}
-	const workers = 3
-	var mu sync.Mutex
-	cleanups := make(map[int]int)
-	marked := 0
-	e := &Engine{
-		Workers: workers,
-		OnWorker: func(ctx context.Context, worker int) (context.Context, func()) {
-			return context.WithValue(ctx, markKey{}, worker), func() {
-				mu.Lock()
-				cleanups[worker]++
-				mu.Unlock()
-			}
-		},
-		OnStart: func(ctx context.Context, index int, id string, _ telemetry.TraceContext) {
-			if w, ok := ctx.Value(markKey{}).(int); ok && w >= 0 {
-				mu.Lock()
-				marked++
-				mu.Unlock()
-			}
-		},
-	}
-	tree := chainNet(t, 6)
-	jobs := make([]Job, 30)
-	for i := range jobs {
-		jobs[i] = netJob(fmt.Sprintf("j%d", i), tree)
-	}
-	e.Run(context.Background(), jobs)
-	if marked != len(jobs) {
-		t.Errorf("OnStart saw the decorated context for %d of %d jobs", marked, len(jobs))
-	}
-	if len(cleanups) != workers {
-		t.Errorf("cleanup ran for %d workers, want %d", len(cleanups), workers)
-	}
-	for w, n := range cleanups {
-		if n != 1 {
-			t.Errorf("worker %d cleanup ran %d times, want once", w, n)
-		}
-	}
-}
 
 // workerJobAllocBudget is the steady-state marginal allocation count
 // of one cache-warm net job in the worker loop: the moment set is a

@@ -42,7 +42,7 @@ type WorkerStats struct {
 
 // Accounted returns the fraction of wall time explained by the three
 // top-level buckets. Values near 1.0 mean the attribution is trustworthy;
-// the gap is loop overhead (gauge updates, OnStart hooks).
+// the gap is loop overhead (gauge updates, context setup).
 func (ws WorkerStats) Accounted() float64 {
 	if ws.WallNS <= 0 {
 		return 0

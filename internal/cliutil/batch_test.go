@@ -19,13 +19,12 @@ func TestBatchFlagsValidate(t *testing.T) {
 		want string // "" means valid
 	}{
 		{"zero value", BatchFlags{}, ""},
-		{"all positive", BatchFlags{Workers: 4, Timeout: time.Second, Retries: 2,
-			RetryBackoff: time.Millisecond, Breaker: 8}, ""},
-		{"negative workers", BatchFlags{Workers: -1}, "-workers"},
-		{"negative timeout", BatchFlags{Timeout: -time.Second}, "-timeout"},
-		{"negative retries", BatchFlags{Retries: -3}, "-retries"},
-		{"negative backoff", BatchFlags{RetryBackoff: -time.Millisecond}, "-retry-backoff"},
-		{"negative breaker", BatchFlags{Breaker: -1}, "-breaker"},
+		{"all positive", BatchFlags{EngineFlags: EngineFlags{Workers: 4, Timeout: time.Second, Retries: 2,
+			Breaker: 8}}, ""},
+		{"negative workers", BatchFlags{EngineFlags: EngineFlags{Workers: -1}}, "-workers"},
+		{"negative timeout", BatchFlags{EngineFlags: EngineFlags{Timeout: -time.Second}}, "-timeout"},
+		{"negative retries", BatchFlags{EngineFlags: EngineFlags{Retries: -3}}, "-retries"},
+		{"negative breaker", BatchFlags{EngineFlags: EngineFlags{Breaker: -1}}, "-breaker"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -49,7 +48,7 @@ func TestBatchFlagParseRejectsGarbage(t *testing.T) {
 		{"-timeout", "30"}, // a bare number is not a duration
 		{"-workers", "many"},
 		{"-retries", "1.5"},
-		{"-retry-backoff", "x"},
+		{"-retry-backoff", "x"}, // a deleted flag fails loudly too
 		{"-breaker", ""},
 	}
 	for _, args := range cases {
@@ -79,7 +78,7 @@ func TestRunBatchUnreadableJobs(t *testing.T) {
 func TestRunBatchValidatesBeforeOpening(t *testing.T) {
 	// The jobs path does not exist either — the error must still be the
 	// validation one, proving no I/O happens on invalid flags.
-	b := &BatchFlags{Jobs: filepath.Join(t.TempDir(), "missing.ndjson"), Workers: -2}
+	b := &BatchFlags{Jobs: filepath.Join(t.TempDir(), "missing.ndjson"), EngineFlags: EngineFlags{Workers: -2}}
 	err := b.RunBatch(context.Background(), nil, 0, io.Discard, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "-workers") {
 		t.Errorf("RunBatch = %v, want the -workers validation error", err)
@@ -118,7 +117,7 @@ func TestRunBatchEndToEndWithResume(t *testing.T) {
 	}
 	journal := filepath.Join(dir, "resume.journal")
 
-	b := &BatchFlags{Jobs: jobsPath, Resume: journal, Retries: 2, RetryBackoff: time.Millisecond}
+	b := &BatchFlags{Jobs: jobsPath, Resume: journal, EngineFlags: EngineFlags{Retries: 2}}
 	var out, errOut strings.Builder
 	if err := b.RunBatch(context.Background(), nil, 0, &out, &errOut); err != nil {
 		t.Fatalf("RunBatch: %v (stderr: %s)", err, errOut.String())
@@ -174,9 +173,10 @@ func TestEngineBuildsResilienceLayer(t *testing.T) {
 	if eng.NoDegrade {
 		t.Errorf("degradation must default on")
 	}
-	b := &BatchFlags{Retries: 3, RetryBackoff: 10 * time.Millisecond, Breaker: 5, Degrade: false}
+	b := &BatchFlags{EngineFlags: EngineFlags{Retries: 3, Breaker: 5, Degrade: false}}
 	eng = b.Engine(io.Discard)
-	if eng.Retry == nil || eng.Retry.MaxAttempts != 4 || eng.Retry.BaseDelay != 10*time.Millisecond {
+	if eng.Retry == nil || eng.Retry.MaxAttempts != 4 ||
+		eng.Retry.BaseDelay != 50*time.Millisecond || eng.Retry.MaxDelay != 2*time.Second {
 		t.Errorf("retry policy not built from flags: %+v", eng.Retry)
 	}
 	if !eng.Retry.RetryPanics {

@@ -92,23 +92,90 @@ func Add(fs *flag.FlagSet) *Flags {
 	return f
 }
 
+// EngineFlags holds the batch-engine flags that the -jobs CLIs and
+// elmored share: worker pool, per-attempt timeout and the resilience
+// layer. Both binaries register them through AddEngine (the CLIs via
+// AddBatch), so the names, defaults and engine they build are one.
+type EngineFlags struct {
+	Workers int           // -workers: max concurrent jobs; 0 means GOMAXPROCS
+	Timeout time.Duration // -timeout: per-attempt limit; 0 means none
+	Retries int           // -retries: extra attempts for transient failures
+	Degrade bool          // -degrade: elmore-bound fallback for exhausted sim jobs
+	Breaker int           // -breaker: per-net consecutive-failure threshold; 0 disables
+}
+
+// AddEngine registers the engine flags on fs and returns the value
+// holder.
+func AddEngine(fs *flag.FlagSet) *EngineFlags {
+	f := &EngineFlags{}
+	f.register(fs)
+	return f
+}
+
+func (f *EngineFlags) register(fs *flag.FlagSet) {
+	fs.IntVar(&f.Workers, "workers", 0, "max concurrent jobs per batch (0 = GOMAXPROCS)")
+	fs.DurationVar(&f.Timeout, "timeout", 0, "per-attempt job time limit, e.g. 30s (0 = none; elmored tightens it to each request's deadline)")
+	fs.IntVar(&f.Retries, "retries", 0, "retry transiently failing jobs up to `n` extra times with backoff")
+	fs.BoolVar(&f.Degrade, "degrade", true, "answer sim jobs that exhaust their attempts with the closed-form elmore-bound interval instead of an error")
+	fs.IntVar(&f.Breaker, "breaker", 0, "cut off a net after `n` consecutive transient failures (0 = off)")
+}
+
+// Validate rejects flag values the engine would otherwise silently
+// coerce, so a typo'd -workers -1 fails loudly instead of running with
+// GOMAXPROCS workers.
+func (f *EngineFlags) Validate() error {
+	if f.Workers < 0 {
+		return fmt.Errorf("-workers must be >= 0, got %d", f.Workers)
+	}
+	if f.Timeout < 0 {
+		return fmt.Errorf("-timeout must be >= 0, got %v", f.Timeout)
+	}
+	if f.Retries < 0 {
+		return fmt.Errorf("-retries must be >= 0, got %d", f.Retries)
+	}
+	if f.Breaker < 0 {
+		return fmt.Errorf("-breaker must be >= 0, got %d", f.Breaker)
+	}
+	return nil
+}
+
+// Engine builds the engine the flags describe: worker pool, per-attempt
+// timeout and the resilience layer (retry policy, circuit breaker,
+// degradation switch). It has no moment cache and no reporter; each
+// host adds its own per run or per request. Injected panics count as
+// retryable here — the chaos walkthrough drives unmodified binaries
+// through ELMORE_FAULTS.
+func (f *EngineFlags) Engine() *batch.Engine {
+	eng := &batch.Engine{
+		Workers:   f.Workers,
+		Timeout:   f.Timeout,
+		NoDegrade: !f.Degrade,
+	}
+	if f.Retries > 0 {
+		eng.Retry = &resilience.Policy{
+			MaxAttempts: f.Retries + 1,
+			BaseDelay:   50 * time.Millisecond,
+			MaxDelay:    2 * time.Second,
+			RetryPanics: true,
+		}
+	}
+	if f.Breaker > 0 {
+		eng.Breaker = &resilience.Breaker{Threshold: f.Breaker}
+	}
+	return eng
+}
+
 // BatchFlags holds the batch-mode flags shared by boundstat and sta:
 // -jobs switches the tool from its single-shot mode to streaming
 // NDJSON batch evaluation on the internal/batch engine.
 type BatchFlags struct {
+	EngineFlags
+
 	Jobs     string        // -jobs: NDJSON job stream file; "" means no batch mode
-	Workers  int           // -workers: max concurrent jobs; 0 means GOMAXPROCS
-	Timeout  time.Duration // -timeout: per-attempt limit; 0 means none
 	Progress time.Duration // -progress: progress-line period; 0 disables
 	SlowJobs time.Duration // -slow-jobs: slow-job log threshold; 0 disables
 	Summary  bool          // -summary: final NDJSON run summary
-
-	Resume       string        // -resume: crash-safe journal file; "" disables
-	JournalSync  int           // -journal-sync: done records per journal fsync batch; 0 = default (32)
-	Retries      int           // -retries: extra attempts for transient failures
-	RetryBackoff time.Duration // -retry-backoff: base backoff before a retry
-	Degrade      bool          // -degrade: elmore-bound fallback for exhausted sim jobs
-	Breaker      int           // -breaker: per-net consecutive-failure threshold; 0 disables
+	Resume   string        // -resume: crash-safe journal file; "" disables
 
 	// SLO declares latency objectives like "p99=50ms,p50=5ms". Each
 	// objective gets good/bad counts and a burn-rate gauge in the
@@ -118,47 +185,24 @@ type BatchFlags struct {
 	slos []telemetry.SLO // parsed by Validate
 }
 
-// AddBatch registers the batch-mode flags on fs and returns the value
-// holder.
+// AddBatch registers the batch-mode flags, the engine flags among
+// them, on fs and returns the value holder.
 func AddBatch(fs *flag.FlagSet) *BatchFlags {
 	b := &BatchFlags{}
 	fs.StringVar(&b.Jobs, "jobs", "", "evaluate the NDJSON job stream in `file` and emit NDJSON results")
-	fs.IntVar(&b.Workers, "workers", 0, "max concurrent batch jobs (0 = GOMAXPROCS)")
-	fs.DurationVar(&b.Timeout, "timeout", 0, "per-attempt time limit, e.g. 30s (0 = none)")
+	b.EngineFlags.register(fs)
 	fs.DurationVar(&b.Progress, "progress", 2*time.Second, "batch progress-line period on stderr (0 = off)")
 	fs.DurationVar(&b.SlowJobs, "slow-jobs", 0, "log batch jobs slower than `duration` as NDJSON to stderr (0 = off)")
 	fs.BoolVar(&b.Summary, "summary", false, "write a final NDJSON batch run summary to stderr")
 	fs.StringVar(&b.Resume, "resume", "", "crash-safe journal `file`: skip jobs it marks done, re-queue in-flight ones, record this run's completions")
-	fs.IntVar(&b.JournalSync, "journal-sync", 0, "fsync the -resume journal every `n` done records; bounds the crash duplicate window (0 = default 32)")
-	fs.IntVar(&b.Retries, "retries", 0, "retry transiently failing jobs up to `n` extra times with backoff")
-	fs.DurationVar(&b.RetryBackoff, "retry-backoff", 50*time.Millisecond, "base backoff before the first retry (doubles per attempt, jittered)")
-	fs.BoolVar(&b.Degrade, "degrade", true, "answer sim jobs that exhaust their attempts with the closed-form elmore-bound interval instead of an error")
-	fs.IntVar(&b.Breaker, "breaker", 0, "cut off a net after `n` consecutive transient failures (0 = off)")
 	fs.StringVar(&b.SLO, "slo", "", "latency objectives like `p99=50ms,p50=5ms`; tracked per run with burn-rate gauges and summary counts")
 	return b
 }
 
-// Validate rejects flag values the engine would otherwise silently
-// coerce, so a typo'd -workers -1 fails loudly instead of running with
-// GOMAXPROCS workers.
+// Validate checks the engine flags and parses -slo.
 func (b *BatchFlags) Validate() error {
-	if b.Workers < 0 {
-		return fmt.Errorf("-workers must be >= 0, got %d", b.Workers)
-	}
-	if b.Timeout < 0 {
-		return fmt.Errorf("-timeout must be >= 0, got %v", b.Timeout)
-	}
-	if b.Retries < 0 {
-		return fmt.Errorf("-retries must be >= 0, got %d", b.Retries)
-	}
-	if b.RetryBackoff < 0 {
-		return fmt.Errorf("-retry-backoff must be >= 0, got %v", b.RetryBackoff)
-	}
-	if b.Breaker < 0 {
-		return fmt.Errorf("-breaker must be >= 0, got %d", b.Breaker)
-	}
-	if b.JournalSync < 0 {
-		return fmt.Errorf("-journal-sync must be >= 0, got %d", b.JournalSync)
+	if err := b.EngineFlags.Validate(); err != nil {
+		return err
 	}
 	slos, err := telemetry.ParseSLOs(b.SLO)
 	if err != nil {
@@ -168,30 +212,12 @@ func (b *BatchFlags) Validate() error {
 	return nil
 }
 
-// Engine builds the batch engine the flags describe: worker pool,
-// per-attempt timeout, shared cache, reporting, and the resilience
-// layer (retry policy, circuit breaker, degradation switch). Injected
-// panics count as retryable here — the chaos walkthrough drives
-// unmodified binaries through ELMORE_FAULTS.
+// Engine builds the engine of one -jobs run: the engine flags' engine
+// plus a moment cache for this run and the reporter the flags ask for.
 func (b *BatchFlags) Engine(stderr io.Writer) *batch.Engine {
-	eng := &batch.Engine{
-		Workers:   b.Workers,
-		Timeout:   b.Timeout,
-		Cache:     batch.NewCache(),
-		Report:    b.Reporter(stderr),
-		NoDegrade: !b.Degrade,
-	}
-	if b.Retries > 0 {
-		eng.Retry = &resilience.Policy{
-			MaxAttempts: b.Retries + 1,
-			BaseDelay:   b.RetryBackoff,
-			MaxDelay:    5 * time.Second,
-			RetryPanics: true,
-		}
-	}
-	if b.Breaker > 0 {
-		eng.Breaker = &resilience.Breaker{Threshold: b.Breaker}
-	}
+	eng := b.EngineFlags.Engine()
+	eng.Cache = batch.NewCache()
+	eng.Report = b.Reporter(stderr)
 	return eng
 }
 
@@ -223,7 +249,6 @@ func (b *BatchFlags) RunBatch(ctx context.Context, lib *gate.Library, defaultSle
 		if err != nil {
 			return fmt.Errorf("-resume: %w", err)
 		}
-		jr.SyncEvery = b.JournalSync
 		defer func() { err = errors.Join(err, jr.Close()) }()
 	}
 	ctx, cancel := context.WithCancel(ctx)
@@ -246,8 +271,9 @@ func (b *BatchFlags) RunBatch(ctx context.Context, lib *gate.Library, defaultSle
 		case <-ctx.Done():
 		}
 	}()
-	eng := b.Engine(stderr)
-	st, err := batch.RunSpecsJournal(ctx, eng, f, lib, defaultSlew, stdout, jr, rp)
+	st, err := batch.RunSpecsOpts(ctx, b.Engine(stderr), f, stdout, batch.SpecRunOptions{
+		Lib: lib, DefaultSlew: defaultSlew, Journal: jr, Replay: rp,
+	})
 	if rp != nil && (st.Skipped > 0 || st.Requeued > 0) {
 		fmt.Fprintf(stderr, "resume: %d done jobs skipped, %d in-flight jobs re-queued\n", st.Skipped, st.Requeued)
 	}

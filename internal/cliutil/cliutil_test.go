@@ -51,9 +51,14 @@ func TestBatchFlagsRegistered(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	AddBatch(fs)
 	for _, name := range []string{"jobs", "workers", "timeout", "progress", "slow-jobs", "summary",
-		"resume", "retries", "retry-backoff", "degrade", "breaker"} {
+		"resume", "retries", "degrade", "breaker", "slo"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
+		}
+	}
+	for _, gone := range []string{"retry-backoff", "journal-sync"} {
+		if fs.Lookup(gone) != nil {
+			t.Errorf("flag -%s is still registered", gone)
 		}
 	}
 }

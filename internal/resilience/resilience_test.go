@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"elmore/internal/faultinject"
-	"elmore/internal/telemetry"
 )
 
 func TestClassify(t *testing.T) {
@@ -208,86 +207,26 @@ func TestBreakerConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-func TestWatchdogFlagsStuckJobsOnce(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	prev := telemetry.SetDefault(reg)
-	defer telemetry.SetDefault(prev)
-
-	var mu sync.Mutex
-	var stuck []string
-	w := &Watchdog{
-		Threshold: 20 * time.Millisecond,
-		Interval:  5 * time.Millisecond,
-		OnStuck: func(label string, running time.Duration) {
-			mu.Lock()
-			stuck = append(stuck, label)
-			mu.Unlock()
-		},
-	}
-	stop := w.Watch()
-	defer stop()
-
-	doneFast := w.Register("fast", nil)
-	doneFast()
-	doneSlow := w.Register("slow", nil)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		n := len(stuck)
-		mu.Unlock()
-		if n > 0 || time.Now().After(deadline) {
-			break
+// TestBreakerForgetsSucceedingCircuits: a long-lived breaker (elmored
+// shares one across requests) must not grow with every net it sees.
+// Only circuits with a failure since their last success hold an entry.
+func TestBreakerForgetsSucceedingCircuits(t *testing.T) {
+	b := &Breaker{Threshold: 3}
+	for fp := uint64(0); fp < 10000; fp++ {
+		if err := b.Allow(fp); err != nil {
+			t.Fatalf("fresh circuit %d rejected: %v", fp, err)
 		}
-		time.Sleep(5 * time.Millisecond)
+		b.Success(fp)
 	}
-	time.Sleep(30 * time.Millisecond) // more sweeps: must not re-report
-	doneSlow()
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(stuck) != 1 || stuck[0] != "slow" {
-		t.Fatalf("stuck = %v, want exactly [slow]", stuck)
+	if n := len(b.m); n != 0 {
+		t.Fatalf("breaker holds %d entries after 10000 succeeding circuits, want 0", n)
 	}
-	if got := reg.Counter("resilience.stuck_jobs").Value(); got != 1 {
-		t.Errorf("resilience.stuck_jobs = %d, want 1", got)
+	b.Failure(7)
+	if n := len(b.m); n != 1 {
+		t.Fatalf("breaker holds %d entries after one failure, want 1", n)
 	}
-}
-
-func TestWatchdogCancelStuck(t *testing.T) {
-	w := &Watchdog{Threshold: 10 * time.Millisecond, Interval: 5 * time.Millisecond, CancelStuck: true}
-	stop := w.Watch()
-	defer stop()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := w.Register("hang", cancel)
-	defer done()
-	select {
-	case <-ctx.Done():
-	case <-time.After(2 * time.Second):
-		t.Fatalf("watchdog never canceled the stuck job")
+	b.Success(7)
+	if n := len(b.m); n != 0 {
+		t.Fatalf("success kept the failed circuit's entry: %d entries", n)
 	}
-}
-
-func TestWatchdogRefCounting(t *testing.T) {
-	w := &Watchdog{Threshold: time.Hour}
-	stop1 := w.Watch()
-	stop2 := w.Watch()
-	stop1()
-	stop1() // double-stop is safe
-	w.mu.Lock()
-	running := w.stop != nil
-	w.mu.Unlock()
-	if !running {
-		t.Fatalf("scanner stopped while a run still holds it")
-	}
-	stop2()
-	w.mu.Lock()
-	running = w.stop != nil
-	w.mu.Unlock()
-	if running {
-		t.Fatalf("scanner still running after last release")
-	}
-	// Nil watchdog: everything is a no-op.
-	var nilW *Watchdog
-	nilW.Watch()()
-	nilW.Register("x", nil)()
 }

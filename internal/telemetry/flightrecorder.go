@@ -42,7 +42,6 @@ const (
 	FlightPanic                             // a panic was isolated
 	FlightFault                             // an injected fault fired (point in Label)
 	FlightBreakerOpen                       // a circuit breaker opened
-	FlightStuck                             // the watchdog flagged a stuck job
 	FlightSlowJob                           // a job breached the slow threshold
 )
 
@@ -54,7 +53,6 @@ var flightKindNames = [...]string{
 	FlightPanic:       "panic",
 	FlightFault:       "fault",
 	FlightBreakerOpen: "breaker_open",
-	FlightStuck:       "stuck",
 	FlightSlowJob:     "slow_job",
 }
 

@@ -57,7 +57,7 @@ var standardHelp = map[string]string{
 	"batch.hot_tree_hits":               "Batch net loads served from the run's tree cache without re-parsing.",
 	"batch.hot_tree_misses":             "Batch net loads that parsed a tree before caching it for the run.",
 	"batch.hot_tree_evictions":          "Trees evicted from a batch run's bounded tree cache.",
-	"batch.resumed_jobs":                "Jobs skipped on resume because the journal marked them done.",
+	"batch.resumed_jobs":                "Jobs re-queued on resume because the journal shows them started but not done.",
 	"batch.journal_syncs":               "fsync batches issued by the resume journal.",
 	"batch.workers":                     "Worker goroutines configured for the current batch run.",
 	"batch.parallel_efficiency":         "Attributed busy time / (workers x wall time) for the last run.",
@@ -67,8 +67,6 @@ var standardHelp = map[string]string{
 	"resilience.breaker_opens":          "Circuit-breaker transitions to open.",
 	"resilience.breaker_probes":         "Half-open probe attempts allowed through a breaker.",
 	"resilience.breaker_rejects":        "Calls rejected by an open circuit breaker.",
-	"resilience.stuck_jobs":             "Jobs flagged by the watchdog as exceeding their deadline.",
-	"resilience.stuck_cancels":          "Stuck jobs the watchdog escalated to cancellation.",
 	"resilience.admitted":               "Requests admitted by the serve-mode limiter.",
 	"resilience.shed_rate":              "Requests shed because the tenant exceeded its token-bucket rate (HTTP 429).",
 	"resilience.shed_capacity":          "Requests shed at the process-wide in-flight cap (HTTP 503).",
