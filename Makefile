@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet race health-strict chaos fuzz-smoke bench bench-smoke bench-incremental scaling-smoke obs-smoke serve-smoke fmt
+.PHONY: check build test vet race health-strict chaos fuzz-smoke flake-guard bench bench-smoke bench-incremental scaling-smoke obs-smoke serve-smoke fmt
 
 check: vet build race
 
@@ -39,6 +39,14 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/netlist
 	$(GO) test -fuzz=FuzzIncrementalEdits -fuzztime=$(FUZZTIME) ./internal/moments
 	$(GO) test -fuzz=FuzzParseValue -fuzztime=$(FUZZTIME) ./internal/rctree
+
+# The randomized property tests draw fresh trees on every run, and the
+# suite runs each once, so a one-in-twenty failure can hide for many
+# pushes. This lane repeats the Lemma 1 property (impulse response
+# nonnegative, step response monotone on random trees) 100 times:
+# about 20 s on a 2-vCPU box.
+flake-guard:
+	$(GO) test -count=100 -run '^TestLemma1NonNegativeMonotone$$' ./internal/exact
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

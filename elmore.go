@@ -137,9 +137,9 @@ func SimulateAdaptive(t *Tree, opts SimOptions, tol float64) (*SimResult, error)
 	return sim.RunAdaptive(t, opts, tol)
 }
 
-// SimPlan is a reusable transient-simulation plan: the tree is
-// compiled to its execution layout, the theta-method system stamped,
-// and the tree LU factored exactly once per (tree, dt, method) triple.
+// SimPlan is a reusable transient-simulation plan: the theta-method
+// system stamped and the tree LU factored exactly once per
+// (tree, dt, method) triple.
 // Executing the plan on many inputs then skips all of that setup. Like
 // fingerprints, plans snapshot element values: mutate the tree with
 // SetR/SetC and build a fresh plan.

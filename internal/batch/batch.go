@@ -253,11 +253,6 @@ func (e *Engine) RunFunc(ctx context.Context, jobs []Job, emit func(Result)) {
 			ws := &stats[w]
 			ws.Worker = w
 			wctx := withWorkerStats(bctx, ws)
-			// Each worker owns a grow-only scratch arena: the moment
-			// kernels draw their per-job sweep buffers from it instead
-			// of allocating 2n floats twice per job, and since a worker
-			// runs one job at a time the reuse is race-free.
-			wctx = moments.WithArena(wctx, new(moments.Arena))
 			wallStart := time.Now()
 			defer func() { ws.WallNS = time.Since(wallStart).Nanoseconds() }()
 			// A job's lineage is attached to its context only when

@@ -21,7 +21,7 @@ const cacheOrder = 3
 
 // Cache is a shared cache of per-circuit derived artifacts, keyed by
 // tree fingerprint (rctree.Tree.Fingerprint): moment sets, and
-// compiled simulation plans keyed additionally by (dt, method).
+// transient-simulation plans keyed additionally by (dt, method).
 // Entries are immutable once computed — a moments.Set or sim.Plan is
 // never written after construction — so one entry may be handed to any
 // number of concurrent workers. Each circuit is
@@ -66,7 +66,7 @@ type cacheEntry struct {
 	err  error
 }
 
-// planKey identifies one compiled simulation plan: the circuit
+// planKey identifies one transient-simulation plan: the circuit
 // fingerprint plus the exact step size (by bit pattern — plans for
 // 1e-12 and the nearest representable neighbor are distinct) and the
 // integration method.
@@ -118,23 +118,21 @@ func (c *Cache) shard(fp uint64) *cacheShard {
 // inserted. Requests above the cached order compute a fresh uncached
 // set rather than poisoning shared entries.
 func (c *Cache) Moments(t *rctree.Tree, order int) (*moments.Set, bool, error) {
-	return c.moments(nil, nil, t, order)
+	return c.moments(nil, t, order)
 }
 
 // MomentsCtx is Moments with worker attribution: when ctx carries a
 // batch worker's stats, time blocked on the stripe mutex and on another
 // worker's in-flight compute of the same entry is charged to that
 // worker as lock wait, and the hit/miss lands in its per-worker
-// counters; when ctx carries a worker's scratch arena, the compute
-// draws its sweep buffers from it. Engines call this; direct users can
-// keep calling Moments.
+// counters. Engines call this; direct users can keep calling Moments.
 func (c *Cache) MomentsCtx(ctx context.Context, t *rctree.Tree, order int) (*moments.Set, bool, error) {
-	return c.moments(workerStatsFrom(ctx), moments.ArenaFrom(ctx), t, order)
+	return c.moments(workerStatsFrom(ctx), t, order)
 }
 
-func (c *Cache) moments(ws *WorkerStats, ar *moments.Arena, t *rctree.Tree, order int) (*moments.Set, bool, error) {
+func (c *Cache) moments(ws *WorkerStats, t *rctree.Tree, order int) (*moments.Set, bool, error) {
 	if order > cacheOrder {
-		ms, err := moments.ComputeWith(t, order, ar)
+		ms, err := moments.Compute(t, order)
 		return ms, false, err
 	}
 	key := t.Fingerprint()
@@ -160,7 +158,7 @@ func (c *Cache) moments(ws *WorkerStats, ar *moments.Arena, t *rctree.Tree, orde
 	t1 := lockStart(ws)
 	e.once.Do(func() {
 		ran = true
-		e.ms, e.err = moments.ComputeWith(t, cacheOrder, ar)
+		e.ms, e.err = moments.Compute(t, cacheOrder)
 	})
 	if !ran {
 		lockEnd(ws, t1)
@@ -211,9 +209,9 @@ func (c *Cache) evictMoments(key uint64, e *cacheEntry) {
 	sh.mu.Unlock()
 }
 
-// Plan returns a compiled simulation plan for the circuit t describes,
-// under the given fixed step and method, building it (compile + stamp +
-// factor) on first use. hit reports whether this call reused a plan
+// Plan returns a transient-simulation plan for the circuit t describes,
+// under the given fixed step and method, building it (stamp + factor)
+// on first use. hit reports whether this call reused a plan
 // built (or being built) by another call. Plans are immutable and
 // shared: each worker must take its own sim.Runner from the returned
 // plan. The same fingerprint-trust caveat as Moments applies — a tree

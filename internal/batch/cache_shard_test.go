@@ -52,7 +52,7 @@ func TestCacheZeroValueUsable(t *testing.T) {
 		t.Fatalf("zero-value Plan: %v", err)
 	}
 	if plan == nil || hit {
-		t.Errorf("zero-value Plan: plan=%v hit=%v, want a compiled miss", plan, hit)
+		t.Errorf("zero-value Plan: plan=%v hit=%v, want a built miss", plan, hit)
 	}
 	if c.Len() != 1 || c.PlanLen() != 1 {
 		t.Errorf("Len=%d PlanLen=%d, want 1 and 1", c.Len(), c.PlanLen())
@@ -120,7 +120,7 @@ func TestCacheMissClassifiedByCompute(t *testing.T) {
 	sh.mu.Unlock()
 
 	ws := &WorkerStats{}
-	if _, hit, err := c.moments(ws, nil, tree, 3); err != nil {
+	if _, hit, err := c.moments(ws, tree, 3); err != nil {
 		t.Fatal(err)
 	} else if hit {
 		t.Errorf("finder that ran the compute classified as hit")
@@ -168,7 +168,7 @@ func TestCacheExactlyOneMissUnderRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := c.moments(&stats[g], nil, base.Clone(), 3); err != nil {
+			if _, _, err := c.moments(&stats[g], base.Clone(), 3); err != nil {
 				t.Error(err)
 			}
 		}()

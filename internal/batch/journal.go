@@ -41,7 +41,8 @@ type Journal struct {
 	mu      sync.Mutex
 	f       *os.File
 	w       *bufio.Writer
-	pending int // done records since the last fsync
+	pending int  // done records since the last fsync
+	dirty   bool // any record appended since the last fsync
 }
 
 // donesPerSync is the number of done records between fsyncs.
@@ -165,6 +166,7 @@ func (j *Journal) append(op, key, trace string, countSync bool) error {
 	if _, err := j.w.Write(b); err != nil {
 		return fmt.Errorf("batch: journal: %w", err)
 	}
+	j.dirty = true
 	if countSync {
 		j.pending++
 		if j.pending >= donesPerSync {
@@ -186,8 +188,12 @@ func (j *Journal) Done(index int, id string) error {
 	return j.append("done", JobKey(index, id), "", true)
 }
 
-// syncLocked flushes the buffer and fsyncs; callers hold j.mu.
+// syncLocked flushes the buffer and fsyncs, unless nothing was
+// appended since the last sync; callers hold j.mu.
 func (j *Journal) syncLocked() error {
+	if !j.dirty {
+		return nil
+	}
 	j.pending = 0
 	if err := j.w.Flush(); err != nil {
 		return fmt.Errorf("batch: journal: %w", err)
@@ -195,11 +201,13 @@ func (j *Journal) syncLocked() error {
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("batch: journal: %w", err)
 	}
+	j.dirty = false
 	telemetry.C("batch.journal_syncs").Inc()
 	return nil
 }
 
-// Sync flushes the buffer and fsyncs the journal file.
+// Sync flushes the buffer and fsyncs the journal file. It does nothing
+// when no record was appended since the last sync.
 func (j *Journal) Sync() error {
 	if j == nil {
 		return nil
@@ -209,7 +217,7 @@ func (j *Journal) Sync() error {
 	return j.syncLocked()
 }
 
-// Close syncs and closes the journal file.
+// Close syncs (as Sync does) and closes the journal file.
 func (j *Journal) Close() error {
 	if j == nil {
 		return nil

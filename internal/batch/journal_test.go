@@ -154,6 +154,52 @@ func TestJournalSyncBatching(t *testing.T) {
 	}
 }
 
+// A journaled run fsyncs once: RunSpecsOpts syncs at its end, and the
+// Close that follows has nothing left to sync. A record appended after
+// that sync still reaches the disk through Close.
+func TestJournalOneSyncPerRun(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	prev := telemetry.SetDefault(reg)
+	defer telemetry.SetDefault(prev)
+	netPath, lib := writeSpecFiles(t)
+	var lines []string
+	for i := 0; i < 3; i++ {
+		lines = append(lines, fmt.Sprintf(`{"id":"n%d","net":%q,"sinks":["z"]}`, i, netPath))
+	}
+	path := filepath.Join(t.TempDir(), "journal.ndjson")
+	jr, rp := openJournal(t, path)
+	var out bytes.Buffer
+	if _, err := RunSpecsOpts(context.Background(), &Engine{Workers: 2}, strings.NewReader(strings.Join(lines, "\n")), &out,
+		SpecRunOptions{Lib: lib, DefaultSlew: 25e-12, Journal: jr, Replay: rp}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("batch.journal_syncs").Value(); got != 1 {
+		t.Errorf("3-job run then Close: %d journal syncs, want 1", got)
+	}
+
+	jr, _ = openJournal(t, path)
+	if err := jr.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := jr.Done(7, "late"); err != nil {
+		t.Fatal(err)
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("batch.journal_syncs").Value(); got != 2 {
+		t.Errorf("after a record appended past the last sync: %d journal syncs, want 2", got)
+	}
+	jr, rp = openJournal(t, path)
+	defer jr.Close()
+	if !rp.Done[JobKey(7, "late")] || len(rp.Done) != 4 {
+		t.Errorf("replayed Done = %v, want the 3 run jobs and 7:late", rp.Done)
+	}
+}
+
 // TestJournalWriterReplayInterleaved: a run's two journal writers, the
 // dispatcher (starts) and the emitter (dones), interleave freely — a
 // job can finish and be journaled done before the dispatcher appends

@@ -55,7 +55,7 @@ type JobSpec struct {
 	Slew   string      `json:"slew,omitempty"` // input transition time
 	Stages []StageSpec `json:"stages,omitempty"`
 
-	// Transient-sweep jobs (net + dt): run the compiled simulation and
+	// Transient-sweep jobs (net + dt): run the transient simulation and
 	// report threshold crossings instead of the closed-form bounds.
 	DT     string    `json:"dt,omitempty"`     // fixed step, e.g. "1p"
 	TEnd   string    `json:"t_end,omitempty"`  // horizon; empty estimates one

@@ -10,7 +10,7 @@ import (
 )
 
 // TranJob asks for a transient characterization sweep on one net: the
-// tree is compiled, stamped, and factored once into a sim.Plan (shared
+// tree is stamped and factored once into a sim.Plan (shared
 // through the engine Cache when one is configured), then executed for
 // every input with one reusable Runner/Result pair — the zero-
 // allocation steady-state path. The recorded outcome is the threshold

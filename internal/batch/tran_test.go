@@ -10,7 +10,7 @@ import (
 )
 
 // A transient sweep job must agree with direct sim.Run crossings, and
-// identical nets must share one compiled plan through the cache.
+// identical nets must share one simulation plan through the cache.
 func TestTranJobSharedPlan(t *testing.T) {
 	const dt = 5e-12
 	jobs := make([]Job, 6)

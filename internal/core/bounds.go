@@ -112,19 +112,14 @@ func analyze(ctx context.Context, t *rctree.Tree, ms *moments.Set) (*Analysis, e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// A batch worker's context carries its grow-only scratch arena: the
-	// transient sweep buffers of the moment kernels come from it, so a
-	// worker evaluating thousands of nets reuses one buffer instead of
-	// allocating 2n and 3n floats per job.
-	ar := moments.ArenaFrom(ctx)
 	if ms == nil {
 		var err error
-		ms, err = moments.ComputeWith(t, 3, ar)
+		ms, err = moments.Compute(t, 3)
 		if err != nil {
 			return nil, err
 		}
 	}
-	prh := moments.ComputePRHWith(t, ar)
+	prh := moments.ComputePRH(t)
 	a := &Analysis{
 		Tree:   t,
 		TP:     prh.TP,

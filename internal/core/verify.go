@@ -40,8 +40,7 @@ type VerifyOptions struct {
 // VerifySim checks the paper's guaranteed delay window against the MNA
 // transient simulator: for every requested node the simulated 50%
 // crossing must fall inside [Lower, Upper] up to the discretization
-// tolerance. The tree is compiled, stamped, and factored once into a
-// sim.Plan; one run with all requested probes serves every check. A
+// tolerance. The tree is stamped and factored once into a sim.Plan; one run with all requested probes serves every check. A
 // node whose response never reaches 50% within the horizon is reported
 // as an error (the horizon policy is the same 10×max-Elmore one
 // sim.Run uses, which settles any RC tree well past 50%).
@@ -64,8 +63,7 @@ func (a *Analysis) VerifySim(ctx context.Context, opts VerifyOptions) ([]SimChec
 	}
 	dt := opts.DT
 	if dt <= 0 {
-		// Mirror sim.Run's default resolution without compiling twice:
-		// the plan below reuses the cached compiled layout.
+		// Mirror sim.Run's default resolution.
 		dt = defaultVerifyDT(a, in)
 	}
 	plan, err := sim.NewPlan(a.Tree, sim.PlanOptions{DT: dt})

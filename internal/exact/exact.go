@@ -174,9 +174,13 @@ func (s *System) VStep(i int, t float64) float64 {
 	return 1 - sum
 }
 
-// Impulse returns the unit impulse response h_i(t) = dVStep/dt.
+// Impulse returns the unit impulse response h_i(t) = dVStep/dt. At
+// t = 0 it is exactly 0 below the root nodes: every capacitance is
+// positive, so H_i(s) falls off as s^-depth(i) and h_i(0+) = 0 at
+// depth >= 2, where the modal sum would only cancel large residues
+// down to roundoff of either sign.
 func (s *System) Impulse(i int, t float64) float64 {
-	if t < 0 {
+	if t < 0 || (t == 0 && s.tree.Parent(i) != rctree.Source) {
 		return 0
 	}
 	var sum float64

@@ -40,19 +40,16 @@ func CapAdmittance(c float64) Admittance {
 // DownstreamAdmittances returns, for every node i, the admittance
 // moments looking downstream into node i: the local capacitor C(i) in
 // parallel with every child subtree seen through its series resistance.
-// Computed with a single upward traversal on the compiled plan.
+// Computed with a single upward sweep over the tree's arrays.
 func DownstreamAdmittances(t *rctree.Tree) []Admittance {
-	cp := rctree.Compile(t)
-	n := cp.N()
-	acc := make([]Admittance, n) // compiled-order
-	out := make([]Admittance, n) // user-order
-	for i := n - 1; i >= 0; i-- {
-		y := CapAdmittance(cp.C[i])
-		for ch := cp.ChildStart[i]; ch < cp.ChildStart[i+1]; ch++ {
-			y = y.Parallel(acc[ch].SeriesR(cp.R[ch]))
+	a := t.Arrays()
+	out := make([]Admittance, len(a.Parent))
+	for i := len(out) - 1; i >= 0; i-- {
+		y := CapAdmittance(a.C[i])
+		for _, ch := range a.Kids[a.KidStart[i]:a.KidStart[i+1]] {
+			y = y.Parallel(out[ch].SeriesR(a.R[ch]))
 		}
-		acc[i] = y
-		out[cp.ToUser[i]] = y
+		out[i] = y
 	}
 	return out
 }

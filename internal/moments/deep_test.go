@@ -7,7 +7,7 @@ import (
 	"elmore/internal/topo"
 )
 
-// The compiled moment kernels must handle the degenerate extremes — a
+// The moment kernels must handle the degenerate extremes — a
 // million-level chain and a hundred-thousand-wide star — and
 // ElmoreDelays must reproduce Compute's m_1 bit-for-bit on both.
 func TestComputeDegenerateExtremes(t *testing.T) {

@@ -13,9 +13,9 @@ import (
 // plus every derived per-node array (downstream capacitance, m1..m3,
 // path resistance, T_P) and re-sweeps only what an edit moves. It
 // exists so an optimizer's perturb → evaluate → revert inner loop stops
-// paying the full Compile-rebuild + Compute + ComputePRH + per-node
-// bound rebuild an rctree.Tree mutation costs (SetR/SetC invalidate the
-// whole compiled plan), and pays only for what actually has to move.
+// paying the full Compute + ComputePRH + per-node bound rebuild a fresh
+// analysis of a mutated rctree.Tree costs, and pays only for what
+// actually has to move.
 //
 // Every value the engine serves is bit-identical to a fresh
 // moments.Compute / ComputePRH on a tree carrying the same element
@@ -37,9 +37,8 @@ import (
 //     localize: m2/m3 at any node depend on m1 at every node of the
 //     component (through the subtree sums of C·m1), so an exact
 //     order-2+ update is Ω(component). The win there is the constant
-//     factor: in-place range sweeps with no plan rebuild, no
-//     allocation, no scatter to user order and no per-node bound
-//     reconstruction.
+//     factor: in-place range sweeps with no allocation and no per-node
+//     bound reconstruction.
 //
 // Each stage keeps one pending range, the hull of the ranges its edits
 // moved, and sweeps it on the first query that reads the stage, so any
@@ -48,7 +47,7 @@ import (
 // has: hull slack costs time, never correctness.
 //
 // An Incremental is NOT safe for concurrent use; it is a single
-// optimizer's working state, like a moments.Arena. The engine never
+// optimizer's working state. The engine never
 // mutates the bound tree: SetR/SetC are what-if edits on the engine's
 // own arrays, Revert undoes everything since the last Commit, Commit
 // accepts the current values as the new revert baseline, and SyncTree
@@ -61,12 +60,10 @@ type Incremental struct {
 	// Pre-order layout: par[k] is k's parent (or rctree.Source), the
 	// subtree of k is [k, end[k]), and root[k] is the root of k's
 	// component. The children of k are k+1, end[k+1], ... while below
-	// end[k], in the tree's child order. toUser/fromUser map pre-order
-	// to tree indices and back; bfs lists the pre-order index of each
-	// compiled node in compiled order, the order ComputePRH sums T_P in.
-	par, end, root   []int32
-	toUser, fromUser []int32
-	bfs              []int32
+	// end[k], in the tree's child order. treeIdx maps pre-order to tree
+	// indices and preIdx maps back.
+	par, end, root  []int32
+	treeIdx, preIdx []int32
 
 	// Element values and derived per-node state, in pre-order. w1 is
 	// both the order-1 upward sum and the downstream capacitance (m0 = 1
@@ -136,37 +133,36 @@ func NewIncremental(t *rctree.Tree) (*Incremental, error) {
 		return nil, fmt.Errorf("moments: NewIncremental needs a non-empty tree")
 	}
 	n := t.N()
-	idx := make([]int32, 6*n)
+	idx := make([]int32, 5*n)
 	back := make([]float64, 9*n)
 	inc := &Incremental{
-		tree:     t,
-		n:        n,
-		par:      idx[0*n : 1*n : 1*n],
-		end:      idx[1*n : 2*n : 2*n],
-		root:     idx[2*n : 3*n : 3*n],
-		toUser:   idx[3*n : 4*n : 4*n],
-		fromUser: idx[4*n : 5*n : 5*n],
-		bfs:      idx[5*n : 6*n : 6*n],
-		r:        back[0*n : 1*n : 1*n],
-		c:        back[1*n : 2*n : 2*n],
-		w1:       back[2*n : 3*n : 3*n],
-		m1:       back[3*n : 4*n : 4*n],
-		w2:       back[4*n : 5*n : 5*n],
-		m2:       back[5*n : 6*n : 6*n],
-		w3:       back[6*n : 7*n : 7*n],
-		m3:       back[7*n : 8*n : 8*n],
-		rkk:      back[8*n : 9*n : 9*n],
-		tpStale:  true,
+		tree:    t,
+		n:       n,
+		par:     idx[0*n : 1*n : 1*n],
+		end:     idx[1*n : 2*n : 2*n],
+		root:    idx[2*n : 3*n : 3*n],
+		treeIdx: idx[3*n : 4*n : 4*n],
+		preIdx:  idx[4*n : 5*n : 5*n],
+		r:       back[0*n : 1*n : 1*n],
+		c:       back[1*n : 2*n : 2*n],
+		w1:      back[2*n : 3*n : 3*n],
+		m1:      back[3*n : 4*n : 4*n],
+		w2:      back[4*n : 5*n : 5*n],
+		m2:      back[5*n : 6*n : 6*n],
+		w3:      back[6*n : 7*n : 7*n],
+		m3:      back[7*n : 8*n : 8*n],
+		rkk:     back[8*n : 9*n : 9*n],
+		tpStale: true,
 	}
 	for k, u := range t.PreOrder() {
-		inc.toUser[k] = int32(u)
-		inc.fromUser[u] = int32(k)
+		inc.treeIdx[k] = int32(u)
+		inc.preIdx[u] = int32(k)
 	}
-	for k, u := range inc.toUser {
+	for k, u := range inc.treeIdx {
 		inc.r[k], inc.c[k], inc.end[k] = t.R(int(u)), t.C(int(u)), int32(k+1)
 		inc.par[k], inc.root[k] = rctree.Source, int32(k)
 		if p := t.Parent(int(u)); p != rctree.Source {
-			inc.par[k] = inc.fromUser[p]
+			inc.par[k] = inc.preIdx[p]
 			inc.root[k] = inc.root[inc.par[k]]
 		}
 	}
@@ -174,9 +170,6 @@ func NewIncremental(t *rctree.Tree) (*Incremental, error) {
 		if p := inc.par[k]; p != rctree.Source {
 			inc.end[p] = max(inc.end[p], inc.end[k])
 		}
-	}
-	for ci, u := range rctree.Compile(t).ToUser {
-		inc.bfs[ci] = inc.fromUser[u]
 	}
 	all := int32(n)
 	inc.gather(inc.w1, nil, 0, all)
@@ -206,7 +199,7 @@ func (inc *Incremental) SetR(i int, v float64) error {
 	if err := rctree.ValidateR(v); err != nil {
 		return fmt.Errorf("moments: incremental node %q: %w", inc.tree.Name(i), err)
 	}
-	inc.set(inc.fromUser[i], true, v)
+	inc.set(inc.preIdx[i], true, v)
 	return nil
 }
 
@@ -219,7 +212,7 @@ func (inc *Incremental) SetC(i int, v float64) error {
 	if err := rctree.ValidateC(v); err != nil {
 		return fmt.Errorf("moments: incremental node %q: %w", inc.tree.Name(i), err)
 	}
-	inc.set(inc.fromUser[i], false, v)
+	inc.set(inc.preIdx[i], false, v)
 	return nil
 }
 
@@ -297,12 +290,12 @@ func (inc *Incremental) Commit() {
 // SyncTree writes the engine's current element values back into the
 // bound tree as one bulk mutation (a single generation bump /
 // fingerprint change). It is the hand-off at the end of an
-// optimization: after it, a fresh Compile/Analyze of the tree describes
+// optimization: after it, a fresh Analyze of the tree describes
 // exactly the engine's state.
 func (inc *Incremental) SyncTree() error {
 	r := make([]float64, inc.n)
 	c := make([]float64, inc.n)
-	for k, u := range inc.toUser {
+	for k, u := range inc.treeIdx {
 		r[u] = inc.r[k]
 		c[u] = inc.c[k]
 	}
@@ -314,24 +307,24 @@ func (inc *Incremental) SyncTree() error {
 // Elmore returns the Elmore delay T_D(i) = -m1(i), sweeping m1 only.
 func (inc *Incremental) Elmore(i int) float64 {
 	inc.flush1()
-	return -inc.m1[inc.fromUser[i]]
+	return -inc.m1[inc.preIdx[i]]
 }
 
 // DownstreamC returns the total capacitance of the subtree rooted at i.
 func (inc *Incremental) DownstreamC(i int) float64 {
-	return inc.w1[inc.fromUser[i]]
+	return inc.w1[inc.preIdx[i]]
 }
 
 // PathResistance returns R_ii, the source-to-i path resistance.
 func (inc *Incremental) PathResistance(i int) float64 {
 	inc.flushR()
-	return inc.rkk[inc.fromUser[i]]
+	return inc.rkk[inc.preIdx[i]]
 }
 
 // R and C return the engine's current (possibly uncommitted) element
 // values at node i.
-func (inc *Incremental) R(i int) float64 { return inc.r[inc.fromUser[i]] }
-func (inc *Incremental) C(i int) float64 { return inc.c[inc.fromUser[i]] }
+func (inc *Incremental) R(i int) float64 { return inc.r[inc.preIdx[i]] }
+func (inc *Incremental) C(i int) float64 { return inc.c[inc.preIdx[i]] }
 
 // TotalC returns the sum of the engine's capacitances — the area-side
 // quantity sizing loops budget against. (Summed over root subtrees;
@@ -353,7 +346,7 @@ func (inc *Incremental) M(q, i int) float64 {
 	if i < 0 || i >= inc.n {
 		panic(fmt.Sprintf("moments: node index %d out of range [0,%d)", i, inc.n))
 	}
-	k := inc.fromUser[i]
+	k := inc.preIdx[i]
 	switch q {
 	case 0:
 		return 1
@@ -372,14 +365,14 @@ func (inc *Incremental) M(q, i int) float64 {
 // Mu2 returns the impulse-response variance at node i (see Set.Mu2).
 func (inc *Incremental) Mu2(i int) float64 {
 	inc.flush3()
-	k := inc.fromUser[i]
+	k := inc.preIdx[i]
 	return mu2(inc.m1[k], inc.m2[k])
 }
 
 // Mu3 returns the third central moment at node i (see Set.Mu3).
 func (inc *Incremental) Mu3(i int) float64 {
 	inc.flush3()
-	k := inc.fromUser[i]
+	k := inc.preIdx[i]
 	return mu3(inc.m1[k], inc.m2[k], inc.m3[k])
 }
 
@@ -392,12 +385,12 @@ func (inc *Incremental) Skewness(i int) float64 {
 }
 
 // TP returns the Penfield-Rubinstein T_P = sum_k R_kk C_k, summed in
-// compiled order like ComputePRH.
+// tree index order like ComputePRH.
 func (inc *Incremental) TP() float64 {
 	inc.flushR()
 	if inc.tpStale {
 		var tp float64
-		for _, k := range inc.bfs {
+		for _, k := range inc.preIdx {
 			tp += inc.rkk[k] * inc.c[k]
 		}
 		inc.tp, inc.tpStale = tp, false
@@ -412,7 +405,7 @@ func (inc *Incremental) TP() float64 {
 func (inc *Incremental) TR(i int) float64 {
 	inc.flushR()
 	path := inc.pathBuf[:0]
-	for j := inc.fromUser[i]; j != rctree.Source; j = inc.par[j] {
+	for j := inc.preIdx[i]; j != rctree.Source; j = inc.par[j] {
 		path = append(path, j)
 	}
 	inc.pathBuf = path[:0]
@@ -433,7 +426,7 @@ func (inc *Incremental) TR(i int) float64 {
 // "re-bound what moved" mode.
 func (inc *Incremental) DrainMoved(dst []int) []int {
 	for k := inc.moved.lo; k < inc.moved.hi; k++ {
-		dst = append(dst, int(inc.toUser[k]))
+		dst = append(dst, int(inc.treeIdx[k]))
 	}
 	inc.moved = span{}
 	return dst

@@ -506,7 +506,9 @@ func TestIncrementalForestRanges(t *testing.T) {
 		subtree := func(k int) []int {
 			nodes := []int{k}
 			for i := 0; i < len(nodes); i++ {
-				nodes = append(nodes, tree.Children(nodes[i])...)
+				for _, ch := range tree.Children(nodes[i]) {
+					nodes = append(nodes, int(ch))
+				}
 			}
 			return nodes
 		}

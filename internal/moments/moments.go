@@ -37,22 +37,10 @@ type Set struct {
 // Compute returns the transfer-function moments m_0..m_order at every
 // node of the tree. order must be >= 1. Cost is O(order * N).
 //
-// The recurrences run on the tree's compiled structure-of-arrays plan
-// (rctree.Compile): contiguous value arrays in breadth-first order,
-// with no permutation indirection in either traversal direction, and
-// one plain loop per pass.
+// The recurrences sweep the tree's own arrays (rctree.Tree.Arrays):
+// index order is topological, so each pass is one plain loop, and each
+// order is computed in place in its own row of the returned Set.
 func Compute(t *rctree.Tree, order int) (*Set, error) {
-	return ComputeWith(t, order, nil)
-}
-
-// ComputeWith is Compute drawing its transient sweep buffers from the
-// caller's arena instead of allocating them per call — the per-worker
-// fast path of the batch engine. Only the scratch comes from the
-// arena; the returned Set always owns its backing, so it may outlive
-// the arena (and be shared across workers through a cache) safely. A
-// nil arena makes this identical to Compute. Results are bit-identical
-// either way: the kernels write every scratch slot before reading it.
-func ComputeWith(t *rctree.Tree, order int, ar *Arena) (*Set, error) {
 	if err := faultinject.Fire("moments.compute"); err != nil {
 		return nil, err
 	}
@@ -63,10 +51,7 @@ func ComputeWith(t *rctree.Tree, order int, ar *Arena) (*Set, error) {
 	// One backing array serves every moment row, so a Set costs three
 	// allocations regardless of order. Rows are full-capacity
 	// sub-slices (the three-index form), so an append on one row can
-	// never bleed into its neighbor. The two sweep buffers live in a
-	// separate backing: Sets are cached by batch engines, and fusing
-	// the scratch into the row backing would pin 2n dead floats for the
-	// life of every cached Set.
+	// never bleed into its neighbor.
 	back := make([]float64, (order+1)*n)
 	s := &Set{tree: t, order: order, m: make([][]float64, order+1)}
 	for q := range s.m {
@@ -75,9 +60,7 @@ func ComputeWith(t *rctree.Tree, order int, ar *Arena) (*Set, error) {
 	for i := 0; i < n; i++ {
 		s.m[0][i] = 1 // m_0 = DC gain = 1 at every node of an RC tree
 	}
-	cp := rctree.Compile(t)
-	scratch := ar.scratch(2 * n)
-	computeInto(cp, s, scratch[:n], scratch[n:])
+	computeInto(t.Arrays(), s)
 	if faultinject.Enabled() && n > 0 {
 		// Poisoning the deepest node's m_1 is enough for chaos runs: it
 		// is the Elmore delay every downstream bound reads, and the
@@ -128,48 +111,38 @@ func (s *Set) checkFinite() error {
 	})
 }
 
-// computeInto fills s.m[1..order] (user-indexed) from the compiled
-// plan using caller-provided sweep buffers of length cp.N(). Neither
-// buffer needs to be zeroed: prev is initialized here and every work
-// slot is written before it is read.
+// computeInto fills s.m[1..order] from s.m[0] by sweeping the tree's
+// arrays. Each order needs no scratch: the row of m_q itself first
+// accumulates the downstream sums and is then rewritten in place with
+// m_q.
 //
 // Recurrence (from KCL in the Laplace domain):
 //
 //	m_q(i) = - sum_k R_ki * C_k * m_{q-1}(k)
 //
 // computed per order with one upward pass (subtree sums of the "moment
-// weights" w_k = C_k m_{q-1}(k)) and one downward pass that accumulates
-// m_q(i) = m_q(parent) - R(i) * subtreeSum(i) along each path. Two
-// swap buffers: prev holds m_{q-1}; work accumulates the downstream
-// sums and is then rewritten in place with m_q (slot i is read before
-// it is written, and a parent's slot is final before any child reads
-// it), becoming the next prev.
-func computeInto(cp *rctree.Compiled, s *Set, prev, work []float64) {
-	for i := range prev {
-		prev[i] = 1
-	}
-	n := cp.N()
-	r, c, cs, par, toUser := cp.R, cp.C, cp.ChildStart, cp.Parent, cp.ToUser
+// weights" w_k = C_k m_{q-1}(k), children before parents) and one
+// downward pass that accumulates m_q(i) = m_q(parent) - R(i) *
+// subtreeSum(i) along each path (slot i is read before it is written,
+// and a parent's slot is final before any child reads it).
+func computeInto(a rctree.Arrays, s *Set) {
+	r, c, par, ks, kids := a.R, a.C, a.Parent, a.KidStart, a.Kids
 	for q := 1; q <= s.order; q++ {
-		for i := n - 1; i >= 0; i-- {
+		prev, work := s.m[q-1], s.m[q]
+		for i := len(work) - 1; i >= 0; i-- {
 			d := c[i] * prev[i]
-			for ch := cs[i]; ch < cs[i+1]; ch++ {
+			for _, ch := range kids[ks[i]:ks[i+1]] {
 				d += work[ch]
 			}
 			work[i] = d
 		}
-		for i := 0; i < n; i++ {
+		for i := range work {
 			m := -(r[i] * work[i])
 			if p := par[i]; p != rctree.Source {
 				m += work[p]
 			}
 			work[i] = m
 		}
-		mq := s.m[q]
-		for i := 0; i < n; i++ {
-			mq[toUser[i]] = work[i]
-		}
-		prev, work = work, prev
 	}
 }
 
@@ -275,34 +248,28 @@ func factorial(n int) float64 {
 
 // ElmoreDelays computes the Elmore delay at every node with the classic
 // two-traversal algorithm (downstream capacitances up, delay
-// accumulation down), without allocating a full moment Set. Both
-// traversals run on the compiled structure-of-arrays plan.
+// accumulation down) on the tree's arrays, without allocating a full
+// moment Set: the one returned slice is the only allocation.
 func ElmoreDelays(t *rctree.Tree) []float64 {
-	cp := rctree.Compile(t)
-	n := cp.N()
-	r, c, cs, par, toUser := cp.R, cp.C, cp.ChildStart, cp.Parent, cp.ToUser
-	// td is returned and may be long-lived, so it gets its own backing
-	// rather than a slice of a shared buffer that would pin the scratch.
-	td := make([]float64, n)
-	down := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
+	a := t.Arrays()
+	r, c, par, ks, kids := a.R, a.C, a.Parent, a.KidStart, a.Kids
+	td := make([]float64, len(par))
+	for i := len(td) - 1; i >= 0; i-- {
 		d := c[i]
-		for ch := cs[i]; ch < cs[i+1]; ch++ {
-			d += down[ch]
+		for _, ch := range kids[ks[i]:ks[i+1]] {
+			d += td[ch]
 		}
-		down[i] = d
+		td[i] = d
 	}
-	// The downward pass accumulates into down in place: down[i] is read
-	// before slot i is overwritten, and a parent's slot is final before
-	// any child reads it.
-	acc := down
-	for i := 0; i < n; i++ {
-		a := r[i] * down[i]
+	// The downward pass accumulates in place: td[i] is read as the
+	// downstream capacitance before it is overwritten, and a parent's
+	// slot is final before any child reads it.
+	for i := range td {
+		d := r[i] * td[i]
 		if p := par[i]; p != rctree.Source {
-			a += acc[p]
+			d += td[p]
 		}
-		acc[i] = a
-		td[toUser[i]] = a
+		td[i] = d
 	}
 	return td
 }

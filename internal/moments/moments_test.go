@@ -299,8 +299,8 @@ func TestMRejectsBadNodeIndex(t *testing.T) {
 	}
 }
 
-// The compiled recurrence must agree with the O(N^2) definitional
-// oracle regardless of topology.
+// The swept recurrence must agree with the O(N^2) definitional oracle
+// regardless of topology.
 func TestCompiledMatchesDirectOracle(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		tree := topo.RandomSmall(seed, 40)
@@ -319,8 +319,7 @@ func TestCompiledMatchesDirectOracle(t *testing.T) {
 }
 
 // Moment sets computed before and after a SetR round-trip must agree:
-// the compiled-plan cache has to rebuild on mutation, not serve stale
-// element values.
+// the kernels must read the current element values, never stale ones.
 func TestComputeSeesMutations(t *testing.T) {
 	tree := topo.Random(4, topo.RandomOptions{N: 200})
 	before, err := Compute(tree, 2)
@@ -336,7 +335,7 @@ func TestComputeSeesMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	if during.Elmore(17) == before.Elmore(17) {
-		t.Fatal("moments did not observe SetR (stale compiled plan?)")
+		t.Fatal("moments did not observe SetR (stale element values?)")
 	}
 	if err := tree.SetR(17, orig); err != nil {
 		t.Fatal(err)

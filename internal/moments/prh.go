@@ -22,48 +22,36 @@ type PRHTerms struct {
 	tr  []float64 // T_R(i) per node
 }
 
-// ComputePRH computes the PRH bound terms for a tree. The per-node
-// terms come from two sweeps on the compiled plan; T_P is summed in
-// compiled order, the order moments.Incremental reproduces.
+// ComputePRH computes the PRH bound terms for a tree with two sweeps
+// over the tree's arrays; T_P is summed in index order, the order
+// moments.Incremental reproduces.
 //
-// Allocation shape: the three retained per-node arrays (TD, rkk, tr)
-// share one user-indexed backing, and the three compiled-order sweep
-// buffers share another that dies with this call — three allocations
-// total. T_D comes from the gather-form kernel ElmoreDelays runs, so
+// Allocation shape: the three per-node arrays (TD, rkk, tr) share one
+// backing and the sweeps run in them, so with the PRHTerms itself that
+// is two allocations. T_D comes from the kernel ElmoreDelays runs, so
 // it is bit-identical to ElmoreDelays.
 func ComputePRH(t *rctree.Tree) *PRHTerms {
-	return ComputePRHWith(t, nil)
-}
-
-// ComputePRHWith is ComputePRH drawing its three compiled-order sweep
-// buffers from the caller's arena instead of allocating them — the
-// per-worker fast path of the batch engine. The retained per-node
-// arrays (TD, rkk, tr) always get their own backing, so the returned
-// PRHTerms may outlive the arena. A nil arena makes this identical to
-// ComputePRH, and results are bit-identical either way (the kernels
-// write every scratch slot before reading it).
-func ComputePRHWith(t *rctree.Tree, ar *Arena) *PRHTerms {
 	n := t.N()
-	cp := rctree.Compile(t)
-	user := make([]float64, 3*n)
+	back := make([]float64, 3*n)
 	p := &PRHTerms{
-		TD:  user[0:n:n],
-		rkk: user[n : 2*n : 2*n],
-		tr:  user[2*n : 3*n : 3*n],
+		TD:  back[0:n:n],
+		rkk: back[n : 2*n : 2*n],
+		tr:  back[2*n : 3*n : 3*n],
 	}
-	scratch := ar.scratch(3 * n)
-	p.TP = prhInto(cp, p.TD, p.rkk, p.tr, scratch[:n], scratch[n:2*n], scratch[2*n:])
+	p.TP = prhInto(t.Arrays(), p.TD, p.rkk, p.tr)
 	return p
 }
 
-// prhInto runs the two PRH sweeps on the compiled plan and returns T_P:
+// prhInto runs the two PRH sweeps over the tree's arrays, writing
+// straight into the node-indexed outputs, and returns T_P:
 //
-//  1. upward: downC[i] = subtree capacitance Cdown(i) — the
+//  1. upward: td[i] = subtree capacitance Cdown(i) — the
 //     Tree.DownstreamC kernel;
 //
 //  2. downward, per node i with parent p (R_pp = S(p) = 0 at a root):
-//     R_ii = R_pp + r_i, the Elmore accumulation (the ElmoreDelays
-//     kernel, reusing downC in place as its accumulator), and
+//     T_D(i) = T_D(p) + r_i Cdown(i), the ElmoreDelays kernel, which
+//     overwrites td[i] only after reading Cdown(i); R_ii = R_pp + r_i;
+//     and
 //
 //     S(i) = S(p) + r_i (R_ii + R_pp) Cdown(i),  T_R(i) = S(i) / R_ii.
 //
@@ -71,37 +59,33 @@ func ComputePRHWith(t *rctree.Tree, ar *Arena) *PRHTerms {
 // stepping from p to i raises R_ki from R_pp to R_ii for exactly the
 // capacitors below i and leaves every other R_ki alone, and
 // R_ii^2 - R_pp^2 = r_i (R_ii + R_pp). Every term is a product of
-// nonnegative values, so nothing cancels.
-//
-// Neither scratch needs to be zeroed: every slot is written before it
-// is read. Pass 2 overwrites downC[i] only after reading it, and sums
-// T_P in ascending compiled order.
-func prhInto(cp *rctree.Compiled, td, rkk, tr, downC, rkkC, sC []float64) float64 {
-	n := cp.N()
-	r, c, cs, par, toUser := cp.R, cp.C, cp.ChildStart, cp.Parent, cp.ToUser
-	for i := n - 1; i >= 0; i-- {
+// nonnegative values, so nothing cancels. tr holds S during the sweep,
+// because children read their parent's S; a last pass divides by R_ii.
+// T_P is summed in ascending index order.
+func prhInto(a rctree.Arrays, td, rkk, tr []float64) float64 {
+	r, c, par, ks, kids := a.R, a.C, a.Parent, a.KidStart, a.Kids
+	for i := len(td) - 1; i >= 0; i-- {
 		d := c[i]
-		for ch := cs[i]; ch < cs[i+1]; ch++ {
-			d += downC[ch]
+		for _, ch := range kids[ks[i]:ks[i+1]] {
+			d += td[ch]
 		}
-		downC[i] = d
+		td[i] = d
 	}
-	acc := downC // overwrites downC[i] only after it is consumed
 	var tp float64
-	for i := 0; i < n; i++ {
-		d := downC[i]
-		a := r[i] * d
+	for i := range td {
+		d := td[i]
+		e := r[i] * d
 		var rp, sp float64
 		if p := par[i]; p != rctree.Source {
-			a += acc[p]
-			rp, sp = rkkC[p], sC[p]
+			e += td[p]
+			rp, sp = rkk[p], tr[p]
 		}
 		rii := r[i] + rp
-		s := sp + r[i]*(rii+rp)*d
-		acc[i], rkkC[i], sC[i] = a, rii, s
-		u := toUser[i]
-		td[u], rkk[u], tr[u] = a, rii, s/rii
+		td[i], rkk[i], tr[i] = e, rii, sp+r[i]*(rii+rp)*d
 		tp += rii * c[i]
+	}
+	for i, s := range tr {
+		tr[i] = s / rkk[i]
 	}
 	return tp
 }

@@ -34,6 +34,7 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
 
 	"elmore/internal/rctree"
 )
@@ -79,19 +80,20 @@ func read(r io.Reader) (data string, err error) {
 	case interface{ Len() int }: // strings.Reader, bytes.Reader, bytes.Buffer
 		sb.Grow(src.Len())
 	case *os.File:
-		// A regular file is copied into a builder of its size, through a
-		// buffer of at most 32 KB (the size of the file if smaller): a
+		// A regular file is read straight into one buffer of its size,
+		// which becomes the returned string without a copy: nothing else
+		// ever references the buffer, so the string stays immutable. A
 		// plain io.Copy would reach (*os.File).WriteTo, which allocates a
-		// 32 KB copy buffer on every call, and reading the whole file
-		// into a byte slice would allocate its size twice. Pseudo-files
-		// such as those under /proc report size 0 and are copied to EOF.
+		// 32 KB copy buffer on every call, and string(buf) would
+		// allocate the file's size twice. Pseudo-files such as those
+		// under /proc report size 0 and are copied to EOF.
 		if st, err := src.Stat(); err == nil && st.Mode().IsRegular() && st.Size() > 0 && int64(int(st.Size())) == st.Size() {
-			sb.Grow(int(st.Size()))
-			_, err := io.CopyN(&sb, src, st.Size())
-			if err == io.EOF {
+			buf := make([]byte, st.Size())
+			n, err := io.ReadFull(src, buf)
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				err = nil // the file shrank since the Stat
 			}
-			return sb.String(), err
+			return unsafe.String(unsafe.SliceData(buf), n), err
 		}
 	}
 	_, err = io.Copy(&sb, r)

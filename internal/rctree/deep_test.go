@@ -49,9 +49,9 @@ func starTree(tb testing.TB, n int) *Tree {
 	return t
 }
 
-// Compile must survive the two degenerate extremes — a chain a million
-// levels deep and a star with one level a hundred thousand nodes wide —
-// and DownstreamC must sweep both.
+// The sweep layout must survive the two degenerate extremes — a chain
+// a million levels deep and a star with one level a hundred thousand
+// nodes wide — and DownstreamC must sweep both.
 func TestCompileDegenerateExtremes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("deep-topology stress test")
@@ -70,31 +70,32 @@ func TestCompileDegenerateExtremes(t *testing.T) {
 		{"star100k", starTree(t, starN), 2, starN},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cp := Compile(tc.tree)
+			a := tc.tree.Arrays()
 			n := tc.tree.N()
-			if cp.N() != n {
-				t.Fatalf("N = %d, want %d", cp.N(), n)
+			if len(a.Parent) != n || int(a.KidStart[n]) != n-1 {
+				t.Fatalf("layout covers %d nodes and %d edges, want %d and %d", len(a.Parent), a.KidStart[n], n, n-1)
 			}
 			width := make([]int, n+1) // nodes per depth
-			levels := 0
+			depth := make([]int, n)
 			for i := 0; i < n; i++ {
-				d := tc.tree.Depth(i)
-				width[d]++
-				levels = max(levels, d)
+				p := a.Parent[i]
+				if p != Source && int(p) >= i {
+					t.Fatalf("node %d has parent %d (not topological)", i, p)
+				}
+				depth[i] = 1
+				if p != Source {
+					depth[i] = depth[p] + 1
+				}
+				width[depth[i]]++
 			}
-			if levels != tc.levels {
+			if levels := tc.tree.MaxDepth(); levels != tc.levels {
 				t.Fatalf("levels = %d, want %d", levels, tc.levels)
 			}
 			if maxWidth := slices.Max(width); maxWidth != tc.maxWidth {
 				t.Fatalf("widest level = %d, want %d", maxWidth, tc.maxWidth)
 			}
-			for i := 0; i < n; i++ {
-				if p := cp.Parent[i]; p != Source && int(p) >= i {
-					t.Fatalf("compiled node %d has parent %d (not topological)", i, p)
-				}
-				if cp.ToUser[cp.FromUser[i]] != int32(i) {
-					t.Fatalf("permutation not a bijection at %d", i)
-				}
+			if got := len(tc.tree.PreOrder()); got != n {
+				t.Fatalf("pre-order has %d nodes, want %d", got, n)
 			}
 
 			// Sanity anchor: the root sees every capacitor exactly once.

@@ -14,9 +14,12 @@ package rctree
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -24,63 +27,101 @@ import (
 // as the Parent of root nodes and is never a valid node index.
 const Source = -1
 
-// node is the internal per-node record.
-type node struct {
-	name     string
-	parent   int // node index, or Source
-	r        float64
-	c        float64
-	children []int
-	depth    int // number of resistors between this node and the source
-}
-
-// Tree is an immutable-topology RC tree. Node indices are dense in
-// [0, N()) and are assigned in the order nodes were added to the Builder.
-// Element values (R, C) may be updated in place via SetR/SetC, which is
-// useful for sizing loops; topology cannot change after Build.
+// Tree is an immutable-topology RC tree, stored as its own sweep layout.
+// Node indices are dense in [0, N()) and are assigned in the order nodes
+// were added to the Builder. Attach takes an existing parent, so that
+// order is topological: Parent(i) < i for every non-root node. An
+// ascending index sweep therefore visits parents before children and a
+// descending sweep children before parents, for every tree, and the
+// kernels in moments and sim run both directly on the tree's arrays
+// (see Arrays). Element values (R, C) may be updated in place via
+// SetR/SetC, which is useful for sizing loops; topology cannot change
+// after Build.
 type Tree struct {
-	nodes  []node
-	byName map[string]int
-	post   []int // cached post-order
-	pre    []int // cached pre-order (parents before children)
-	roots  []int // cached root indices (parent == Source), in index order
+	parent []int32 // parent index, or Source; parent[i] < i
+	r, c   []float64
+	names  []string
+	// kidStart has length N+1; the children of node i are
+	// kids[kidStart[i]:kidStart[i+1]], in attach order.
+	kidStart, kids []int32
+	byName         map[string]int
+	roots          []int // parent == Source, in index order
 
-	// gen counts element-value mutations (SetR/SetC); compiled caches
-	// the current structure-of-arrays plan for that generation. Both
-	// are atomic so concurrent readers (Compile from parallel workers)
-	// never race with each other; mutating a tree concurrently with
-	// readers remains unsupported, as documented on SetR/SetC.
-	gen      atomic.Uint64
-	compiled atomic.Pointer[Compiled]
-	// fp is the Fingerprint of generation fp.gen, kept like compiled.
-	fp atomic.Pointer[fingerprint]
+	preOnce sync.Once
+	pre     []int // pre-order, built on the first PreOrder call
+
+	// gen counts element-value mutations (SetR/SetC), and fp is the
+	// Fingerprint of generation fp.gen. Both are atomic so concurrent
+	// readers (Fingerprint from parallel workers) never race with each
+	// other; mutating a tree concurrently with readers remains
+	// unsupported, as documented on SetR/SetC.
+	gen atomic.Uint64
+	fp  atomic.Pointer[fingerprint]
 }
 
 // fingerprint is a Fingerprint value and the generation it hashes.
 type fingerprint struct{ gen, fp uint64 }
 
+// Arrays is a read-only view of a tree's sweep layout: the tree's own
+// arrays, not a copy, so building one allocates nothing and R and C
+// follow SetR/SetC at once. Parent[i] < i for every non-root node, so a
+// kernel sweeps ascending for parents-first passes and descending for
+// children-first passes. The children of node i are
+// Kids[KidStart[i]:KidStart[i+1]], in attach order. Kernels must never
+// write to any of the slices.
+type Arrays struct {
+	Parent   []int32 // parent index, or Source
+	R, C     []float64
+	KidStart []int32 // length N+1
+	Kids     []int32
+}
+
+// Arrays returns the tree's sweep layout.
+func (t *Tree) Arrays() Arrays {
+	return Arrays{Parent: t.parent, R: t.r, C: t.c, KidStart: t.kidStart, Kids: t.kids}
+}
+
+// Compile returns t.Arrays().
+//
+// Deprecated: the tree is its own sweep layout; use Tree.Arrays.
+func Compile(t *Tree) Arrays { return t.Arrays() }
+
 // N returns the number of nodes in the tree (excluding the source).
-func (t *Tree) N() int { return len(t.nodes) }
+func (t *Tree) N() int { return len(t.parent) }
 
 // Name returns the user-assigned name of node i.
-func (t *Tree) Name(i int) string { return t.nodes[i].name }
+func (t *Tree) Name(i int) string { return t.names[i] }
 
 // R returns the resistance (ohms) between node i and its parent.
-func (t *Tree) R(i int) float64 { return t.nodes[i].r }
+func (t *Tree) R(i int) float64 { return t.r[i] }
 
 // C returns the capacitance (farads) from node i to ground.
-func (t *Tree) C(i int) float64 { return t.nodes[i].c }
+func (t *Tree) C(i int) float64 { return t.c[i] }
 
 // Parent returns the parent index of node i, or Source for a root node.
-func (t *Tree) Parent(i int) int { return t.nodes[i].parent }
+func (t *Tree) Parent(i int) int { return int(t.parent[i]) }
 
 // Depth returns the number of resistors on the path from the source to
-// node i. Root nodes have depth 1.
-func (t *Tree) Depth(i int) int { return t.nodes[i].depth }
+// node i. Root nodes have depth 1. It walks the parent links, so it
+// costs O(depth).
+func (t *Tree) Depth(i int) int {
+	d := 0
+	for j := int32(i); j != Source; j = t.parent[j] {
+		d++
+	}
+	return d
+}
 
-// Children returns the child indices of node i. The returned slice is
-// owned by the tree and must not be modified.
-func (t *Tree) Children(i int) []int { return t.nodes[i].children }
+// Children returns the child indices of node i in attach order, or nil
+// for a leaf. The returned slice is owned by the tree and must not be
+// modified.
+func (t *Tree) Children(i int) []int32 {
+	lo, hi := t.kidStart[i], t.kidStart[i+1]
+	if lo == hi {
+		return nil
+	}
+	return t.kids[lo:hi:hi]
+}
 
 // Roots returns the indices of all nodes attached directly to the
 // source. The slice is computed once at Build time and owned by the
@@ -90,8 +131,8 @@ func (t *Tree) Roots() []int { return t.roots }
 // Leaves returns the indices of all childless nodes, in index order.
 func (t *Tree) Leaves() []int {
 	var leaves []int
-	for i := range t.nodes {
-		if len(t.nodes[i].children) == 0 {
+	for i := range t.parent {
+		if t.kidStart[i] == t.kidStart[i+1] {
 			leaves = append(leaves, i)
 		}
 	}
@@ -116,15 +157,14 @@ func (t *Tree) MustIndex(name string) int {
 
 // SetR updates the resistance of node i. It returns an error if r is not
 // a positive finite value. SetR invalidates cached derived artifacts:
-// fingerprints computed earlier are stale, and compiled execution plans
-// (Compile) rebuild on next use. See Fingerprint for the full
+// fingerprints computed earlier are stale. See Fingerprint for the full
 // mutation/caching contract. For bulk edits prefer SetValues or
 // ScaleValues, which validate and invalidate once instead of per node.
 func (t *Tree) SetR(i int, r float64) error {
 	if err := checkR(r); err != nil {
-		return fmt.Errorf("rctree: node %q: %w", t.nodes[i].name, err)
+		return fmt.Errorf("rctree: node %q: %w", t.names[i], err)
 	}
-	t.nodes[i].r = r
+	t.r[i] = r
 	t.gen.Add(1)
 	return nil
 }
@@ -133,14 +173,13 @@ func (t *Tree) SetR(i int, r float64) error {
 // c is negative or not finite. A zero capacitance is allowed (a pure
 // resistive junction), though at least one node in the tree must carry
 // nonzero capacitance for the circuit to have dynamics. Like SetR it
-// invalidates cached fingerprints and compiled plans; see Fingerprint
-// for the full mutation/caching contract, and SetValues/ScaleValues for
-// bulk edits.
+// invalidates cached fingerprints; see Fingerprint for the full
+// mutation/caching contract, and SetValues/ScaleValues for bulk edits.
 func (t *Tree) SetC(i int, c float64) error {
 	if err := checkC(c); err != nil {
-		return fmt.Errorf("rctree: node %q: %w", t.nodes[i].name, err)
+		return fmt.Errorf("rctree: node %q: %w", t.names[i], err)
 	}
-	t.nodes[i].c = c
+	t.c[i] = c
 	t.gen.Add(1)
 	return nil
 }
@@ -149,38 +188,37 @@ func (t *Tree) SetC(i int, c float64) error {
 // when non-nil, must have length N() and carry the new resistances and
 // capacitances in node-index order. All values are validated before any
 // is applied — on error the tree is unchanged — and the modification
-// generation is bumped exactly once, so derived artifacts (compiled
-// plans, fingerprints) are invalidated once per bulk edit instead of
-// once per node. A nil slice leaves that element kind untouched.
+// generation is bumped exactly once, so derived artifacts
+// (fingerprints) are invalidated once per bulk edit instead of once per
+// node. A nil slice leaves that element kind untouched.
 func (t *Tree) SetValues(r, c []float64) error {
-	if r != nil && len(r) != len(t.nodes) {
-		return fmt.Errorf("rctree: SetValues: got %d resistances for %d nodes", len(r), len(t.nodes))
+	n := t.N()
+	if r != nil && len(r) != n {
+		return fmt.Errorf("rctree: SetValues: got %d resistances for %d nodes", len(r), n)
 	}
-	if c != nil && len(c) != len(t.nodes) {
-		return fmt.Errorf("rctree: SetValues: got %d capacitances for %d nodes", len(c), len(t.nodes))
+	if c != nil && len(c) != n {
+		return fmt.Errorf("rctree: SetValues: got %d capacitances for %d nodes", len(c), n)
 	}
 	if r == nil && c == nil {
 		return nil
 	}
-	for i := range t.nodes {
+	for i := 0; i < n; i++ {
 		if r != nil {
 			if err := checkR(r[i]); err != nil {
-				return fmt.Errorf("rctree: node %q: %w", t.nodes[i].name, err)
+				return fmt.Errorf("rctree: node %q: %w", t.names[i], err)
 			}
 		}
 		if c != nil {
 			if err := checkC(c[i]); err != nil {
-				return fmt.Errorf("rctree: node %q: %w", t.nodes[i].name, err)
+				return fmt.Errorf("rctree: node %q: %w", t.names[i], err)
 			}
 		}
 	}
-	for i := range t.nodes {
-		if r != nil {
-			t.nodes[i].r = r[i]
-		}
-		if c != nil {
-			t.nodes[i].c = c[i]
-		}
+	if r != nil {
+		copy(t.r, r)
+	}
+	if c != nil {
+		copy(t.c, c)
 	}
 	t.gen.Add(1)
 	return nil
@@ -189,35 +227,30 @@ func (t *Tree) SetValues(r, c []float64) error {
 // Generation returns the tree's element-value modification count: it
 // starts at zero and increases by one for every SetR/SetC call and by
 // one per SetValues/ScaleValues bulk edit. Derived-artifact caches
-// (compiled plans, incremental engines) compare generations to detect
+// (fingerprints, incremental engines) compare generations to detect
 // that a snapshot is stale.
 func (t *Tree) Generation() uint64 { return t.gen.Load() }
 
 // Clone returns a deep copy of the tree. The copy shares no mutable state
 // with the original, so SetR/SetC on one does not affect the other.
 func (t *Tree) Clone() *Tree {
-	cp := &Tree{
-		nodes:  make([]node, len(t.nodes)),
-		byName: make(map[string]int, len(t.byName)),
-		post:   append([]int(nil), t.post...),
-		pre:    append([]int(nil), t.pre...),
-		roots:  append([]int(nil), t.roots...),
+	return &Tree{
+		parent:   slices.Clone(t.parent),
+		r:        slices.Clone(t.r),
+		c:        slices.Clone(t.c),
+		names:    slices.Clone(t.names),
+		kidStart: slices.Clone(t.kidStart),
+		kids:     slices.Clone(t.kids),
+		byName:   maps.Clone(t.byName),
+		roots:    slices.Clone(t.roots),
 	}
-	copy(cp.nodes, t.nodes)
-	for i := range cp.nodes {
-		cp.nodes[i].children = append([]int(nil), t.nodes[i].children...)
-	}
-	for k, v := range t.byName {
-		cp.byName[k] = v
-	}
-	return cp
 }
 
 // TotalC returns the sum of all grounded capacitances in the tree.
 func (t *Tree) TotalC() float64 {
 	var sum float64
-	for i := range t.nodes {
-		sum += t.nodes[i].c
+	for _, c := range t.c {
+		sum += c
 	}
 	return sum
 }
@@ -225,25 +258,41 @@ func (t *Tree) TotalC() float64 {
 // TotalR returns the sum of all resistances in the tree.
 func (t *Tree) TotalR() float64 {
 	var sum float64
-	for i := range t.nodes {
-		sum += t.nodes[i].r
+	for _, r := range t.r {
+		sum += r
 	}
 	return sum
 }
 
-// PostOrder returns node indices in post-order: every node appears after
-// all of its descendants. The slice is owned by the tree.
-func (t *Tree) PostOrder() []int { return t.post }
-
-// PreOrder returns node indices in pre-order: every node appears before
-// all of its descendants. The slice is owned by the tree.
-func (t *Tree) PreOrder() []int { return t.pre }
+// PreOrder returns node indices in depth-first pre-order, children in
+// attach order: every subtree is one contiguous run, its root first.
+// The order is built on the first call; PreOrder is safe for concurrent
+// callers. The slice is owned by the tree.
+func (t *Tree) PreOrder() []int {
+	t.preOnce.Do(func() {
+		pre := make([]int, 0, t.N())
+		var stack []int32
+		for k := len(t.roots) - 1; k >= 0; k-- {
+			stack = append(stack, int32(t.roots[k]))
+		}
+		for len(stack) > 0 {
+			i := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			pre = append(pre, int(i))
+			for k := t.kidStart[i+1] - 1; k >= t.kidStart[i]; k-- {
+				stack = append(stack, t.kids[k])
+			}
+		}
+		t.pre = pre
+	})
+	return t.pre
+}
 
 // PathToSource returns the node indices on the path from node i up to
 // (but excluding) the source, starting with i itself.
 func (t *Tree) PathToSource(i int) []int {
 	var path []int
-	for j := i; j != Source; j = t.nodes[j].parent {
+	for j := i; j != Source; j = int(t.parent[j]) {
 		path = append(path, j)
 	}
 	return path
@@ -253,8 +302,8 @@ func (t *Tree) PathToSource(i int) []int {
 // between the source and node i.
 func (t *Tree) PathResistance(i int) float64 {
 	var sum float64
-	for j := i; j != Source; j = t.nodes[j].parent {
-		sum += t.nodes[j].r
+	for j := i; j != Source; j = int(t.parent[j]) {
+		sum += t.r[j]
 	}
 	return sum
 }
@@ -266,18 +315,19 @@ func (t *Tree) SharedPathResistance(i, k int) float64 {
 	// Walk both nodes up to their common ancestor, then sum the
 	// resistance from the ancestor to the source.
 	a, b := i, k
-	for t.nodes[a].depth > t.nodes[b].depth {
-		a = t.nodes[a].parent
+	da, db := t.Depth(a), t.Depth(b)
+	for ; da > db; da-- {
+		a = int(t.parent[a])
 	}
-	for t.nodes[b].depth > t.nodes[a].depth {
-		b = t.nodes[b].parent
+	for ; db > da; db-- {
+		b = int(t.parent[b])
 	}
 	for a != b {
 		if a == Source || b == Source {
 			return 0 // different roots: no shared resistance
 		}
-		a = t.nodes[a].parent
-		b = t.nodes[b].parent
+		a = int(t.parent[a])
+		b = int(t.parent[b])
 	}
 	if a == Source {
 		return 0
@@ -287,19 +337,16 @@ func (t *Tree) SharedPathResistance(i, k int) float64 {
 
 // DownstreamC returns, for every node i, the total capacitance of the
 // subtree rooted at i (including C(i) itself). This is the one-pass
-// upward traversal used by the O(N) Elmore computation; it runs on the
-// compiled structure-of-arrays plan, children before parents.
+// upward traversal used by the O(N) Elmore computation: a descending
+// sweep, children before parents, gathering each node's children.
 func (t *Tree) DownstreamC() []float64 {
-	cp := Compile(t)
-	out := make([]float64, len(t.nodes))
-	down := make([]float64, cp.N())
-	for i := cp.N() - 1; i >= 0; i-- {
-		d := cp.C[i]
-		for ch := cp.ChildStart[i]; ch < cp.ChildStart[i+1]; ch++ {
-			d += down[ch]
+	out := make([]float64, t.N())
+	for i := len(out) - 1; i >= 0; i-- {
+		d := t.c[i]
+		for _, ch := range t.kids[t.kidStart[i]:t.kidStart[i+1]] {
+			d += out[ch]
 		}
-		down[i] = d
-		out[cp.ToUser[i]] = d
+		out[i] = d
 	}
 	return out
 }
@@ -314,15 +361,15 @@ func (t *Tree) Subtree(i int) (*Tree, error) {
 		var id int
 		var err error
 		if parent == Source {
-			id, err = b.Root(t.nodes[j].name, t.nodes[j].r, t.nodes[j].c)
+			id, err = b.Root(t.names[j], t.r[j], t.c[j])
 		} else {
-			id, err = b.Attach(parent, t.nodes[j].name, t.nodes[j].r, t.nodes[j].c)
+			id, err = b.Attach(parent, t.names[j], t.r[j], t.c[j])
 		}
 		if err != nil {
 			return err
 		}
-		for _, ch := range t.nodes[j].children {
-			if err := add(ch, id); err != nil {
+		for _, ch := range t.Children(j) {
+			if err := add(int(ch), id); err != nil {
 				return err
 			}
 		}
@@ -341,10 +388,10 @@ func (t *Tree) String() string {
 	var walk func(i, indent int)
 	walk = func(i, indent int) {
 		fmt.Fprintf(&sb, "%s%s: R=%s C=%s\n",
-			strings.Repeat("  ", indent), t.nodes[i].name,
-			FormatOhms(t.nodes[i].r), FormatFarads(t.nodes[i].c))
-		for _, ch := range t.nodes[i].children {
-			walk(ch, indent+1)
+			strings.Repeat("  ", indent), t.names[i],
+			FormatOhms(t.r[i]), FormatFarads(t.c[i]))
+		for _, ch := range t.Children(i) {
+			walk(int(ch), indent+1)
 		}
 	}
 	for _, r := range t.Roots() {
@@ -355,48 +402,31 @@ func (t *Tree) String() string {
 
 // Names returns all node names in index order.
 func (t *Tree) Names() []string {
-	names := make([]string, len(t.nodes))
-	for i := range t.nodes {
-		names[i] = t.nodes[i].name
-	}
-	return names
+	return append([]string(nil), t.names...)
 }
 
 // Validate re-checks the structural invariants of the tree: positive
 // finite resistances, nonnegative finite capacitances, at least one node
-// with nonzero capacitance, consistent parent/child links and depths.
+// with nonzero capacitance, and every parent index below its child's.
 // Build always returns a valid tree; Validate exists to catch invalid
 // in-place edits (for example SetC-ing every capacitor to zero).
 func (t *Tree) Validate() error {
-	if len(t.nodes) == 0 {
+	if t.N() == 0 {
 		return fmt.Errorf("rctree: empty tree")
 	}
 	anyC := false
-	for i := range t.nodes {
-		n := &t.nodes[i]
-		if err := checkR(n.r); err != nil {
-			return fmt.Errorf("rctree: node %q: %w", n.name, err)
+	for i, p := range t.parent {
+		if err := checkR(t.r[i]); err != nil {
+			return fmt.Errorf("rctree: node %q: %w", t.names[i], err)
 		}
-		if err := checkC(n.c); err != nil {
-			return fmt.Errorf("rctree: node %q: %w", n.name, err)
+		if err := checkC(t.c[i]); err != nil {
+			return fmt.Errorf("rctree: node %q: %w", t.names[i], err)
 		}
-		if n.c > 0 {
+		if t.c[i] > 0 {
 			anyC = true
 		}
-		if n.parent != Source {
-			if n.parent < 0 || n.parent >= len(t.nodes) {
-				return fmt.Errorf("rctree: node %q: parent index %d out of range", n.name, n.parent)
-			}
-			if t.nodes[n.parent].depth+1 != n.depth {
-				return fmt.Errorf("rctree: node %q: inconsistent depth", n.name)
-			}
-		} else if n.depth != 1 {
-			return fmt.Errorf("rctree: root node %q: depth %d != 1", n.name, n.depth)
-		}
-		for _, ch := range n.children {
-			if ch < 0 || ch >= len(t.nodes) || t.nodes[ch].parent != i {
-				return fmt.Errorf("rctree: node %q: inconsistent child link", n.name)
-			}
+		if p < Source || int(p) >= i {
+			return fmt.Errorf("rctree: node %q: parent index %d not in [%d,%d)", t.names[i], p, Source, i)
 		}
 	}
 	if !anyC {
@@ -434,10 +464,13 @@ func checkC(c float64) error {
 	return nil
 }
 
-// Builder constructs a Tree incrementally. The zero value is not usable;
-// create one with NewBuilder or NewBuilderIndex.
+// Builder constructs a Tree incrementally, filling the tree's own
+// arrays. The zero value is not usable; create one with NewBuilder or
+// NewBuilderIndex.
 type Builder struct {
-	nodes  []node
+	parent []int32
+	r, c   []float64
+	names  []string
 	byName map[string]int
 	// adopted marks a byName the caller owns and fills (NewBuilderIndex).
 	adopted bool
@@ -458,7 +491,14 @@ func NewBuilder() *Builder {
 // Attach returned for it, and hold nothing else. Build checks that
 // index holds one entry per node; the tree then owns the map.
 func NewBuilderIndex(n int, index map[string]int) *Builder {
-	return &Builder{nodes: make([]node, 0, n), byName: index, adopted: true}
+	return &Builder{
+		parent:  make([]int32, 0, n),
+		r:       make([]float64, 0, n),
+		c:       make([]float64, 0, n),
+		names:   make([]string, 0, n),
+		byName:  index,
+		adopted: true,
+	}
 }
 
 // Root adds a node attached directly to the voltage source through
@@ -472,8 +512,8 @@ func (b *Builder) Root(name string, r, c float64) (int, error) {
 // through resistance r, carrying grounded capacitance c. It returns the
 // new node's index.
 func (b *Builder) Attach(parent int, name string, r, c float64) (int, error) {
-	if parent < 0 || parent >= len(b.nodes) {
-		err := fmt.Errorf("rctree: attach %q: parent index %d out of range [0,%d)", name, parent, len(b.nodes))
+	if parent < 0 || parent >= len(b.parent) {
+		err := fmt.Errorf("rctree: attach %q: parent index %d out of range [0,%d)", name, parent, len(b.parent))
 		b.fail(err)
 		return -1, err
 	}
@@ -500,8 +540,14 @@ func (b *Builder) MustAttach(parent int, name string, r, c float64) int {
 }
 
 func (b *Builder) add(name string, parent int, r, c float64) (int, error) {
+	id := len(b.parent)
+	if id == math.MaxInt32 {
+		err := fmt.Errorf("rctree: more than %d nodes", math.MaxInt32)
+		b.fail(err)
+		return -1, err
+	}
 	if name == "" {
-		name = fmt.Sprintf("n%d", len(b.nodes)+1)
+		name = fmt.Sprintf("n%d", id+1)
 	}
 	if !b.adopted {
 		if _, dup := b.byName[name]; dup {
@@ -520,12 +566,10 @@ func (b *Builder) add(name string, parent int, r, c float64) (int, error) {
 		b.fail(err)
 		return -1, err
 	}
-	id := len(b.nodes)
-	depth := 1
-	if parent != Source {
-		depth = b.nodes[parent].depth + 1
-	}
-	b.nodes = append(b.nodes, node{name: name, parent: parent, r: r, c: c, depth: depth})
+	b.parent = append(b.parent, int32(parent))
+	b.r = append(b.r, r)
+	b.c = append(b.c, c)
+	b.names = append(b.names, name)
 	if !b.adopted {
 		b.byName[name] = id
 	}
@@ -549,86 +593,48 @@ func (b *Builder) Build() (*Tree, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	if len(b.byName) != len(b.nodes) {
-		return nil, fmt.Errorf("rctree: name index holds %d names for %d nodes", len(b.byName), len(b.nodes))
+	if len(b.byName) != len(b.parent) {
+		return nil, fmt.Errorf("rctree: name index holds %d names for %d nodes", len(b.byName), len(b.parent))
 	}
-	t := &Tree{
-		nodes:  b.nodes,
-		byName: b.byName,
-	}
-	t.linkChildren()
+	t := &Tree{parent: b.parent, r: b.r, c: b.c, names: b.names, byName: b.byName}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	t.computeOrders()
+	t.link()
 	// Detach the builder so further use cannot alias the built tree.
-	b.nodes = nil
-	b.byName = make(map[string]int)
-	b.adopted = false
+	*b = Builder{byName: make(map[string]int)}
 	return t, nil
 }
 
-// linkChildren fills every node's child list from the parent links, in
-// index order (the order Attach added them). The lists are
-// full-capacity windows of one shared array: one allocation per tree
-// instead of one per parent.
-func (t *Tree) linkChildren() {
-	count := make([]int, len(t.nodes))
-	edges := 0
-	for i := range t.nodes {
-		if p := t.nodes[i].parent; p != Source {
-			count[p]++
-			edges++
-		}
-	}
-	kids := make([]int, edges)
-	off := 0
-	for i, k := range count {
-		if k > 0 {
-			t.nodes[i].children = kids[off : off : off+k]
-			off += k
-		}
-	}
-	for i := range t.nodes {
-		if p := t.nodes[i].parent; p != Source {
-			t.nodes[p].children = append(t.nodes[p].children, i)
-		}
-	}
-}
-
-func (t *Tree) computeOrders() {
-	n := len(t.nodes)
-	for i := range t.nodes {
-		if t.nodes[i].parent == Source {
+// link builds the roots and the CSR child list from the parent links
+// with one counting pass. Children are placed in index order, which is
+// the order Attach added them.
+func (t *Tree) link() {
+	n := t.N()
+	ks := make([]int32, n+1)
+	for i, p := range t.parent {
+		if p == Source {
 			t.roots = append(t.roots, i)
+		} else {
+			ks[p+1]++
 		}
 	}
-	t.pre = make([]int, 0, n)
-	t.post = make([]int, 0, n)
-	// Iterative DFS to keep very deep chains (used in benches) from
-	// exhausting the goroutine stack.
-	type frame struct {
-		node  int
-		child int
+	for i := 1; i <= n; i++ {
+		ks[i] += ks[i-1]
 	}
-	var stack []frame
-	for _, r := range t.Roots() {
-		stack = append(stack, frame{node: r})
-		t.pre = append(t.pre, r)
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			kids := t.nodes[f.node].children
-			if f.child < len(kids) {
-				ch := kids[f.child]
-				f.child++
-				t.pre = append(t.pre, ch)
-				stack = append(stack, frame{node: ch})
-				continue
-			}
-			t.post = append(t.post, f.node)
-			stack = stack[:len(stack)-1]
+	// ks[p] is now the start of p's block. Use it as p's fill cursor:
+	// after the fill it holds the end of p's block, which is the start
+	// of p+1's, so shifting ks up by one slot restores the starts.
+	kids := make([]int32, ks[n])
+	for i, p := range t.parent {
+		if p != Source {
+			kids[ks[p]] = int32(i)
+			ks[p]++
 		}
 	}
+	copy(ks[1:], ks[:n])
+	ks[0] = 0
+	t.kidStart, t.kids = ks, kids
 }
 
 // Fingerprint returns a 64-bit FNV-1a hash of the tree's complete
@@ -639,13 +645,13 @@ func (t *Tree) computeOrders() {
 //
 // Mutation contract: a fingerprint value is reused only at the
 // generation it was computed for. The tree keeps its last fingerprint
-// with the Generation it hashed, the way Compile keeps its plan, and
-// every SetR/SetC/SetValues/ScaleValues edit bumps the generation, so
-// the next call after an edit hashes the new values. Consumers that key
-// derived artifacts by fingerprint (batch.Cache) therefore stay correct
-// across mutations as long as they re-ask per request; what they cannot
-// survive is a mutation racing a request on the same *Tree, or a caller
-// reusing a fingerprint VALUE captured before an edit. The rules:
+// with the Generation it hashed, and every SetR/SetC/SetValues/
+// ScaleValues edit bumps the generation, so the next call after an
+// edit hashes the new values. Consumers that key derived artifacts by
+// fingerprint (batch.Cache) therefore stay correct across mutations as
+// long as they re-ask per request; what they cannot survive is a
+// mutation racing a request on the same *Tree, or a caller reusing a
+// fingerprint VALUE captured before an edit. The rules:
 //
 //   - Ask at use: take the fingerprint at the moment a derived artifact
 //     is requested, not earlier. Asking again at the same generation
@@ -679,23 +685,22 @@ func (t *Tree) fingerprint() uint64 {
 			h *= prime
 		}
 	}
-	mix(uint64(len(t.nodes)))
-	for i := range t.nodes {
-		n := &t.nodes[i]
+	mix(uint64(t.N()))
+	for i, name := range t.names {
 		// Length-prefix the name so its bytes cannot be confused with
 		// the fixed-width fields that follow: without it, shifting
 		// bytes between a name and the adjacent mixed fields (or an
 		// adjacent name) can produce the same byte stream for two
 		// different circuits — a cache-poisoning hazard for consumers
 		// that share derived artifacts by fingerprint.
-		mix(uint64(len(n.name)))
-		for j := 0; j < len(n.name); j++ {
-			h ^= uint64(n.name[j])
+		mix(uint64(len(name)))
+		for j := 0; j < len(name); j++ {
+			h ^= uint64(name[j])
 			h *= prime
 		}
-		mix(uint64(n.parent) + 1) // +1 keeps Source (-1) distinct cheaply
-		mix(math.Float64bits(n.r))
-		mix(math.Float64bits(n.c))
+		mix(uint64(t.parent[i]) + 1) // +1 keeps Source (-1) distinct cheaply
+		mix(math.Float64bits(t.r[i]))
+		mix(math.Float64bits(t.c[i]))
 	}
 	return h
 }
@@ -712,16 +717,16 @@ func (t *Tree) SortedNames() []string {
 // used by lumping code that deposits pi-section half-capacitances onto
 // existing vertices. c must be nonnegative and finite.
 func (b *Builder) AddCap(node int, c float64) error {
-	if node < 0 || node >= len(b.nodes) {
-		err := fmt.Errorf("rctree: AddCap: node index %d out of range [0,%d)", node, len(b.nodes))
+	if node < 0 || node >= len(b.parent) {
+		err := fmt.Errorf("rctree: AddCap: node index %d out of range [0,%d)", node, len(b.parent))
 		b.fail(err)
 		return err
 	}
 	if err := checkC(c); err != nil {
-		err = fmt.Errorf("rctree: AddCap node %q: %w", b.nodes[node].name, err)
+		err = fmt.Errorf("rctree: AddCap node %q: %w", b.names[node], err)
 		b.fail(err)
 		return err
 	}
-	b.nodes[node].c += c
+	b.c[node] += c
 	return nil
 }

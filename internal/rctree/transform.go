@@ -73,8 +73,8 @@ func (t *Tree) Simplify() (*Tree, error) {
 // are validated before any is applied, so on error the tree is
 // unchanged. Unlike a SetR/SetC loop, the whole edit validates once per
 // node with no per-call error wrapping and bumps the modification
-// generation exactly once, so compiled plans and fingerprints are
-// invalidated once per scale instead of 2N times.
+// generation exactly once, so fingerprints are invalidated once per
+// scale instead of 2N times.
 func (t *Tree) ScaleValues(rFactor, cFactor float64) error {
 	if err := checkR(rFactor); err != nil {
 		return fmt.Errorf("rctree: ScaleValues rFactor: %w", err)
@@ -82,17 +82,17 @@ func (t *Tree) ScaleValues(rFactor, cFactor float64) error {
 	if err := checkR(cFactor); err != nil {
 		return fmt.Errorf("rctree: ScaleValues cFactor: %w", err)
 	}
-	for i := range t.nodes {
-		if err := checkR(t.nodes[i].r * rFactor); err != nil {
-			return fmt.Errorf("rctree: node %q: %w", t.nodes[i].name, err)
+	for i := range t.r {
+		if err := checkR(t.r[i] * rFactor); err != nil {
+			return fmt.Errorf("rctree: node %q: %w", t.names[i], err)
 		}
-		if err := checkC(t.nodes[i].c * cFactor); err != nil {
-			return fmt.Errorf("rctree: node %q: %w", t.nodes[i].name, err)
+		if err := checkC(t.c[i] * cFactor); err != nil {
+			return fmt.Errorf("rctree: node %q: %w", t.names[i], err)
 		}
 	}
-	for i := range t.nodes {
-		t.nodes[i].r *= rFactor
-		t.nodes[i].c *= cFactor
+	for i := range t.r {
+		t.r[i] *= rFactor
+		t.c[i] *= cFactor
 	}
 	t.gen.Add(1)
 	return nil
@@ -110,23 +110,29 @@ func (t *Tree) Scaled(rFactor, cFactor float64) (*Tree, error) {
 }
 
 // MaxDepth returns the largest resistor count on any source-to-node
-// path.
+// path. One ascending sweep sets each node's depth from its parent's.
 func (t *Tree) MaxDepth() int {
-	max := 0
-	for i := range t.nodes {
-		if d := t.nodes[i].depth; d > max {
+	depth := make([]int32, t.N())
+	var max int32
+	for i, p := range t.parent {
+		d := int32(1)
+		if p != Source {
+			d = depth[p] + 1
+		}
+		depth[i] = d
+		if d > max {
 			max = d
 		}
 	}
-	return max
+	return int(max)
 }
 
 // MaxFanout returns the largest child count of any node (root fanout
 // from the source counts too).
 func (t *Tree) MaxFanout() int {
 	max := len(t.Roots())
-	for i := range t.nodes {
-		if f := len(t.nodes[i].children); f > max {
+	for i := range t.parent {
+		if f := int(t.kidStart[i+1] - t.kidStart[i]); f > max {
 			max = f
 		}
 	}

@@ -13,11 +13,10 @@ import (
 // stepper advances the per-row θ-method by one fixed step; it owns the
 // assembled matrices for one step size and can be rebuilt cheaply
 // (O(N)) when the step changes — the property that makes adaptive
-// stepping on trees inexpensive. All state vectors are in compiled
-// index order.
+// stepping on trees inexpensive. All state vectors are node-indexed.
 type stepper struct {
 	tree    *rctree.Tree
-	cpl     *rctree.Compiled
+	lay     rctree.Arrays
 	in      signal.Signal
 	theta   []float64
 	omTheta []float64
@@ -39,11 +38,11 @@ func newStepper(t *rctree.Tree, in signal.Signal, method Method) (*stepper, erro
 	default:
 		return nil, fmt.Errorf("sim: unknown method %v", method)
 	}
-	cpl := rctree.Compile(t)
-	n := cpl.N()
+	lay := t.Arrays()
+	n := t.N()
 	s := &stepper{
 		tree:      t,
-		cpl:       cpl,
+		lay:       lay,
 		in:        in,
 		theta:     make([]float64, n),
 		omTheta:   make([]float64, n),
@@ -54,14 +53,14 @@ func newStepper(t *rctree.Tree, in signal.Signal, method Method) (*stepper, erro
 		rowParent: make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
-		if cpl.C[i] == 0 {
+		if lay.C[i] == 0 {
 			s.theta[i] = 1
 		} else {
 			s.theta[i] = aMethod
 		}
 		s.omTheta[i] = 1 - s.theta[i]
-		s.g[i] = 1 / cpl.R[i]
-		if cpl.Parent[i] == rctree.Source {
+		s.g[i] = 1 / lay.R[i]
+		if lay.Parent[i] == rctree.Source {
 			s.bvec[i] = s.g[i]
 		}
 	}
@@ -70,38 +69,34 @@ func newStepper(t *rctree.Tree, in signal.Signal, method Method) (*stepper, erro
 
 // refactor assembles and factors the system matrix for step size dt.
 func (s *stepper) refactor(dt float64) error {
-	n := s.cpl.N()
-	cOverDt := s.diag // reuse: stampCompiled overwrites diag anyway
-	c := s.cpl.C
-	for i := 0; i < n; i++ {
-		cOverDt[i] = c[i] / dt
+	cOverDt := s.diag // reuse: stampTree overwrites diag anyway
+	for i, c := range s.lay.C {
+		cOverDt[i] = c / dt
 	}
-	// cOverDt aliases diag; stampCompiled reads cOverDt[i] before
-	// writing diag[i], and only at the same index, so the alias is safe.
-	stampCompiled(s.cpl, s.theta, s.g, cOverDt, s.diag, s.rowChild, s.rowParent)
-	f, err := factorCompiled(s.cpl, s.diag, s.rowChild, s.rowParent, s.tree.Name)
+	// cOverDt aliases diag; stampTree reads cOverDt[i] before writing
+	// diag[i], and only at the same index, so the alias is safe.
+	stampTree(s.lay, s.theta, s.g, cOverDt, s.diag, s.rowChild, s.rowParent)
+	f, err := factorTree(s.lay, s.diag, s.rowChild, s.rowParent, s.tree.Name)
 	if err != nil {
 		return err
 	}
-	// factorCompiled retains rowChild; detach it so the next refactor
-	// does not scribble over the factorization still in use.
-	s.rowChild = make([]float64, n)
+	// factorTree retains rowChild; detach it so the next refactor does
+	// not scribble over the factorization still in use.
+	s.rowChild = make([]float64, len(s.rowChild))
 	s.f = f
 	s.dt = dt
 	return nil
 }
 
-// step advances v (compiled order) from tPrev by the factored dt; out
-// receives the new state. v and out must be distinct slices.
+// step advances v from tPrev by the factored dt; out receives the new
+// state. v and out must be distinct slices.
 func (s *stepper) step(v, out []float64, tPrev float64) {
-	cpl := s.cpl
-	n := cpl.N()
-	cs, par, c := cpl.ChildStart, cpl.Parent, cpl.C
+	ks, kids, par, c := s.lay.KidStart, s.lay.Kids, s.lay.Parent, s.lay.C
 	g, bvec, theta, omTheta := s.g, s.bvec, s.theta, s.omTheta
 	uPrev := s.in.Eval(tPrev)
 	uCur := s.in.Eval(tPrev + s.dt)
 	dt := s.dt
-	for i := 0; i < n; i++ {
+	for i := range par {
 		var cur float64
 		if pa := par[i]; pa != rctree.Source {
 			cur = g[i] * (v[i] - v[pa])
@@ -109,7 +104,7 @@ func (s *stepper) step(v, out []float64, tPrev float64) {
 			cur = g[i] * v[i]
 		}
 		gv := cur
-		for ch := cs[i]; ch < cs[i+1]; ch++ {
+		for _, ch := range kids[ks[i]:ks[i+1]] {
 			gv -= g[ch] * (v[ch] - v[i])
 		}
 		uTerm := theta[i]*uCur + omTheta[i]*uPrev
@@ -167,7 +162,6 @@ func RunAdaptiveContext(ctx context.Context, t *rctree.Tree, opts Options, tol f
 	if err != nil {
 		return nil, err
 	}
-	fromUser := st.cpl.FromUser
 
 	probes := opts.Probes
 	if len(probes) == 0 {
@@ -177,24 +171,21 @@ func RunAdaptiveContext(ctx context.Context, t *rctree.Tree, opts Options, tol f
 		}
 	}
 	res := &Result{probes: make(map[int]int, len(probes)), values: make([][]float64, len(probes))}
-	src := make([]int32, len(probes)) // row -> compiled index
 	for row, node := range probes {
 		if node < 0 || node >= n {
 			return nil, fmt.Errorf("sim: probe index %d out of range [0,%d)", node, n)
 		}
 		res.probes[node] = row
-		src[row] = fromUser[node]
 	}
 
-	// State vectors live in compiled order; probes read through src.
 	v := make([]float64, n)
 	full := make([]float64, n)
 	half := make([]float64, n)
 	half2 := make([]float64, n)
 	record := func(tm float64) {
 		res.Times = append(res.Times, tm)
-		for row := range probes {
-			res.values[row] = append(res.values[row], v[src[row]])
+		for row, node := range probes {
+			res.values[row] = append(res.values[row], v[node])
 		}
 	}
 	record(0)

@@ -9,8 +9,7 @@ import (
 	"elmore/internal/topo"
 )
 
-// The compiled tree solver must match a dense LU solve on the same
-// matrix, through the user->compiled permutation and back.
+// The tree solver must match a dense LU solve on the same matrix.
 func TestTreeLUMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 30; trial++ {
@@ -40,26 +39,15 @@ func TestTreeLUMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: dense solve: %v", trial, err)
 		}
-		// Permute the user-indexed system into compiled order.
-		cp := rctree.Compile(tree)
-		diagC := make([]float64, n)
-		offdC := make([]float64, n)
-		rhsC := make([]float64, n)
-		for ci := 0; ci < n; ci++ {
-			ui := cp.ToUser[ci]
-			diagC[ci] = diag[ui]
-			offdC[ci] = offd[ui]
-			rhsC[ci] = rhs[ui]
-		}
-		f, err := factorCompiled(cp, diagC, offdC, offdC, tree.Name)
+		f, err := factorTree(tree.Arrays(), diag, offd, offd, tree.Name)
 		if err != nil {
-			t.Fatalf("trial %d: factorCompiled: %v", trial, err)
+			t.Fatalf("trial %d: factorTree: %v", trial, err)
 		}
-		got := append([]float64(nil), rhsC...)
+		got := append([]float64(nil), rhs...)
 		f.solve(got)
 		for i := range want {
-			if !approx(got[cp.FromUser[i]], want[i], 1e-8) {
-				t.Fatalf("trial %d: x[%d] = %v, want %v", trial, i, got[cp.FromUser[i]], want[i])
+			if !approx(got[i], want[i], 1e-8) {
+				t.Fatalf("trial %d: x[%d] = %v, want %v", trial, i, got[i], want[i])
 			}
 		}
 	}
@@ -69,9 +57,7 @@ func TestTreeLUMatchesDense(t *testing.T) {
 // name: the first bad pivot the children-first elimination meets.
 func TestFactorRejectsBadPivot(t *testing.T) {
 	tree := topo.Chain(4, 1, 1e-15)
-	cp := rctree.Compile(tree)
-	n := cp.N()
-	offd := make([]float64, n)
+	offd := make([]float64, tree.N())
 	for _, tc := range []struct {
 		name string
 		diag []float64
@@ -79,12 +65,12 @@ func TestFactorRejectsBadPivot(t *testing.T) {
 	}{
 		// Every pivot negative: the deepest node is eliminated first.
 		{"all", []float64{-1, -1, -1, -1}, `sim: non-positive pivot -1 at node "n4"`},
-		// One bad pivot mid-chain, at compiled index 2.
+		// One bad pivot mid-chain, at index 2.
 		{"mid", []float64{1, 1, -1, 1}, `sim: non-positive pivot -1 at node "n3"`},
 	} {
-		_, err := factorCompiled(cp, tc.diag, offd, offd, tree.Name)
+		_, err := factorTree(tree.Arrays(), tc.diag, offd, offd, tree.Name)
 		if err == nil {
-			t.Fatalf("%s: factorCompiled accepted a negative diagonal", tc.name)
+			t.Fatalf("%s: factorTree accepted a negative diagonal", tc.name)
 		}
 		if err.Error() != tc.want {
 			t.Fatalf("%s: error %q, want %q", tc.name, err, tc.want)

@@ -6,74 +6,73 @@ import (
 
 	"elmore/internal/faultinject"
 	"elmore/internal/health"
+	"elmore/internal/moments"
 	"elmore/internal/rctree"
 	"elmore/internal/signal"
 	"elmore/internal/telemetry"
 )
 
 // treeLU is the zero-fill-in LU factorization of a (possibly
-// asymmetric) matrix with the tree's sparsity, in compiled index
-// space: a diagonal plus, for every node i with parent p, the entries
-// M[i][p] (rowChild) and M[p][i] (rowParent). Eliminating children
-// before parents touches only the parent's diagonal, so there is no
-// fill-in and no pivoting — safe for the diagonally dominant
-// M-matrices produced by MNA stamping. Each pass is one loop over the
-// compiled arrays: elimination and forward substitution descend
-// (children first), back substitution ascends (parents first).
+// asymmetric) matrix with the tree's sparsity, in tree index order: a
+// diagonal plus, for every node i with parent p, the entries M[i][p]
+// (rowChild) and M[p][i] (rowParent). Eliminating children before
+// parents touches only the parent's diagonal, so there is no fill-in
+// and no pivoting — safe for the diagonally dominant M-matrices
+// produced by MNA stamping. Each pass is one loop over the tree's
+// arrays: elimination and forward substitution descend (children
+// first), back substitution ascends (parents first).
 type treeLU struct {
-	cpl  *rctree.Compiled
+	lay  rctree.Arrays
 	dinv []float64 // reciprocal pivots (back substitution multiplies)
 	mult []float64 // per-child multiplier: M[p][i] / pivot(i)
 	cp   []float64 // original M[i][parent] entries
 }
 
-// factorCompiled eliminates in children-before-parents order. diag,
-// rowChild and rowParent are compiled-indexed; rowChild is retained by
-// the returned factorization (not copied). name resolves a user node
-// index to its name for the pivot error message, which names the
+// factorTree eliminates in children-before-parents order. rowChild is
+// retained by the returned factorization (not copied). name resolves a
+// node index to its name for the pivot error message, which names the
 // first non-positive pivot the elimination meets.
-func factorCompiled(cpl *rctree.Compiled, diag, rowChild, rowParent []float64, name func(int) string) (*treeLU, error) {
-	n := cpl.N()
+func factorTree(lay rctree.Arrays, diag, rowChild, rowParent []float64, name func(int) string) (*treeLU, error) {
+	n := len(lay.Parent)
 	f := &treeLU{
-		cpl:  cpl,
+		lay:  lay,
 		dinv: make([]float64, n),
 		mult: make([]float64, n),
 		cp:   rowChild,
 	}
-	cs := cpl.ChildStart
+	ks, kids := lay.KidStart, lay.Kids
 	for i := n - 1; i >= 0; i-- {
 		d := diag[i]
-		for ch := cs[i]; ch < cs[i+1]; ch++ {
+		for _, ch := range kids[ks[i]:ks[i+1]] {
 			d -= f.mult[ch] * rowChild[ch]
 		}
 		if d <= 0 {
-			return nil, fmt.Errorf("sim: non-positive pivot %g at node %q",
-				d, name(int(cpl.ToUser[i])))
+			return nil, fmt.Errorf("sim: non-positive pivot %g at node %q", d, name(i))
 		}
 		f.dinv[i] = 1 / d
-		if cpl.Parent[i] != rctree.Source {
+		if lay.Parent[i] != rctree.Source {
 			f.mult[i] = rowParent[i] / d
 		}
 	}
 	return f, nil
 }
 
-// solve solves M x = rhs in place (rhs is overwritten with x), in
-// compiled index space, allocating nothing.
+// solve solves M x = rhs in place (rhs is overwritten with x),
+// allocating nothing.
 func (f *treeLU) solve(rhs []float64) {
 	f.forward(rhs, rhs)
 	f.backward(rhs)
 }
 
 // forward performs elimination (children before parents), iterating
-// descending over the compiled indices. dst receives the eliminated
+// descending over the node indices. dst receives the eliminated
 // vector; src supplies the raw RHS (dst and src may alias for an
 // in-place solve — each slot is read before it is written).
 func (f *treeLU) forward(dst, src []float64) {
-	cs := f.cpl.ChildStart
-	for i := f.cpl.N() - 1; i >= 0; i-- {
+	ks, kids := f.lay.KidStart, f.lay.Kids
+	for i := len(dst) - 1; i >= 0; i-- {
 		x := src[i]
-		for ch := cs[i]; ch < cs[i+1]; ch++ {
+		for _, ch := range kids[ks[i]:ks[i+1]] {
 			x -= f.mult[ch] * dst[ch]
 		}
 		dst[i] = x
@@ -81,10 +80,10 @@ func (f *treeLU) forward(dst, src []float64) {
 }
 
 // backward performs back substitution (parents before children),
-// iterating ascending over the compiled indices: each child row still
+// iterating ascending over the node indices: each child row still
 // couples to its parent's already-computed solution.
 func (f *treeLU) backward(rhs []float64) {
-	par := f.cpl.Parent
+	par := f.lay.Parent
 	for i := range par {
 		x := rhs[i]
 		if p := par[i]; p != rctree.Source {
@@ -94,14 +93,13 @@ func (f *treeLU) backward(rhs []float64) {
 	}
 }
 
-// stampCompiled assembles the tree-sparse θ-method system matrix for
-// one step size into diag/rowChild/rowParent (compiled-indexed).
-func stampCompiled(cpl *rctree.Compiled, theta, g, cOverDt, diag, rowChild, rowParent []float64) {
-	cs := cpl.ChildStart
-	par := cpl.Parent
+// stampTree assembles the tree-sparse θ-method system matrix for one
+// step size into diag/rowChild/rowParent.
+func stampTree(lay rctree.Arrays, theta, g, cOverDt, diag, rowChild, rowParent []float64) {
+	ks, kids, par := lay.KidStart, lay.Kids, lay.Parent
 	for i := range par {
 		d := cOverDt[i] + theta[i]*g[i]
-		for ch := cs[i]; ch < cs[i+1]; ch++ {
+		for _, ch := range kids[ks[i]:ks[i+1]] {
 			d += theta[i] * g[ch]
 		}
 		diag[i] = d
@@ -120,11 +118,10 @@ type PlanOptions struct {
 	Method Method
 }
 
-// Plan is a reusable transient-simulation plan: the tree compiled to
-// the structure-of-arrays layout, the MNA system stamped, and the
-// zero-fill-in LU factorization computed, once, for a fixed
-// (tree, DT, Method) triple. A Plan is immutable after NewPlan and
-// safe to share between goroutines; each goroutine obtains its own
+// Plan is a reusable transient-simulation plan: the MNA system
+// stamped and the zero-fill-in LU factorization computed, once, for a
+// fixed (tree, DT, Method) triple. A Plan is immutable after NewPlan
+// and safe to share between goroutines; each goroutine obtains its own
 // Runner (mutable workspaces) and executes any number of inputs and
 // probe sets with zero steady-state allocations.
 //
@@ -133,7 +130,6 @@ type PlanOptions struct {
 // not propagate into the plan — build a new Plan after mutating.
 type Plan struct {
 	tree   *rctree.Tree
-	cp     *rctree.Compiled
 	method Method
 	dt     float64
 
@@ -144,17 +140,16 @@ type Plan struct {
 	// ratio = (1-θ)/θ and scale = (C/dt)(1+ratio). Rows with θ = 1
 	// (backward Euler, algebraic C = 0 rows) have ratio 0 and the
 	// recurrence degenerates to the direct stamp.
-	scale    []float64 // (C/dt)(1+ratio), compiled order
+	scale    []float64 // (C/dt)(1+ratio)
 	ratio    []float64 // (1-θ)/θ
 	bTheta   []float64 // θ·g source coupling (roots only)
 	bOmTheta []float64 // (1-θ)·g source coupling (roots only)
-	rootEnd  int       // roots occupy compiled indices [0, rootEnd)
 	lu       *treeLU
 
 	maxTD float64 // largest Elmore delay, for horizon estimation
 }
 
-// NewPlan compiles, stamps, and factors a transient plan for the tree.
+// NewPlan stamps and factors a transient plan for the tree.
 func NewPlan(t *rctree.Tree, opts PlanOptions) (*Plan, error) {
 	if err := faultinject.Fire("sim.factor"); err != nil {
 		return nil, err
@@ -172,11 +167,10 @@ func NewPlan(t *rctree.Tree, opts PlanOptions) (*Plan, error) {
 	default:
 		return nil, fmt.Errorf("sim: unknown method %v", opts.Method)
 	}
-	cp := rctree.Compile(t)
-	n := cp.N()
+	lay := t.Arrays()
+	n := t.N()
 	p := &Plan{
 		tree:     t,
-		cp:       cp,
 		method:   opts.Method,
 		dt:       dt,
 		scale:    make([]float64, n),
@@ -192,59 +186,41 @@ func NewPlan(t *rctree.Tree, opts PlanOptions) (*Plan, error) {
 	g := make([]float64, n)
 	cOverDt := make([]float64, n)
 	for i := 0; i < n; i++ {
-		if cp.C[i] == 0 {
+		if lay.C[i] == 0 {
 			theta[i] = 1
 		} else {
 			theta[i] = aMethod
 		}
-		g[i] = 1 / cp.R[i]
-		cOverDt[i] = cp.C[i] / dt
+		g[i] = 1 / lay.R[i]
+		cOverDt[i] = lay.C[i] / dt
 		p.ratio[i] = (1 - theta[i]) / theta[i]
 		p.scale[i] = cOverDt[i] * (1 + p.ratio[i])
-		if cp.Parent[i] == rctree.Source {
+		if lay.Parent[i] == rctree.Source {
 			p.bTheta[i] = theta[i] * g[i]
 			p.bOmTheta[i] = (1 - theta[i]) * g[i]
-			if i >= p.rootEnd {
-				p.rootEnd = i + 1
-			}
 		}
 	}
 	diag := make([]float64, n)
 	rowChild := make([]float64, n)
 	rowParent := make([]float64, n)
-	stampCompiled(cp, theta, g, cOverDt, diag, rowChild, rowParent)
-	lu, err := factorCompiled(cp, diag, rowChild, rowParent, t.Name)
+	stampTree(lay, theta, g, cOverDt, diag, rowChild, rowParent)
+	lu, err := factorTree(lay, diag, rowChild, rowParent, t.Name)
 	if err != nil {
 		return nil, err
 	}
 	p.lu = lu
-	p.maxTD = maxElmore(cp)
+	p.maxTD = maxElmore(t)
 	telemetry.C("sim.plans").Inc()
 	telemetry.C("sim.lu_factorizations").Inc()
 	return p, nil
 }
 
-// maxElmore computes the largest Elmore delay on the compiled arrays.
-func maxElmore(cp *rctree.Compiled) float64 {
-	n := cp.N()
-	down := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		d := cp.C[i]
-		for ch := cp.ChildStart[i]; ch < cp.ChildStart[i+1]; ch++ {
-			d += down[ch]
-		}
-		down[i] = d
-	}
+// maxElmore returns the largest Elmore delay in the tree.
+func maxElmore(t *rctree.Tree) float64 {
 	maxTD := 0.0
-	td := down // td[i] overwrites down[i] only after it is consumed
-	for i := 0; i < n; i++ {
-		a := cp.R[i] * down[i]
-		if p := cp.Parent[i]; p != rctree.Source {
-			a += td[p]
-		}
-		td[i] = a
-		if a > maxTD {
-			maxTD = a
+	for _, td := range moments.ElmoreDelays(t) {
+		if td > maxTD {
+			maxTD = td
 		}
 	}
 	return maxTD
@@ -256,7 +232,7 @@ func (p *Plan) DT() float64 { return p.dt }
 // Method returns the integration method the plan was stamped with.
 func (p *Plan) Method() Method { return p.method }
 
-// Tree returns the tree the plan was compiled from.
+// Tree returns the tree the plan was built from.
 func (p *Plan) Tree() *rctree.Tree { return p.tree }
 
 // Horizon estimates a settling horizon for the planned tree under the
@@ -273,8 +249,8 @@ func (p *Plan) Horizon(in signal.Signal) float64 {
 type RunOptions struct {
 	// TEnd is the simulation horizon. If <= 0, Horizon(input) is used.
 	TEnd float64
-	// Probes lists the node indices (user indices of the planned tree)
-	// to record. Empty records all nodes.
+	// Probes lists the node indices of the planned tree to record.
+	// Empty records all nodes.
 	Probes []int
 }
 
@@ -291,14 +267,14 @@ func (p *Plan) Run(in signal.Signal, opts RunOptions) (*Result, error) {
 // the same Plan concurrently; a single Runner must not.
 type Runner struct {
 	plan *Plan
-	v    []float64 // current node voltages (compiled order)
+	v    []float64 // current node voltages
 	rhs  []float64 // stamped RHS of the step just solved (recurrence state)
 	x    []float64 // solve workspace; becomes the next voltages
 }
 
 // Runner returns a new runner for the plan.
 func (p *Plan) Runner() *Runner {
-	n := p.cp.N()
+	n := p.tree.N()
 	return &Runner{
 		plan: p,
 		v:    make([]float64, n),
@@ -351,9 +327,7 @@ func (r *Runner) RunInto(in signal.Signal, opts RunOptions, res *Result) error {
 		return fmt.Errorf("sim: horizon %v shorter than step %v", tEnd, p.dt)
 	}
 
-	cp := p.cp
-	n := cp.N()
-	if err := res.reset(opts.Probes, n, steps, cp.FromUser); err != nil {
+	if err := res.reset(opts.Probes, p.tree.N(), steps); err != nil {
 		return err
 	}
 
@@ -379,7 +353,7 @@ func (r *Runner) RunInto(in signal.Signal, opts RunOptions, res *Result) error {
 		uCur := in.Eval(float64(step) * dt)
 		r.stamp()
 		// Source coupling enters only at the root rows.
-		for i := 0; i < p.rootEnd; i++ {
+		for _, i := range p.tree.Roots() {
 			r.rhs[i] += p.bTheta[i]*uCur + p.bOmTheta[i]*uPrev
 		}
 		p.lu.forward(r.x, r.rhs)
@@ -418,23 +392,19 @@ func (r *Runner) checkFinalState() error {
 	if bad == 0 {
 		return nil
 	}
-	p := r.plan
-	t := p.Tree()
-	user := int(p.cp.ToUser[first])
+	t := r.plan.Tree()
 	return health.Violate(health.Event{
 		Check:  "sim.nonfinite_state",
 		Tree:   health.TreeLabel(t.N(), t.Fingerprint()),
-		Node:   t.Name(user),
+		Node:   t.Name(first),
 		Detail: fmt.Sprintf("%d non-finite node voltages in the final state", bad),
 		Values: map[string]health.F{"v": health.F(r.v[first])},
 	})
 }
 
 // reset prepares the result for steps+1 samples of the given probes
-// (user indices; nil means all n nodes), reusing buffers where
-// possible. fromUser maps each probe to the compiled index record()
-// reads from.
-func (res *Result) reset(probes []int, n, steps int, fromUser []int32) error {
+// (nil means all n nodes), reusing buffers where possible.
+func (res *Result) reset(probes []int, n, steps int) error {
 	rows := len(probes)
 	if rows == 0 {
 		rows = n
@@ -477,7 +447,7 @@ func (res *Result) reset(probes []int, n, steps int, fromUser []int32) error {
 			return fmt.Errorf("sim: probe index %d out of range [0,%d)", node, n)
 		}
 		res.probes[node] = row
-		res.srcRow[row] = fromUser[node]
+		res.srcRow[row] = int32(node)
 		if cap(res.values[row]) >= steps+1 {
 			res.values[row] = res.values[row][:steps+1]
 		} else {
@@ -487,8 +457,8 @@ func (res *Result) reset(probes []int, n, steps int, fromUser []int32) error {
 	return nil
 }
 
-// record samples the state vector (compiled order) into every probe
-// row at the given step.
+// record samples the state vector into every probe row at the given
+// step.
 func (res *Result) record(step int, v []float64) {
 	for row, src := range res.srcRow {
 		res.values[row][step] = v[src]

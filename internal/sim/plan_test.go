@@ -9,9 +9,8 @@ import (
 	"elmore/internal/topo"
 )
 
-// A plan run must reproduce sim.Run exactly: Run is now a one-shot
-// plan execution, and the compiled kernels are bit-identical to the
-// historical user-order sweeps.
+// A plan run must reproduce sim.Run exactly: Run is a one-shot plan
+// execution.
 func TestPlanMatchesRun(t *testing.T) {
 	trees := map[string]*rctree.Tree{
 		"fig1":     topo.Fig1Tree(),

@@ -1,10 +1,11 @@
 // Package sim is a transient circuit simulator for RC trees: an MNA
 // (modified nodal analysis) formulation integrated with the trapezoidal
 // rule or backward Euler. The linear solve exploits the tree topology —
-// eliminating in post-order produces zero fill-in, so every time step
-// costs O(N). It scales to hundreds of thousands of nodes and serves as
-// a ground truth that is independent of the eigen-decomposition engine
-// in package exact (different formulation, different numerics).
+// eliminating children before parents produces zero fill-in, so every
+// time step costs O(N). It scales to hundreds of thousands of nodes and
+// serves as a ground truth that is independent of the
+// eigen-decomposition engine in package exact (different formulation,
+// different numerics).
 //
 // Nodes with zero capacitance (pure resistive junctions) contribute
 // algebraic rows to the system. The trapezoidal rule is only marginally
@@ -12,11 +13,11 @@
 // always integrated with the backward-Euler weight — a per-row
 // θ-method. Rows with capacitance use the selected method.
 //
-// All kernels run on the compiled structure-of-arrays plan from
-// rctree.Compile. One-shot runs go through Run; repeated runs over the
-// same tree and step (characterization sweeps, batch verification)
-// should build a Plan once and execute it many times — see Plan,
-// Runner, and Runner.RunInto for the zero-allocation path.
+// All kernels sweep the tree's own arrays (rctree.Tree.Arrays), whose
+// index order is topological. One-shot runs go through Run; repeated
+// runs over the same tree and step (characterization sweeps, batch
+// verification) should build a Plan once and execute it many times —
+// see Plan, Runner, and Runner.RunInto for the zero-allocation path.
 package sim
 
 import (
@@ -73,7 +74,7 @@ type Result struct {
 	Times  []float64
 	probes map[int]int          // node index -> row in values
 	values [][]float64          // values[row][step]
-	srcRow []int32              // row -> compiled index sampled by plan runs
+	srcRow []int32              // row -> node index sampled by plan runs
 	wfs    []*waveform.Waveform // row -> lazily built waveform (Cross cache)
 }
 
@@ -155,7 +156,7 @@ func Run(t *rctree.Tree, opts Options) (*Result, error) {
 // and step/factorization counts and the horizon flow into the metrics
 // registry. With telemetry disabled the overhead is a few nil checks.
 //
-// RunContext builds a one-shot Plan (compile + stamp + factor) and
+// RunContext builds a one-shot Plan (stamp + factor) and
 // executes it. Callers that simulate the same tree with the same step
 // repeatedly should hold a Plan instead and amortize that setup.
 func RunContext(ctx context.Context, t *rctree.Tree, opts Options) (*Result, error) {
@@ -203,5 +204,5 @@ var stepsBuckets = []float64{16, 64, 256, 1024, 4096, 16384, 65536}
 // Elmore delay (a conservative multiple of the dominant time constant)
 // plus the input rise time.
 func defaultHorizon(t *rctree.Tree, in signal.Signal) float64 {
-	return 10*maxElmore(rctree.Compile(t)) + 2*in.RiseTime()
+	return 10*maxElmore(t) + 2*in.RiseTime()
 }

@@ -20,7 +20,7 @@ var standardHelp = map[string]string{
 	"moments.computes":                  "Full moment-set computations (cache misses end up here).",
 	"moments.traversals":                "Tree traversals performed by the moment engine.",
 	"moments.node_visits":               "Node visits across all moment traversals.",
-	"incremental.binds":                 "Incremental engines bound to a compiled tree.",
+	"incremental.binds":                 "Incremental engines bound to a tree.",
 	"incremental.sets":                  "SetR/SetC delta updates applied to incremental engines.",
 	"incremental.reverts":               "Incremental delta batches rolled back.",
 	"incremental.commits":               "Incremental delta batches committed.",
@@ -28,7 +28,7 @@ var standardHelp = map[string]string{
 	"incremental.nodes_touched":         "Nodes recomputed by incremental flushes.",
 	"sim.runs":                          "Fixed-step transient simulations run.",
 	"sim.plan_runs":                     "Reusable-plan transient simulations run.",
-	"sim.plans":                         "Transient simulation plans compiled (stamp+factor).",
+	"sim.plans":                         "Transient simulation plans built (stamp+factor).",
 	"sim.adaptive_runs":                 "Adaptive-step transient simulations run.",
 	"sim.adaptive_rejections":           "Adaptive steps rejected by the local error control.",
 	"sim.steps":                         "Transient integration steps taken across all simulators.",
@@ -52,8 +52,8 @@ var standardHelp = map[string]string{
 	"batch.reorder_stalls":              "Times the emitter stalled waiting for an out-of-order result.",
 	"batch.cache_hits":                  "Moment-cache hits in the batch engine.",
 	"batch.cache_misses":                "Moment-cache misses in the batch engine.",
-	"batch.plan_cache_hits":             "Compiled-plan cache hits in the batch engine.",
-	"batch.plan_cache_misses":           "Compiled-plan cache misses in the batch engine.",
+	"batch.plan_cache_hits":             "Transient-simulation plan cache hits in the batch engine.",
+	"batch.plan_cache_misses":           "Transient-simulation plan cache misses in the batch engine.",
 	"batch.hot_tree_hits":               "Batch net loads served from the run's tree cache without re-parsing.",
 	"batch.hot_tree_misses":             "Batch net loads that parsed a tree before caching it for the run.",
 	"batch.hot_tree_evictions":          "Trees evicted from a batch run's bounded tree cache.",
