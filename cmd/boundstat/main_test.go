@@ -133,4 +133,21 @@ func TestBatchModeFailSoftExit(t *testing.T) {
 	if _, err := runCLI(t, "-jobs", filepath.Join(dir, "absent.ndjson")); err == nil {
 		t.Errorf("missing jobs file should fail")
 	}
+	// T_D = +Inf (the RC product overflows) degrades to an error record
+	// in the writer; that is a failed job too.
+	infPath := filepath.Join(dir, "inf.sp")
+	if err := os.WriteFile(infPath, []byte("Vin in 0 1\nR1 in z 1e200\nC1 z 0 1e200\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := json.Marshal(map[string]string{"id": "inf", "net": infPath})
+	if err := os.WriteFile(jobsPath, spec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err = runCLI(t, "-jobs", jobsPath)
+	if err == nil || !strings.Contains(err.Error(), "1 of 1 jobs failed") {
+		t.Errorf("an unencodable result must fail the run: %v", err)
+	}
+	if !strings.Contains(out, `"error":"batch: encode result: json: unsupported value: +Inf"`) {
+		t.Errorf("missing encode error record:\n%s", out)
+	}
 }

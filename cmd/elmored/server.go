@@ -507,18 +507,20 @@ func (s *server) handleBound(w http.ResponseWriter, r *http.Request) {
 	job := spec.JobLoader(nil, 0, s.load)
 	res := s.requestEngine(deadline).Run(ctx, []batch.Job{job})
 	telemetry.C("serve.jobs").Inc()
-	rec := batch.Record(res[0])
-	failed = res[0].Err != nil && ctx.Err() == nil
-	if res[0].Err != nil {
+	// Encode before the header goes out: a result JSON cannot encode
+	// becomes an error record, answered as a failed job.
+	line, recFailed := batch.AppendResultLine(nil, res[0])
+	failed = recFailed && ctx.Err() == nil
+	if recFailed {
 		telemetry.C("serve.requests_failed").Inc()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	status := http.StatusOK
-	if res[0].Err != nil {
+	if recFailed {
 		status = http.StatusUnprocessableEntity
 	}
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(rec)
+	w.Write(line)
 }
 
 // healthz is the readiness probe: 200 while serving, 503 once draining

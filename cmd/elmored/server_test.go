@@ -144,6 +144,35 @@ func TestBoundOneShot(t *testing.T) {
 	}
 }
 
+// A result JSON cannot encode (T_D = +Inf: the deck's RC product
+// overflows) is an error record: /v1/bound answers it as a failed job
+// instead of a 200 with an empty body, and /v1/analyze counts it in
+// serve_summary.failed.
+func TestUnencodableResultIsFailedJob(t *testing.T) {
+	_, ts := startTestServer(t, testConfig())
+	spec, err := json.Marshal(map[string]any{"id": "inf", "netlist": "Vin in 0 1\nR1 in z 1e200\nC1 z 0 1e200\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantErr = "batch: encode result: json: unsupported value: +Inf"
+	resp, err := http.Post(ts.URL+"/v1/bound", "application/json", strings.NewReader(string(spec)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var rec batch.ResultRecord
+	if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
+		t.Fatalf("status %d, body is not a record: %v", resp.StatusCode, err)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity || rec.ID != "inf" || rec.Error != wantErr {
+		t.Errorf("/v1/bound: status %d, record %+v", resp.StatusCode, rec)
+	}
+	lines, sum, status := analyze(t, ts.URL, string(spec)+"\n", nil)
+	if status != http.StatusOK || len(lines) != 1 || lines[0]["error"] != wantErr || sum.Failed != 1 {
+		t.Errorf("/v1/analyze: status %d, lines %v, summary %+v", status, lines, sum)
+	}
+}
+
 func TestBoundRejectsMalformedSpec(t *testing.T) {
 	_, ts := startTestServer(t, testConfig())
 	resp, err := http.Post(ts.URL+"/v1/bound", "application/json", strings.NewReader(`{"nope":1}`))

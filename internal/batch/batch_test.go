@@ -375,12 +375,57 @@ func TestReadSpecsAndMaterialize(t *testing.T) {
 }
 
 func TestReadSpecsRejectsMalformedLines(t *testing.T) {
-	if _, err := ReadSpecs(strings.NewReader("{\"id\":\"ok\",\"net\":\"a\"}\n{broken\n")); err == nil ||
-		!strings.Contains(err.Error(), "line 2") {
-		t.Errorf("want a line-numbered decode error, got %v", err)
+	const ok = `{"id":"ok","net":"a"}` + "\n"
+	for _, tc := range []struct{ stream, want string }{
+		{ok + "{broken\n", "batch: jobs line 2: "},
+		{`{"id":"x","unknown_field":1}`, `unknown field "unknown_field"`},
+		// Only whitespace may follow the object, whether the line takes
+		// the scanner or the encoding/json path: a second object is
+		// not a second job.
+		{ok + `{"id":"a","net":"x.sp"} {"id":"b","net":"y.sp"}`, "batch: jobs line 2: data after the JSON object"},
+		{`{"id":"a","net":"x.sp"} garbage`, "batch: jobs line 1: data after the JSON object"},
+		{`{"id":"a","net":"x.sp"}}`, "batch: jobs line 1: data after the JSON object"},
+		{`{"id":"p","stages":[{"cell":"inv","net":"a","sink":"z"}]} []`, "batch: jobs line 1: data after the JSON object"},
+		{`{"id":"u\u0041","net":"x.sp"},`, "batch: jobs line 1: data after the JSON object"},
+		{`null {}`, "batch: jobs line 1: data after the JSON object"},
+	} {
+		if _, err := ReadSpecs(strings.NewReader(tc.stream)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: err = %v, want %q", tc.stream, err, tc.want)
+		}
 	}
-	if _, err := ReadSpecs(strings.NewReader(`{"id":"x","unknown_field":1}`)); err == nil {
-		t.Errorf("unknown fields should be rejected")
+	specs, err := ReadSpecs(strings.NewReader("{\"id\":\"a\",\"net\":\"x.sp\"} \t \r\n"))
+	if err != nil || len(specs) != 1 {
+		t.Errorf("trailing whitespace: %d specs, err %v", len(specs), err)
+	}
+}
+
+// readSpecsAllocBudget is ReadSpecs' allocations per line on a
+// batch-corners shaped stream: the line's string and its sinks slice,
+// with the growth of the spec slice amortized; 2 measured, plus one of
+// headroom.
+const readSpecsAllocBudget = 3
+
+func TestReadSpecsAllocs(t *testing.T) {
+	const lines = 300
+	var sb strings.Builder
+	for i := 0; i < lines; i++ {
+		fmt.Fprintf(&sb, `{"id":"net%d/100p","net":"/tmp/bench/nets/net%d.sp","sinks":[`, i/3, i/3)
+		for k := 0; k < 16; k++ {
+			if k > 0 {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(&sb, `"n%d"`, 3*k+1)
+		}
+		sb.WriteString(`],"rise":"100p"}` + "\n")
+	}
+	stream := sb.String()
+	perLine := testing.AllocsPerRun(10, func() {
+		if specs, err := ReadSpecs(strings.NewReader(stream)); err != nil || len(specs) != lines {
+			t.Fatalf("%d specs, err %v", len(specs), err)
+		}
+	}) / lines
+	if perLine > readSpecsAllocBudget {
+		t.Errorf("ReadSpecs = %.2f allocs per line, budget %d", perLine, readSpecsAllocBudget)
 	}
 }
 

@@ -5,12 +5,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"reflect"
+	"strconv"
+	"sync"
+	"unicode/utf8"
 
 	"elmore/internal/faultinject"
 	"elmore/internal/gate"
 	"elmore/internal/health"
 	"elmore/internal/resilience"
-	"elmore/internal/sta"
 	"elmore/internal/telemetry"
 )
 
@@ -101,111 +105,270 @@ type StageRecord struct {
 	ArrivalLB  float64 `json:"arrival_lb"`
 }
 
-// Record converts an engine Result into its NDJSON form.
-func Record(r Result) ResultRecord {
-	rec := ResultRecord{
-		Index:        r.Index,
-		ID:           r.ID,
-		CacheHit:     r.CacheHit,
-		ElapsedNS:    r.Elapsed.Nanoseconds(),
-		Attempts:     r.Attempts,
-		Degraded:     r.Degraded,
-		DegradedFrom: r.DegradedFrom,
-		TraceID:      r.Trace.TraceID(),
-	}
-	if r.Err != nil {
-		rec.Error = r.Err.Error()
-		return rec
-	}
-	if r.Net != nil {
-		for _, s := range r.Net.Sinks {
-			rec.Sinks = append(rec.Sinks, sinkRecord(s))
-		}
-	}
-	if r.Path != nil {
-		p := &PathRecord{ArrivalUB: r.Path.ArrivalUB, ArrivalLB: r.Path.ArrivalLB}
-		for _, st := range r.Path.Stages {
-			p.Stages = append(p.Stages, stageRecord(st))
-		}
-		rec.Path = p
-	}
-	if r.Tran != nil {
-		tr := &TranRecord{Runs: make([]TranRunRecord, 0, len(r.Tran.Runs))}
-		for _, run := range r.Tran.Runs {
-			rr := TranRunRecord{Input: run.Input, Crossings: make([]TranCrossRecord, 0, len(run.Crossings))}
-			for _, c := range run.Crossings {
-				rr.Crossings = append(rr.Crossings, TranCrossRecord{Node: c.Node, Level: c.Level, T: c.T, Reached: c.Reached})
-			}
-			tr.Runs = append(tr.Runs, rr)
-		}
-		rec.Tran = tr
-	}
-	return rec
-}
-
-func sinkRecord(s SinkBounds) SinkRecord {
-	out := SinkRecord{
-		Node:     s.Node,
-		Elmore:   s.Bounds.Elmore,
-		Lower:    s.Bounds.Lower,
-		PRHTmin:  s.Bounds.PRHTmin,
-		PRHTmax:  s.Bounds.PRHTmax,
-		Sigma:    s.Bounds.Sigma,
-		Skewness: s.Bounds.Skewness,
-		RiseTime: s.Bounds.RiseTime,
-	}
-	if s.Input != nil {
-		out.Input = &InputRecord{
-			Upper:       s.Input.Upper,
-			Lower:       s.Input.Lower,
-			OutputSigma: s.Input.OutputSigma,
-			OutputSkew:  s.Input.OutputSkew,
-		}
-	}
-	return out
-}
-
-func stageRecord(st sta.StageResult) StageRecord {
-	return StageRecord{
-		Cell:       st.Cell,
-		Sink:       st.Sink,
-		Ceff:       st.Ceff,
-		GateDelay:  st.GateDelay,
-		OutputSlew: st.OutputSlew,
-		NetElmore:  st.NetElmore,
-		NetLower:   st.NetLower,
-		SinkSlew:   st.SinkSlew,
-		ArrivalUB:  st.ArrivalUB,
-		ArrivalLB:  st.ArrivalLB,
-	}
-}
-
-// WriteResult writes one Result as an NDJSON line. A value the JSON
-// encoder rejects (NaN/Inf should not escape the bound engines, but a
-// batch must not die on one) degrades to an error record for that job.
+// WriteResult writes one Result as an NDJSON line, with one Write. The
+// line is byte for byte what encoding/json writes for the result's
+// ResultRecord, newline included. A value JSON cannot encode (NaN/Inf
+// should not escape the bound engines, but a batch must not die on one)
+// degrades to an error record for that job.
 func WriteResult(w io.Writer, r Result) error {
-	if err := faultinject.Fire("batch.write"); err != nil {
-		return fmt.Errorf("batch: write result %d: %w", r.Index, err)
-	}
-	rec := Record(r)
-	b, err := json.Marshal(rec)
-	if err != nil {
-		b, err = json.Marshal(ResultRecord{Index: rec.Index, ID: rec.ID, ElapsedNS: rec.ElapsedNS,
-			Error: fmt.Sprintf("batch: encode result: %v", err)})
-		if err != nil {
-			return err
-		}
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
+	buf := lineBufs.Get().(*[]byte)
+	defer lineBufs.Put(buf)
+	_, err := writeLine(w, r, buf)
 	return err
 }
+
+// lineBufs holds WriteResult's line buffers; RunSpecsOpts keeps one of
+// its own for the run.
+var lineBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeLine writes r's result line through *buf, which it grows and
+// keeps for the next line. failed reports an error record.
+func writeLine(w io.Writer, r Result, buf *[]byte) (failed bool, err error) {
+	if err := faultinject.Fire("batch.write"); err != nil {
+		return false, fmt.Errorf("batch: write result %d: %w", r.Index, err)
+	}
+	*buf, failed = AppendResultLine((*buf)[:0], r)
+	_, err = w.Write(*buf)
+	return failed, err
+}
+
+// AppendResultLine appends r's NDJSON result line, newline included,
+// to dst and returns the extended slice. A value JSON cannot encode
+// degrades the line to an error record carrying the job's index, id and
+// elapsed time; failed reports an error record, degraded or not.
+func AppendResultLine(dst []byte, r Result) (line []byte, failed bool) {
+	line, err := appendResult(dst, r)
+	if err != nil {
+		line, _ = appendResult(dst, Result{Index: r.Index, ID: r.ID, Elapsed: r.Elapsed,
+			Err: fmt.Errorf("batch: encode result: %v", err)})
+	}
+	return append(line, '\n'), r.Err != nil || err != nil
+}
+
+// appendResult appends r's ResultRecord as json.Marshal writes it:
+// the same fields in the same order under the same omitempty rules, the
+// same number and string text, and for NaN or ±Inf the same error.
+func appendResult(dst []byte, r Result) ([]byte, error) {
+	e := lineEncoder{b: dst}
+	e.int(`{"index":`, int64(r.Index))
+	e.str(`,"id":`, r.ID)
+	if r.Err != nil {
+		e.str(`,"error":`, r.Err.Error())
+	}
+	if r.CacheHit {
+		e.b = append(e.b, `,"cache_hit":true`...)
+	}
+	e.int(`,"elapsed_ns":`, r.Elapsed.Nanoseconds())
+	if r.Attempts != 0 {
+		e.int(`,"attempts":`, int64(r.Attempts))
+	}
+	e.str(`,"degraded":`, r.Degraded)
+	e.str(`,"degraded_from":`, r.DegradedFrom)
+	if r.Trace.Valid() {
+		e.b = append(e.b, `,"trace_id":"`...)
+		e.b = append(r.Trace.AppendTraceID(e.b), '"')
+	}
+	if r.Err != nil {
+		return append(e.b, '}'), nil
+	}
+	if r.Net != nil && len(r.Net.Sinks) > 0 {
+		e.b = append(e.b, `,"sinks":[`...)
+		for k, s := range r.Net.Sinks {
+			if k > 0 {
+				e.b = append(e.b, ',')
+			}
+			e.b = append(e.b, `{"node":`...)
+			e.b = appendString(e.b, s.Node)
+			b := &s.Bounds
+			e.float(`,"elmore":`, b.Elmore)
+			e.float(`,"lower":`, b.Lower)
+			e.float(`,"prh_tmin":`, b.PRHTmin)
+			e.float(`,"prh_tmax":`, b.PRHTmax)
+			e.float(`,"sigma":`, b.Sigma)
+			e.float(`,"skewness":`, b.Skewness)
+			e.float(`,"rise_time":`, b.RiseTime)
+			if in := s.Input; in != nil {
+				e.float(`,"input":{"upper":`, in.Upper)
+				e.float(`,"lower":`, in.Lower)
+				e.float(`,"output_sigma":`, in.OutputSigma)
+				e.float(`,"output_skew":`, in.OutputSkew)
+				e.b = append(e.b, '}')
+			}
+			e.b = append(e.b, '}')
+		}
+		e.b = append(e.b, ']')
+	}
+	if p := r.Path; p != nil {
+		e.float(`,"path":{"arrival_ub":`, p.ArrivalUB)
+		e.float(`,"arrival_lb":`, p.ArrivalLB)
+		if len(p.Stages) == 0 {
+			e.b = append(e.b, `,"stages":null`...)
+		} else {
+			e.b = append(e.b, `,"stages":[`...)
+			for k, st := range p.Stages {
+				if k > 0 {
+					e.b = append(e.b, ',')
+				}
+				e.b = append(e.b, `{"cell":`...)
+				e.b = appendString(e.b, st.Cell)
+				e.b = append(e.b, `,"sink":`...)
+				e.b = appendString(e.b, st.Sink)
+				e.float(`,"ceff":`, st.Ceff)
+				e.float(`,"gate_delay":`, st.GateDelay)
+				e.float(`,"output_slew":`, st.OutputSlew)
+				e.float(`,"net_elmore":`, st.NetElmore)
+				e.float(`,"net_lower":`, st.NetLower)
+				e.float(`,"sink_slew":`, st.SinkSlew)
+				e.float(`,"arrival_ub":`, st.ArrivalUB)
+				e.float(`,"arrival_lb":`, st.ArrivalLB)
+				e.b = append(e.b, '}')
+			}
+			e.b = append(e.b, ']')
+		}
+		e.b = append(e.b, '}')
+	}
+	if tr := r.Tran; tr != nil {
+		e.b = append(e.b, `,"tran":{"runs":[`...)
+		for k, run := range tr.Runs {
+			if k > 0 {
+				e.b = append(e.b, ',')
+			}
+			e.int(`{"input":`, int64(run.Input))
+			e.b = append(e.b, `,"crossings":[`...)
+			for m, c := range run.Crossings {
+				if m > 0 {
+					e.b = append(e.b, ',')
+				}
+				e.b = append(e.b, `{"node":`...)
+				e.b = appendString(e.b, c.Node)
+				e.float(`,"level":`, c.Level)
+				if c.T != 0 {
+					e.float(`,"t":`, c.T)
+				}
+				e.b = strconv.AppendBool(append(e.b, `,"reached":`...), c.Reached)
+				e.b = append(e.b, '}')
+			}
+			e.b = append(e.b, "]}"...)
+		}
+		e.b = append(e.b, "]}"...)
+	}
+	return append(e.b, '}'), e.err
+}
+
+// lineEncoder appends the fields of one result line. key arguments
+// carry the separator and quoted name ahead of the value.
+type lineEncoder struct {
+	b   []byte
+	err error // the first float JSON cannot encode
+}
+
+func (e *lineEncoder) int(key string, v int64) {
+	e.b = strconv.AppendInt(append(e.b, key...), v, 10)
+}
+
+// str appends a string field, omitted when empty.
+func (e *lineEncoder) str(key, v string) {
+	if v != "" {
+		e.b = appendString(append(e.b, key...), v)
+	}
+}
+
+// float appends a float field as encoding/json formats a float64: like
+// ES6 number-to-string, 'f' notation for 0 and 1e-6 <= |f| < 1e21,
+// otherwise 'e' with the exponent unpadded. NaN and ±Inf record the
+// error json.Marshal returns for them.
+func (e *lineEncoder) float(key string, f float64) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		if e.err == nil {
+			e.err = &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+		}
+		return
+	}
+	e.b = append(e.b, key...)
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	e.b = strconv.AppendFloat(e.b, f, format, -1, 64)
+	if n := len(e.b); format == 'e' && e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
+		e.b[n-2] = e.b[n-1] // e-07 -> e-7
+		e.b = e.b[:n-1]
+	}
+}
+
+// appendString appends s as a JSON string the way encoding/json does
+// with HTML escaping on: \uXXXX for control bytes and for <, > and &,
+// \ufffd for each invalid UTF-8 byte, and U+2028/U+2029 escaped.
+func appendString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if htmlSafe[c] {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigit[c>>4], hexDigit[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		if c == utf8.RuneError && size == 1 {
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+			i++
+			start = i
+			continue
+		}
+		if c == '\u2028' || c == '\u2029' {
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigit[c&0xf])
+			i += size
+			start = i
+			continue
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+const hexDigit = "0123456789abcdef"
+
+// htmlSafe marks the ASCII bytes a JSON string carries unescaped under
+// HTML escaping: everything from the space up except ", \, <, > and &.
+var htmlSafe = func() (t [utf8.RuneSelf]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = true
+	}
+	for _, c := range `"\<>&` {
+		t[c] = false
+	}
+	return t
+}()
 
 // RunStats summarizes one RunSpecsOpts run.
 type RunStats struct {
 	Total    int // spec lines decoded
 	Emitted  int // result lines written this run
-	Failed   int // emitted error records
+	Failed   int // emitted error records, results JSON cannot encode included
 	Degraded int // emitted degraded (elmore-bound) records
 	Skipped  int // jobs skipped as already done in the journal
 	Requeued int // jobs re-queued after being in flight at the crash
@@ -313,7 +476,10 @@ func RunSpecsOpts(ctx context.Context, e *Engine, r io.Reader, w io.Writer, opts
 		}
 	}
 
-	var werr error
+	var (
+		werr error
+		line []byte // the emit callback runs on one goroutine
+	)
 	eng.RunFunc(ctx, jobs, func(res Result) {
 		if res.Err != nil && resilience.Classify(res.Err) == resilience.Canceled {
 			// Torn down, not failed: suppress the record so a resume
@@ -324,11 +490,12 @@ func RunSpecsOpts(ctx context.Context, e *Engine, r io.Reader, w io.Writer, opts
 		if werr != nil {
 			return
 		}
-		if werr = WriteResult(w, res); werr != nil {
+		failed, err := writeLine(w, res, &line)
+		if werr = err; werr != nil {
 			return
 		}
 		st.Emitted++
-		if res.Err != nil {
+		if failed {
 			st.Failed++
 		}
 		if res.Degraded != "" {

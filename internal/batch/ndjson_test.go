@@ -5,10 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"elmore/internal/core"
+	"elmore/internal/telemetry"
 )
 
 func TestRunSpecsStreamsNDJSON(t *testing.T) {
@@ -92,5 +96,58 @@ func TestWriteResultDegradesOnUnencodableValues(t *testing.T) {
 	}
 	if rec.Index != 4 || rec.ID != "nan" || !strings.Contains(rec.Error, "encode") {
 		t.Errorf("degraded record: %+v", rec)
+	}
+}
+
+// infDeck's RC product overflows, so T_D = +Inf, which JSON cannot
+// encode.
+const infDeck = "Vin in 0 1\nR1 in z 1e200\nC1 z 0 1e200\n"
+
+// A result the writer degrades to an error record is a failed job: it
+// counts in RunStats.Failed, which fails the CLI run and feeds
+// elmored's serve_summary.
+func TestRunSpecsCountsUnencodableAsFailed(t *testing.T) {
+	spec, err := json.Marshal(JobSpec{ID: "inf", Netlist: infDeck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	st, err := RunSpecsOpts(context.Background(), &Engine{Workers: 1}, bytes.NewReader(spec), &out, SpecRunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Emitted != 1 || st.Failed != 1 {
+		t.Errorf("emitted=%d failed=%d, want 1/1", st.Emitted, st.Failed)
+	}
+	var rec ResultRecord
+	if err := json.Unmarshal(out.Bytes(), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.ID != "inf" || rec.Error != "batch: encode result: json: unsupported value: +Inf" || rec.Sinks != nil {
+		t.Errorf("record: %+v", rec)
+	}
+}
+
+// TestWriteResultAllocs: a 16-sink ramp record, the batch-corners
+// shape, costs no allocation once the line buffer has grown.
+func TestWriteResultAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the line buffer pool drops buffers under -race")
+	}
+	r := Result{Index: 12345, ID: "net123/100p", Elapsed: 38 * time.Microsecond, CacheHit: true, Attempts: 1,
+		Trace: telemetry.TraceContext{Hi: 0x0123456789abcdef, Lo: 42}, Net: &NetResult{}}
+	for k := 0; k < 16; k++ {
+		x := float64(k+1) * 1.234567e-11
+		r.Net.Sinks = append(r.Net.Sinks, SinkBounds{Node: fmt.Sprintf("n%d", k),
+			Bounds: core.Bounds{Elmore: x, Lower: x / 3, PRHTmin: x / 2, PRHTmax: 2 * x, Sigma: x / 1.7, Skewness: 1.25, RiseTime: 2.2 * x},
+			Input:  &core.InputBounds{Upper: x, Lower: x / 4, OutputSigma: 0.9 * x, OutputSkew: 0.8}})
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := WriteResult(io.Discard, r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("WriteResult = %v allocs per 16-sink ramp record, want 0", allocs)
 	}
 }

@@ -3,10 +3,12 @@ package batch
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"strings"
+	"unicode/utf8"
 
 	"elmore/internal/gate"
 	netlistpkg "elmore/internal/netlist"
@@ -74,8 +76,8 @@ type StageSpec struct {
 }
 
 // ReadSpecs decodes an NDJSON job stream: one JSON object per line,
-// blank lines and #-comment lines skipped. Decode errors carry the line
-// number.
+// blank lines and #-comment lines skipped, nothing but whitespace after
+// the object. Decode errors carry the line number.
 func ReadSpecs(r io.Reader) ([]JobSpec, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -87,11 +89,12 @@ func ReadSpecs(r io.Reader) ([]JobSpec, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		var s JobSpec
-		dec := json.NewDecoder(strings.NewReader(line))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&s); err != nil {
-			return nil, fmt.Errorf("batch: jobs line %d: %w", lineNo, err)
+		s, ok := scanSpec(line)
+		if !ok {
+			var err error
+			if s, err = decodeSpec(line); err != nil {
+				return nil, fmt.Errorf("batch: jobs line %d: %w", lineNo, err)
+			}
 		}
 		specs = append(specs, s)
 	}
@@ -99,6 +102,211 @@ func ReadSpecs(r io.Reader) ([]JobSpec, error) {
 		return nil, fmt.Errorf("batch: jobs: %w", err)
 	}
 	return specs, nil
+}
+
+// decodeSpec decodes one job line with encoding/json, refusing unknown
+// fields and anything but whitespace after the first value. It is the
+// only decoder for path and transient specs, and the reference
+// scanSpec is tested against.
+func decodeSpec(line string) (JobSpec, error) {
+	var s JobSpec
+	dec := json.NewDecoder(strings.NewReader(line))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
+		return JobSpec{}, err
+	}
+	if strings.TrimLeft(line[dec.InputOffset():], " \t\r\n") != "" {
+		return JobSpec{}, errors.New("data after the JSON object")
+	}
+	return s, nil
+}
+
+// scanSpec decodes the common shape of a job line without reflection:
+// one object whose keys, each at most once and spelled exactly so, are
+// id, trace_id, net, netlist, rise, slew, dt, t_end and method with
+// string values, and sinks with an array of strings. It declines
+// everything else — stages, levels, null, \u escapes, invalid UTF-8 or
+// control bytes, unknown, repeated or differently-cased keys, malformed
+// or trailing text — so every line it accepts decodes as decodeSpec
+// would decode it, and every other line keeps decodeSpec's result or
+// error. A string without escapes is a substring of line.
+func scanSpec(line string) (JobSpec, bool) {
+	var s JobSpec
+	p := specScanner{s: line}
+	if !p.next('{') {
+		return JobSpec{}, false
+	}
+	if !p.next('}') {
+		var seen uint16
+		for {
+			key, ok := p.str()
+			if !ok || !p.next(':') {
+				return JobSpec{}, false
+			}
+			var bit uint16
+			var dst *string
+			switch key {
+			case "id":
+				bit, dst = 1<<0, &s.ID
+			case "trace_id":
+				bit, dst = 1<<1, &s.TraceID
+			case "net":
+				bit, dst = 1<<2, &s.Net
+			case "netlist":
+				bit, dst = 1<<3, &s.Netlist
+			case "rise":
+				bit, dst = 1<<4, &s.Rise
+			case "slew":
+				bit, dst = 1<<5, &s.Slew
+			case "dt":
+				bit, dst = 1<<6, &s.DT
+			case "t_end":
+				bit, dst = 1<<7, &s.TEnd
+			case "method":
+				bit, dst = 1<<8, &s.Method
+			case "sinks":
+				bit = 1 << 9
+			default:
+				return JobSpec{}, false
+			}
+			if seen&bit != 0 {
+				return JobSpec{}, false
+			}
+			seen |= bit
+			if dst != nil {
+				*dst, ok = p.str()
+			} else {
+				s.Sinks, ok = p.strs()
+			}
+			if !ok {
+				return JobSpec{}, false
+			}
+			if p.next('}') {
+				break
+			}
+			if !p.next(',') {
+				return JobSpec{}, false
+			}
+		}
+	}
+	p.space()
+	return s, p.i == len(p.s)
+}
+
+// specScanner is scanSpec's cursor over one line.
+type specScanner struct {
+	s string
+	i int
+}
+
+// space skips JSON whitespace.
+func (p *specScanner) space() {
+	for p.i < len(p.s) {
+		switch p.s[p.i] {
+		case ' ', '\t', '\n', '\r':
+			p.i++
+		default:
+			return
+		}
+	}
+}
+
+// next skips whitespace and consumes c if it comes next.
+func (p *specScanner) next(c byte) bool {
+	p.space()
+	if p.i < len(p.s) && p.s[p.i] == c {
+		p.i++
+		return true
+	}
+	return false
+}
+
+// str skips whitespace and reads a string, decoding the escapes
+// \" \\ \/ \b \f \n \r \t. It fails on anything else scanSpec
+// declines: \u escapes, control bytes, invalid UTF-8, no closing quote.
+func (p *specScanner) str() (string, bool) {
+	if !p.next('"') {
+		return "", false
+	}
+	start := p.i
+	var unq strings.Builder // used from the first escape on
+	for p.i < len(p.s) {
+		c := p.s[p.i]
+		switch {
+		case c == '"':
+			v := p.s[start:p.i]
+			p.i++
+			if unq.Cap() == 0 {
+				return v, true
+			}
+			unq.WriteString(v)
+			return unq.String(), true
+		case c == '\\':
+			if p.i+1 == len(p.s) {
+				return "", false
+			}
+			d := p.s[p.i+1]
+			switch d {
+			case '"', '\\', '/':
+			case 'b':
+				d = '\b'
+			case 'f':
+				d = '\f'
+			case 'n':
+				d = '\n'
+			case 'r':
+				d = '\r'
+			case 't':
+				d = '\t'
+			default:
+				return "", false
+			}
+			if unq.Cap() == 0 {
+				unq.Grow(len(p.s) - start) // no decoded string outgrows the line
+			}
+			unq.WriteString(p.s[start:p.i])
+			unq.WriteByte(d)
+			p.i += 2
+			start = p.i
+		case c < ' ':
+			return "", false
+		case c < utf8.RuneSelf:
+			p.i++
+		default:
+			r, n := utf8.DecodeRuneInString(p.s[p.i:])
+			if r == utf8.RuneError && n == 1 {
+				return "", false
+			}
+			p.i += n
+		}
+	}
+	return "", false
+}
+
+// strs reads an array of strings. [] gives an empty non-nil slice, as
+// encoding/json decodes it.
+func (p *specScanner) strs() ([]string, bool) {
+	if !p.next('[') {
+		return nil, false
+	}
+	var stack [16]string
+	vs := stack[:0]
+	if !p.next(']') {
+		for {
+			v, ok := p.str()
+			if !ok {
+				return nil, false
+			}
+			vs = append(vs, v)
+			if p.next(']') {
+				break
+			}
+			if !p.next(',') {
+				return nil, false
+			}
+		}
+	}
+	return append(make([]string, 0, len(vs)), vs...), true
 }
 
 // ParseRise converts a -rise style token into a signal: "" or "step"

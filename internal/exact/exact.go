@@ -191,9 +191,11 @@ func (s *System) Impulse(i int, t float64) float64 {
 }
 
 // ImpulseDeriv returns h_i'(t), used to locate the mode of the impulse
-// response.
+// response. At t = 0 it is exactly 0 at depth >= 3, where H_i(s) falls
+// off as s^-3 or faster and the modal sum would only cancel large
+// residues down to roundoff of either sign.
 func (s *System) ImpulseDeriv(i int, t float64) float64 {
-	if t < 0 {
+	if t < 0 || (t == 0 && s.tree.Depth(i) >= 3) {
 		return 0
 	}
 	var sum float64

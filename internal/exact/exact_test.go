@@ -461,3 +461,35 @@ func TestImpulseZeroAtOriginBelowRoots(t *testing.T) {
 		}
 	}
 }
+
+// Below the root nodes h(0) = 0 and h rises first, so the mode is
+// positive. While ImpulseDeriv(i, 0) returned the modal sum's roundoff
+// at depth >= 3, Mode read a negative one as "h decays from t = 0" and
+// returned 0 at about half of those nodes, where the theorem's
+// mode <= median check then held trivially.
+func TestModePositiveBelowRoots(t *testing.T) {
+	seeds := []int64{-3978484087764497942}
+	for seed := int64(0); seed < 300; seed++ {
+		seeds = append(seeds, seed)
+	}
+	for _, seed := range seeds {
+		tree := topo.RandomSmall(seed, 20)
+		s, err := NewSystem(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tree.N(); i++ {
+			if tree.Parent(i) == rctree.Source {
+				continue
+			}
+			median, err := s.Delay50Step(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mode := s.Mode(i); !(mode > 0) || mode > median*(1+1e-9) {
+				t.Errorf("seed %d node %d (depth %d): mode %g, median %g; want 0 < mode <= median",
+					seed, i, tree.Depth(i), mode, median)
+			}
+		}
+	}
+}

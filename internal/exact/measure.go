@@ -3,6 +3,7 @@ package exact
 import (
 	"fmt"
 
+	"elmore/internal/rctree"
 	"elmore/internal/signal"
 	"elmore/internal/waveform"
 )
@@ -62,10 +63,12 @@ func (s *System) RiseTimeStep(i int, lo, hi float64) (float64, error) {
 // response at node i. Under Lemma 1's unimodality this is the mode;
 // for the rare extreme-element-spread trees where h(t) is multimodal
 // (see TestLemma1UnimodalityCounterexample) it returns the first peak,
-// which is what the mode <= median <= mean comparison uses.
+// which is what the mode <= median <= mean comparison uses. Only a node
+// the source drives directly can peak at t = 0: deeper, h(0) = 0 and h
+// rises first.
 func (s *System) Mode(i int) float64 {
-	if s.ImpulseDeriv(i, 0) <= 0 {
-		return 0 // h decays from t=0 (driving-point-like node)
+	if s.tree.Parent(i) == rctree.Source && s.ImpulseDeriv(i, 0) <= 0 {
+		return 0 // h decays from t=0 (driving-point node)
 	}
 	// Find a time where h' < 0 by doubling.
 	hi := s.SlowestTimeConstant() / float64(len(s.poles)+1)
