@@ -32,14 +32,16 @@ chaos:
 
 # Short exploratory fuzz runs for the two line-oriented parsers, the
 # result-line writer (against encoding/json), the incremental moment
-# engine and the value parser. Go allows one -fuzz pattern per package
-# invocation, hence one command per target.
+# engine, the cumulant kernel (against a 400-bit oracle) and the value
+# parser. Go allows one -fuzz pattern per package invocation, hence one
+# command per target.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadSpecs -fuzztime=$(FUZZTIME) ./internal/batch
 	$(GO) test -fuzz=FuzzWriteResult -fuzztime=$(FUZZTIME) ./internal/batch
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/netlist
 	$(GO) test -fuzz=FuzzIncrementalEdits -fuzztime=$(FUZZTIME) ./internal/moments
+	$(GO) test -fuzz=FuzzCumulantOracle -fuzztime=$(FUZZTIME) ./internal/moments
 	$(GO) test -fuzz=FuzzParseValue -fuzztime=$(FUZZTIME) ./internal/rctree
 
 # The randomized property tests draw fresh trees on every run, and the

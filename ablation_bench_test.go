@@ -202,7 +202,7 @@ func BenchmarkAblationAWEOrder(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ms, err := moments.Compute(tree, 8)
+	ms, err := elmore.AWEMoments(tree, 8)
 	if err != nil {
 		b.Fatal(err)
 	}

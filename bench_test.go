@@ -163,13 +163,31 @@ func BenchmarkAnalyzeChain(b *testing.B) {
 	}
 }
 
+// BenchmarkMoments times the cumulant sweep (T_D, μ2 and μ3 at every
+// node) the bounds read.
+func BenchmarkMoments(b *testing.B) {
+	for _, n := range benchSizes() {
+		tree := topo.Random(42, topo.RandomOptions{N: n})
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := elmore.Moments(tree); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMomentsOrder6 times the raw-moment recurrence AWE matches,
+// at the order a three-pole fit needs.
 func BenchmarkMomentsOrder6(b *testing.B) {
 	for _, n := range benchSizes() {
 		tree := topo.Random(42, topo.RandomOptions{N: n})
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := elmore.Moments(tree, 6); err != nil {
+				if _, err := elmore.AWEMoments(tree, 6); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -266,7 +284,7 @@ func BenchmarkSimPlanReuse(b *testing.B) {
 func BenchmarkAWEFitOrder3(b *testing.B) {
 	b.ReportAllocs()
 	tree := topo.Random(42, topo.RandomOptions{N: 200})
-	ms, err := elmore.Moments(tree, 6)
+	ms, err := elmore.AWEMoments(tree, 6)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -312,8 +330,8 @@ func BenchmarkNetlistFormat(b *testing.B) {
 // --- Incremental delta re-analysis vs full recompute. ---
 
 // BenchmarkIncrementalSetC measures one what-if cycle on the engine: a
-// single-node capacitance perturbation, a worst-case query (Sigma
-// forces the full order-3 flush), and a revert. Compare against
+// single-node capacitance perturbation, a worst-case query (PathStats
+// walks the whole root path for μ2, μ3 and T_R), and a revert. Compare against
 // BenchmarkAnalyzeBounds at the same n for the full-recompute baseline
 // it replaces.
 func BenchmarkIncrementalSetC(b *testing.B) {
@@ -332,8 +350,8 @@ func BenchmarkIncrementalSetC(b *testing.B) {
 				if err := inc.SetC(leaf, c0*(1+float64(i%7))); err != nil {
 					b.Fatal(err)
 				}
-				if s := inc.Sigma(leaf); s < 0 {
-					b.Fatal("bad sigma")
+				if mu2, _, _ := inc.PathStats(leaf); !(mu2 >= 0) {
+					b.Fatal("bad mu2")
 				}
 				inc.Revert()
 			}

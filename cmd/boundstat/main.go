@@ -149,7 +149,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		ms, err := moments.Compute(tree, 2)
+		ms, err := moments.Compute(tree)
 		if err != nil {
 			return err
 		}

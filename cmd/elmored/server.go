@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"path/filepath"
@@ -493,10 +494,14 @@ func (s *server) handleBound(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	var spec batch.JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	if err != nil {
+		failed = false
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	spec, err := batch.DecodeSpec(string(body))
+	if err != nil {
 		failed = false
 		httpError(w, http.StatusBadRequest, err.Error())
 		return

@@ -173,15 +173,34 @@ func TestUnencodableResultIsFailedJob(t *testing.T) {
 	}
 }
 
+// TestBoundRejectsMalformedSpec: /v1/bound decodes its body with the
+// spec-line decoder of the batch front ends, so an unknown field and
+// anything but whitespace after the object are 400s, while a trailing
+// newline stays legal.
 func TestBoundRejectsMalformedSpec(t *testing.T) {
 	_, ts := startTestServer(t, testConfig())
-	resp, err := http.Post(ts.URL+"/v1/bound", "application/json", strings.NewReader(`{"nope":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown-field spec status = %d, want 400", resp.StatusCode)
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		errText    string
+	}{
+		{"unknown field", `{"nope":1}`, http.StatusBadRequest, "unknown field"},
+		{"second object and garbage", specLine("a") + ` {"id":"b"} garbage`, http.StatusBadRequest, "data after the JSON object"},
+		{"garbage", specLine("a") + " x", http.StatusBadRequest, "data after the JSON object"},
+		{"trailing newline", specLine("a") + "\n", http.StatusOK, ""},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/bound", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.status || !strings.Contains(string(body), tc.errText) {
+			t.Errorf("%s: status %d, body %q; want %d with %q", tc.name, resp.StatusCode, body, tc.status, tc.errText)
+		}
 	}
 }
 

@@ -70,13 +70,10 @@ func TestOptimizeSyncedTreeMatchesReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := moments.Compute(tree, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	td := moments.ElmoreDelays(tree)
 	worst := math.Inf(-1)
 	for _, l := range tree.Leaves() {
-		if d := ms.Elmore(l); d > worst {
+		if d := td[l]; d > worst {
 			worst = d
 		}
 	}

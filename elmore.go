@@ -88,11 +88,13 @@ func Analyze(t *Tree) (*Analysis, error) { return core.Analyze(t) }
 // classic two-traversal O(N) computation.
 func ElmoreDelays(t *Tree) []float64 { return moments.ElmoreDelays(t) }
 
-// Moments computes transfer-function moments m_0..m_order at every
-// node (order >= 1), the raw material for bounds and AWE.
-func Moments(t *Tree, order int) (*MomentSet, error) { return moments.Compute(t, order) }
+// Moments computes the Elmore delay T_D and the central moments μ2 and
+// μ3 of the impulse response at every node, in O(N): the raw material
+// for the bounds.
+func Moments(t *Tree) (*MomentSet, error) { return moments.Compute(t) }
 
-// MomentSet holds per-node transfer-function moments.
+// MomentSet holds T_D, μ2 and μ3 per node (Elmore, Mu2, Mu3, Sigma,
+// Skewness).
 type MomentSet = moments.Set
 
 // Incremental is a delta-update engine for what-if R/C perturbations:
@@ -101,8 +103,8 @@ type MomentSet = moments.Set
 // Analysis.Reanalyze and cmd/optimize.
 type Incremental = moments.Incremental
 
-// NewIncremental binds a delta-update engine to a tree, computing the
-// full order-3 moment and PRH state once.
+// NewIncremental binds a delta-update engine to a tree, computing its
+// admittance, Elmore-delay and PRH state once.
 func NewIncremental(t *Tree) (*Incremental, error) { return moments.NewIncremental(t) }
 
 // ExactSystem evaluates machine-precision responses of a tree via
@@ -224,10 +226,19 @@ func CornerIntervals(t *Tree, opts CornerOptions) ([]CornerInterval, error) {
 // moments (asymptotic waveform evaluation).
 type AWEApprox = awe.Approx
 
+// AWEMomentSet holds the raw transfer-function moments m_0..m_q per
+// node that AWE matches.
+type AWEMomentSet = awe.Moments
+
+// AWEMoments computes the raw transfer-function moments m_0..m_order at
+// every node (order >= 1) in O(order·N): one sweep serves FitAWE at
+// any number of nodes.
+func AWEMoments(t *Tree, order int) (*AWEMomentSet, error) { return awe.ComputeMoments(t, order) }
+
 // FitAWE fits the highest stable q-pole model with q <= order at the
 // given node, falling back toward the single dominant pole. The moment
 // set must have Order() >= 2 (>= 2*order for a full fit).
-func FitAWE(ms *MomentSet, node, order int) (*AWEApprox, error) {
+func FitAWE(ms *AWEMomentSet, node, order int) (*AWEApprox, error) {
 	return awe.FitStable(ms, node, order)
 }
 

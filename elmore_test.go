@@ -132,7 +132,7 @@ func TestFacadePiAndAWE(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ms, err := Moments(tree, 6)
+	ms, err := AWEMoments(tree, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,11 @@ func TestFacadePiAndAWE(t *testing.T) {
 	if math.Abs(d-actual) > 0.02*actual {
 		t.Errorf("AWE delay %v vs exact %v", d, actual)
 	}
-	sp, err := SinglePoleModel(ms.Elmore(0))
+	cs, err := Moments(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := SinglePoleModel(cs.Elmore(0))
 	if err != nil || sp.Order() != 1 {
 		t.Errorf("SinglePoleModel: %v %v", sp, err)
 	}

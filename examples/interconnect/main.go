@@ -73,7 +73,7 @@ func main() {
 		elmore.FormatSeconds(bd.PRHTmin), elmore.FormatSeconds(bd.PRHTmax))
 
 	// Higher-order AWE when more accuracy is needed (paper Section V).
-	ms, err := elmore.Moments(tree, 6)
+	ms, err := elmore.AWEMoments(tree, 6)
 	if err != nil {
 		log.Fatal(err)
 	}

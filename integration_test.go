@@ -111,7 +111,7 @@ func TestEndToEndConsistency(t *testing.T) {
 // consistent through the public API.
 func TestReducedModelsConsistency(t *testing.T) {
 	tree := topo.Fig1Tree()
-	ms, err := elmore.Moments(tree, 6)
+	ms, err := elmore.AWEMoments(tree, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

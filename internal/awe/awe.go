@@ -12,7 +12,6 @@ import (
 	"math"
 
 	"elmore/internal/linalg"
-	"elmore/internal/moments"
 	"elmore/internal/poly"
 	"elmore/internal/telemetry"
 )
@@ -35,7 +34,7 @@ func (a *Approx) Order() int { return len(a.Poles) }
 // 2q. It returns an error if the Pade denominator produces unstable
 // (non-positive or complex) poles — the classical AWE instability; use
 // FitStable to fall back to lower orders automatically.
-func FitNode(ms *moments.Set, i, q int) (*Approx, error) {
+func FitNode(ms *Moments, i, q int) (*Approx, error) {
 	if q < 1 {
 		return nil, fmt.Errorf("awe: order must be >= 1, got %d", q)
 	}
@@ -131,7 +130,7 @@ func fit(c []float64, q int) (*Approx, error) {
 // FitStable fits the highest stable order <= q, trying q, q-1, ..., 1.
 // Order 1 (the dominant-pole / Elmore model) always succeeds for an RC
 // tree node, so FitStable only fails on invalid inputs.
-func FitStable(ms *moments.Set, i, q int) (*Approx, error) {
+func FitStable(ms *Moments, i, q int) (*Approx, error) {
 	if q < 1 {
 		return nil, fmt.Errorf("awe: order must be >= 1, got %d", q)
 	}

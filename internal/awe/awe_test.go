@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"elmore/internal/exact"
-	"elmore/internal/moments"
 	"elmore/internal/rctree"
 	"elmore/internal/topo"
 )
@@ -15,7 +14,7 @@ func approx(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*(math.Abs(a)+math.Abs(b)+1e-300)
 }
 
-func singleRCSet(t *testing.T, r, c float64, order int) *moments.Set {
+func singleRCSet(t *testing.T, r, c float64, order int) *Moments {
 	t.Helper()
 	b := rctree.NewBuilder()
 	b.MustRoot("n1", r, c)
@@ -23,7 +22,7 @@ func singleRCSet(t *testing.T, r, c float64, order int) *moments.Set {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := moments.Compute(tree, order)
+	ms, err := ComputeMoments(tree, order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +90,7 @@ func TestSinglePoleModel(t *testing.T) {
 func TestMomentMatchingProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		tree := topo.RandomSmall(seed, 20)
-		ms, err := moments.Compute(tree, 6)
+		ms, err := ComputeMoments(tree, 6)
 		if err != nil {
 			return false
 		}
@@ -128,7 +127,7 @@ func TestTwoPoleRecoversExactPoles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := moments.Compute(tree, 4)
+	ms, err := ComputeMoments(tree, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +159,7 @@ func TestHigherOrderBeatsElmoreFig1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := moments.Compute(tree, 6)
+	ms, err := ComputeMoments(tree, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +177,7 @@ func TestHigherOrderBeatsElmoreFig1(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		elmoreErr := math.Abs(ms.Elmore(i) - actual)
+		elmoreErr := math.Abs(-ms.M(1, i) - actual)
 		aweErr := math.Abs(d - actual)
 		if aweErr > elmoreErr {
 			t.Errorf("%s: order-%d AWE error %v worse than Elmore error %v",

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"elmore/internal/exact"
-	"elmore/internal/moments"
 	"elmore/internal/signal"
 	"elmore/internal/topo"
 )
@@ -37,7 +36,7 @@ func TestRampResponsesMatchExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := moments.Compute(tree, 8)
+	ms, err := ComputeMoments(tree, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

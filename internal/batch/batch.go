@@ -196,6 +196,13 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) []Result {
 // Workers still drain to completion, so RunFunc returns only after
 // every in-flight job has finished.
 func (e *Engine) RunFunc(ctx context.Context, jobs []Job, emit func(Result)) {
+	e.runFunc(ctx, jobs, func(r Result) bool { emit(r); return false })
+}
+
+// runFunc is RunFunc with an emit that reports whether it wrote a
+// result without an error as an error record (a value the writer could
+// not encode); the run report then counts that job as failed.
+func (e *Engine) runFunc(ctx context.Context, jobs []Job, emit func(Result) (encodeFailed bool)) {
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -350,7 +357,9 @@ func (e *Engine) RunFunc(ctx context.Context, jobs []Job, emit func(Result)) {
 				// mid-prefix.
 				break
 			}
-			emit(*buffered[next])
+			if emit(*buffered[next]) && rr != nil {
+				rr.encodeFailed(*buffered[next])
+			}
 			buffered[next] = nil
 			next++
 			occ--
@@ -715,8 +724,8 @@ func (e *Engine) runPath(ctx context.Context, pj *PathJob) (*sta.PathResult, boo
 	if e.Cache != nil {
 		// The source runs synchronously inside this job, so the hit
 		// flag needs no synchronization.
-		src = func(ctx context.Context, t *rctree.Tree, order int) (*moments.Set, error) {
-			ms, h, err := e.Cache.MomentsCtx(ctx, t, order)
+		src = func(ctx context.Context, t *rctree.Tree) (*moments.Set, error) {
+			ms, h, err := e.Cache.MomentsCtx(ctx, t, 3)
 			if h {
 				hit = true
 			}

@@ -231,20 +231,19 @@ func TestCacheMomentsDirect(t *testing.T) {
 		t.Fatalf("second lookup: hit=%v err=%v", hit2, err)
 	}
 	if ms1 != ms2 {
-		t.Errorf("clone lookups must share one set")
+		t.Errorf("order-2 and order-3 lookups must share one set")
 	}
-	if ms1.Order() != 3 {
-		t.Errorf("cached order = %d, want 3", ms1.Order())
+	// One set serves orders 1 to 3; any other order is an error and
+	// leaves the cache alone.
+	for _, order := range []int{0, 4} {
+		if ms, _, err := cache.Moments(tree, order); err == nil || ms != nil {
+			t.Errorf("order-%d lookup: set %v, err %v; want an error", order, ms, err)
+		}
 	}
-	// Above the cached order: fresh, uncached, correct set.
-	ms4, hit4, err := cache.Moments(tree, 4)
-	if err != nil || hit4 {
-		t.Fatalf("order-4 lookup: hit=%v err=%v", hit4, err)
+	if cache.Len() != 1 {
+		t.Errorf("cache holds %d entries, want 1", cache.Len())
 	}
-	if ms4.Order() != 4 || cache.Len() != 1 {
-		t.Errorf("order-4 set must bypass the cache (order=%d len=%d)", ms4.Order(), cache.Len())
-	}
-	want, err := moments.Compute(tree, 3)
+	want, err := moments.Compute(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +460,7 @@ func TestCacheMutationNoStaleEntries(t *testing.T) {
 		t.Fatalf("mutated tree was served the stale pre-mutation moment set")
 	}
 	// The served set must describe the mutated values.
-	want, err := moments.Compute(tree, 3)
+	want, err := moments.Compute(tree)
 	if err != nil {
 		t.Fatal(err)
 	}

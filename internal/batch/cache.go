@@ -14,11 +14,6 @@ import (
 	"elmore/internal/telemetry"
 )
 
-// cacheOrder is the moment order cached sets are computed at: order 3
-// serves every consumer in this repository (core bounds need 3, sta
-// slew propagation needs 2).
-const cacheOrder = 3
-
 // Cache is a shared cache of per-circuit derived artifacts, keyed by
 // tree fingerprint (rctree.Tree.Fingerprint): moment sets, and
 // transient-simulation plans keyed additionally by (dt, method).
@@ -115,8 +110,9 @@ func (c *Cache) shard(fp uint64) *cacheShard {
 // it on first use. hit reports whether this call reused an entry that
 // another call computed (or was computing); a call that performed the
 // compute itself reports a miss even if it found the entry already
-// inserted. Requests above the cached order compute a fresh uncached
-// set rather than poisoning shared entries.
+// inserted. A moments.Set serves every order from 1 to 3 (T_D, μ2 and
+// μ3), so any such order gets the one cached set; a higher order is an
+// error.
 func (c *Cache) Moments(t *rctree.Tree, order int) (*moments.Set, bool, error) {
 	return c.moments(nil, t, order)
 }
@@ -131,9 +127,8 @@ func (c *Cache) MomentsCtx(ctx context.Context, t *rctree.Tree, order int) (*mom
 }
 
 func (c *Cache) moments(ws *WorkerStats, t *rctree.Tree, order int) (*moments.Set, bool, error) {
-	if order > cacheOrder {
-		ms, err := moments.Compute(t, order)
-		return ms, false, err
+	if order < 1 || order > 3 {
+		return nil, false, fmt.Errorf("batch: moment order %d outside [1,3]", order)
 	}
 	key := t.Fingerprint()
 	sh := c.shard(key)
@@ -158,7 +153,7 @@ func (c *Cache) moments(ws *WorkerStats, t *rctree.Tree, order int) (*moments.Se
 	t1 := lockStart(ws)
 	e.once.Do(func() {
 		ran = true
-		e.ms, e.err = moments.Compute(t, cacheOrder)
+		e.ms, e.err = moments.Compute(t)
 	})
 	if !ran {
 		lockEnd(ws, t1)

@@ -480,19 +480,19 @@ func RunSpecsOpts(ctx context.Context, e *Engine, r io.Reader, w io.Writer, opts
 		werr error
 		line []byte // the emit callback runs on one goroutine
 	)
-	eng.RunFunc(ctx, jobs, func(res Result) {
+	eng.runFunc(ctx, jobs, func(res Result) bool {
 		if res.Err != nil && resilience.Classify(res.Err) == resilience.Canceled {
 			// Torn down, not failed: suppress the record so a resume
 			// re-runs the job instead of trusting a cancellation error.
-			return
+			return false
 		}
 		res.Index = orig[res.Index]
 		if werr != nil {
-			return
+			return false
 		}
 		failed, err := writeLine(w, res, &line)
 		if werr = err; werr != nil {
-			return
+			return false
 		}
 		st.Emitted++
 		if failed {
@@ -502,6 +502,7 @@ func RunSpecsOpts(ctx context.Context, e *Engine, r io.Reader, w io.Writer, opts
 			st.Degraded++
 		}
 		werr = jr.Done(res.Index, res.ID)
+		return failed && res.Err == nil
 	})
 	if werr != nil {
 		return st, werr

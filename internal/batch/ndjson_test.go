@@ -128,6 +128,40 @@ func TestRunSpecsCountsUnencodableAsFailed(t *testing.T) {
 	}
 }
 
+// TestRunSpecsReportCountsUnencodable: the run summary counts a result
+// the writer degrades to an error record like any failed job: in
+// errors, in errors_by_kind.failed and as a bad SLO event, next to a
+// healthy job that stays good.
+func TestRunSpecsReportCountsUnencodable(t *testing.T) {
+	var in bytes.Buffer
+	for _, s := range []JobSpec{{ID: "inf", Netlist: infDeck}, {ID: "ok", Netlist: "Vin in 0 1\nR1 in z 100\nC1 z 0 1p\n"}} {
+		line, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Write(append(line, '\n'))
+	}
+	var sum bytes.Buffer
+	rep := &Reporter{Summary: &sum, SLOs: []telemetry.SLO{{Name: "p99", Quantile: 0.99, Target: time.Hour}}}
+	st, err := RunSpecsOpts(context.Background(), &Engine{Workers: 1, Report: rep}, &in, io.Discard, SpecRunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Emitted != 2 || st.Failed != 1 {
+		t.Errorf("emitted=%d failed=%d, want 2/1", st.Emitted, st.Failed)
+	}
+	var rec summaryRecord
+	if err := json.Unmarshal(sum.Bytes(), &rec); err != nil {
+		t.Fatalf("summary %q: %v", sum.String(), err)
+	}
+	if rec.Errors != 1 || rec.ErrorsByKind["failed"] != 1 || len(rec.ErrorsByKind) != 1 {
+		t.Errorf("errors=%d errors_by_kind=%v, want 1 and {failed:1}", rec.Errors, rec.ErrorsByKind)
+	}
+	if len(rec.SLO) != 1 || rec.SLO[0].Good != 1 || rec.SLO[0].Bad != 1 {
+		t.Errorf("slo %+v, want one good and one bad event", rec.SLO)
+	}
+}
+
 // TestWriteResultAllocs: a 16-sink ramp record, the batch-corners
 // shape, costs no allocation once the line buffer has grown.
 func TestWriteResultAllocs(t *testing.T) {

@@ -224,6 +224,15 @@ func (rr *runReport) observe(r Result) {
 	}
 }
 
+// encodeFailed turns a job observe counted as a success into a failure:
+// the writer could not encode its result and wrote an error record
+// instead. Called on the RunFunc goroutine only, after observe(r).
+func (rr *runReport) encodeFailed(r Result) {
+	rr.errs.Add(1)
+	rr.errsByKind["failed"]++
+	rr.slo.Fail(r.Elapsed)
+}
+
 // progressLine writes one progress line; safe to call from the ticker
 // goroutine (it touches only atomics and the serialized writer).
 func (rr *runReport) progressLine() {

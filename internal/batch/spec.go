@@ -89,12 +89,9 @@ func ReadSpecs(r io.Reader) ([]JobSpec, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		s, ok := scanSpec(line)
-		if !ok {
-			var err error
-			if s, err = decodeSpec(line); err != nil {
-				return nil, fmt.Errorf("batch: jobs line %d: %w", lineNo, err)
-			}
+		s, err := DecodeSpec(line)
+		if err != nil {
+			return nil, fmt.Errorf("batch: jobs line %d: %w", lineNo, err)
 		}
 		specs = append(specs, s)
 	}
@@ -102,6 +99,18 @@ func ReadSpecs(r io.Reader) ([]JobSpec, error) {
 		return nil, fmt.Errorf("batch: jobs: %w", err)
 	}
 	return specs, nil
+}
+
+// DecodeSpec decodes one job spec: one JSON object, with nothing but
+// whitespace after it. ReadSpecs decodes every line with it and elmored
+// every /v1/bound body, so the same rules hold on both paths. The
+// common shape goes through scanSpec; everything scanSpec declines goes
+// through decodeSpec.
+func DecodeSpec(line string) (JobSpec, error) {
+	if s, ok := scanSpec(line); ok {
+		return s, nil
+	}
+	return decodeSpec(line)
 }
 
 // decodeSpec decodes one job line with encoding/json, refusing unknown

@@ -41,57 +41,57 @@ func (f floatHash) add(xs ...float64) {
 
 func (f floatHash) sum() uint64 { return f.h.Sum64() }
 
-// TestOutputBitsPinned pins every output of the analysis pipeline, bit
-// for bit, to hashes recorded before the kernels moved onto the tree's
-// own arrays, so a change of node order or summation order cannot slip
-// through as roundoff.
-//
-// Parsed decks (each tree written with netlist.Format and read back)
-// pin everything: every Bounds field and T_P of core.Analyze, the
-// downstream admittances, a fixed-step transient waveform at every
-// node, and the fingerprint. The same trees as built pin the per-node
-// values, m1..m3, T_D, T_R and the admittances; their T_P, a whole-tree
-// sum, depends on the order nodes are summed in and is not pinned.
+// TestOutputBitsPinned pins, bit for bit, every output that does not
+// depend on how μ2 and μ3 are represented: T_P and, per node, T_D,
+// T_R, SinglePole, PRHTmin/PRHTmax, the downstream admittances, a
+// fixed-step transient waveform and the fingerprint. Each tree is
+// pinned as built and as a parsed deck (written with netlist.Format
+// and read back), so a change of node order or summation order cannot
+// slip through as roundoff. The hashes were recorded with the raw-moment
+// kernel, before the cumulant kernel replaced it; the cumulant
+// statistics have their own pin, TestCumulantBitsPinned.
 func TestOutputBitsPinned(t *testing.T) {
 	parsed := map[string]uint64{
-		"chain":    0x674ed66714a0bd64,
-		"balanced": 0xabecfc25cbf18b99,
-		"random":   0xec441d256b36730f,
-		"htree":    0x26d42c3494e54fac,
+		"chain":    0x628fb1c1ed962188,
+		"balanced": 0xb069b35391e7c46e,
+		"random":   0x6df85e12d563f3a8,
+		"htree":    0xe1a69a2225da0dbe,
 	}
 	built := map[string]uint64{
-		"chain":    0xc3fbeb1f5fb95e5c,
-		"balanced": 0x8c60b83c06623b63,
-		"random":   0x0542eaca20ffd9c7,
-		"htree":    0x08bb093a5968ce88,
+		"chain":    0x628fb1c1ed962188,
+		"balanced": 0x04a6a25d9ada8991,
+		"random":   0x78f3772c6039b677,
+		"htree":    0x32be48b1898a9739,
 	}
 	for name, tree := range bitsTrees() {
 		d, err := netlist.ParseString(netlist.Format(tree, name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got := parsedBits(t, d.Tree); got != parsed[name] {
+		if got := invariantBits(t, d.Tree); got != parsed[name] {
 			t.Errorf("%s parsed: outputs hash to %#x, want %#x", name, got, parsed[name])
 		}
-		if got := builtBits(t, tree); got != built[name] {
-			t.Errorf("%s built: per-node outputs hash to %#x, want %#x", name, got, built[name])
+		if got := invariantBits(t, tree); got != built[name] {
+			t.Errorf("%s built: outputs hash to %#x, want %#x", name, got, built[name])
 		}
 	}
 }
 
-// parsedBits hashes every output of a parsed deck.
-func parsedBits(t *testing.T, tree *rctree.Tree) uint64 {
+// invariantBits hashes the representation-independent outputs of a
+// tree.
+func invariantBits(t *testing.T, tree *rctree.Tree) uint64 {
 	t.Helper()
 	a, err := Analyze(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
+	prh := moments.ComputePRH(tree)
+	td := moments.ElmoreDelays(tree)
 	h := newFloatHash()
-	h.add(a.TP)
-	for _, b := range a.Bounds {
+	h.add(a.TP, prh.TP)
+	for i, b := range a.Bounds {
 		h.h.Write([]byte(b.Node))
-		h.add(b.Elmore, b.Sigma, b.Mu2, b.Mu3, b.Skewness,
-			b.Lower, b.SinglePole, b.PRHTmin, b.PRHTmax, b.RiseTime)
+		h.add(b.Elmore, b.SinglePole, b.PRHTmin, b.PRHTmax, td[i], prh.TD[i], prh.TR(i))
 	}
 	for _, y := range moments.DownstreamAdmittances(tree) {
 		h.add(y.Y1, y.Y2, y.Y3)
@@ -116,19 +116,50 @@ func parsedBits(t *testing.T, tree *rctree.Tree) uint64 {
 	return h.sum()
 }
 
-// builtBits hashes the per-node outputs of a tree as built.
-func builtBits(t *testing.T, tree *rctree.Tree) uint64 {
+// TestCumulantBitsPinned pins, bit for bit, the outputs that come from
+// μ2 and μ3: per node μ2, μ3, Sigma, Skewness, Lower and RiseTime, on
+// each tree as built and as a parsed deck. The hashes were recorded
+// when the cumulant kernel replaced the raw-moment differences, which
+// moved these values by up to ~5e-13 relative; FuzzCumulantOracle and
+// TestCumulantOracleDeepChains in package moments bound the kernel's
+// error against a 400-bit oracle.
+func TestCumulantBitsPinned(t *testing.T) {
+	parsed := map[string]uint64{
+		"chain":    0xc6d69c9d5b71e3d2,
+		"balanced": 0x06417c5622143557,
+		"random":   0xb4731a395419941c,
+		"htree":    0xbedd698dca9f8318,
+	}
+	built := map[string]uint64{
+		"chain":    0xc6d69c9d5b71e3d2,
+		"balanced": 0x2792350dfd64646b,
+		"random":   0xce558701b7b381f1,
+		"htree":    0xb75cf47e8c0b5e80,
+	}
+	for name, tree := range bitsTrees() {
+		d, err := netlist.ParseString(netlist.Format(tree, name))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := cumulantBits(t, d.Tree); got != parsed[name] {
+			t.Errorf("%s parsed: cumulant outputs hash to %#x, want %#x", name, got, parsed[name])
+		}
+		if got := cumulantBits(t, tree); got != built[name] {
+			t.Errorf("%s built: cumulant outputs hash to %#x, want %#x", name, got, built[name])
+		}
+	}
+}
+
+// cumulantBits hashes the μ2- and μ3-derived Bounds fields of a tree.
+func cumulantBits(t *testing.T, tree *rctree.Tree) uint64 {
 	t.Helper()
-	ms, err := moments.Compute(tree, 3)
+	a, err := Analyze(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prh := moments.ComputePRH(tree)
-	td := moments.ElmoreDelays(tree)
-	y := moments.DownstreamAdmittances(tree)
 	h := newFloatHash()
-	for i := 0; i < tree.N(); i++ {
-		h.add(ms.M(1, i), ms.M(2, i), ms.M(3, i), td[i], prh.TD[i], prh.TR(i), y[i].Y1, y[i].Y2, y[i].Y3)
+	for _, b := range a.Bounds {
+		h.add(b.Mu2, b.Mu3, b.Sigma, b.Skewness, b.Lower, b.RiseTime)
 	}
 	return h.sum()
 }

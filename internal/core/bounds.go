@@ -87,17 +87,14 @@ func AnalyzeContext(ctx context.Context, t *rctree.Tree) (*Analysis, error) {
 	return analyze(ctx, t, nil)
 }
 
-// AnalyzeWithMoments is AnalyzeContext with a precomputed moment set of
-// order >= 3 — the seam through which batch engines share one
-// moments.Set across repeated identical nets. ms may have been computed
-// for a different *Tree value as long as it describes the same circuit
-// (equal rctree fingerprints); only node indices are read from it.
+// AnalyzeWithMoments is AnalyzeContext with a precomputed moment set —
+// the seam through which batch engines share one moments.Set across
+// repeated identical nets. ms may have been computed for a different
+// *Tree value as long as it describes the same circuit (equal rctree
+// fingerprints); only node indices are read from it.
 func AnalyzeWithMoments(ctx context.Context, t *rctree.Tree, ms *moments.Set) (*Analysis, error) {
 	if ms == nil {
 		return nil, fmt.Errorf("core: AnalyzeWithMoments needs a non-nil moment set")
-	}
-	if ms.Order() < 3 {
-		return nil, fmt.Errorf("core: bounds need moments of order >= 3, got %d", ms.Order())
 	}
 	if ms.Tree().N() != t.N() {
 		return nil, fmt.Errorf("core: moment set covers %d nodes, tree has %d", ms.Tree().N(), t.N())
@@ -114,7 +111,7 @@ func analyze(ctx context.Context, t *rctree.Tree, ms *moments.Set) (*Analysis, e
 	}
 	if ms == nil {
 		var err error
-		ms, err = moments.Compute(t, 3)
+		ms, err = moments.Compute(t)
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +129,7 @@ func analyze(ctx context.Context, t *rctree.Tree, ms *moments.Set) (*Analysis, e
 		treeLabel = health.TreeLabel(t.N(), t.Fingerprint())
 	}
 	for i := 0; i < t.N(); i++ {
-		b := newBounds(t.Name(i), ms, i, prh.TP, prh.TR(i))
+		b := newBounds(t, i, ms.Elmore(i), ms.Mu2(i), ms.Mu3(i), prh.TP, prh.TR(i))
 		a.Bounds[i] = b
 		if err := checkBounds(treeLabel, &b); err != nil {
 			return nil, err
@@ -143,30 +140,18 @@ func analyze(ctx context.Context, t *rctree.Tree, ms *moments.Set) (*Analysis, e
 	return a, nil
 }
 
-// nodeMoments is the per-node moment statistics newBounds reads:
-// *moments.Set serves them for Analyze and *moments.Incremental for
-// Reanalyze.
-type nodeMoments interface {
-	Elmore(i int) float64
-	Sigma(i int) float64
-	Mu2(i int) float64
-	Mu3(i int) float64
-	Skewness(i int) float64
-}
-
-// newBounds builds node i's Bounds from its moment statistics and the
-// PRH terms T_P and T_R(i): the one set of formulas behind Analyze and
-// Reanalyze.
-func newBounds(name string, m nodeMoments, i int, tp, tr float64) Bounds {
-	td := m.Elmore(i)
-	sigma := m.Sigma(i)
+// newBounds builds the Bounds of node i of t from its T_D, μ2 and μ3 and
+// the PRH terms T_P and T_R(i): the one set of formulas behind Analyze
+// and Reanalyze.
+func newBounds(t *rctree.Tree, i int, td, mu2, mu3, tp, tr float64) Bounds {
+	sigma := moments.Sigma(mu2, t, i)
 	return Bounds{
-		Node:       name,
+		Node:       t.Name(i),
 		Elmore:     td,
 		Sigma:      sigma,
-		Mu2:        m.Mu2(i),
-		Mu3:        m.Mu3(i),
-		Skewness:   m.Skewness(i),
+		Mu2:        mu2,
+		Mu3:        mu3,
+		Skewness:   moments.Skewness(mu2, mu3),
 		Lower:      math.Max(td-sigma, 0),
 		SinglePole: math.Ln2 * td,
 		PRHTmin:    PRHTmin(tp, td, tr, 0.5),
@@ -179,10 +164,10 @@ func newBounds(name string, m nodeMoments, i int, tp, tr float64) Bounds {
 // computed bounds, reporting health violations fail-soft (hard only
 // under a strict monitor). The passing path is a handful of float
 // comparisons and no allocation, so the checks stay in the hot loop
-// permanently. Lemma 2 guarantees mu2 >= 0 and gamma >= 0 exactly;
-// floating-point evaluation leaves roundoff-sized negatives, so the
-// checks carry small tolerances (relative td^2 scale for mu2, absolute
-// for the dimensionless skewness).
+// permanently. Lemma 2 guarantees mu2 >= 0 and gamma >= 0, and the
+// cumulant sweep keeps both exactly in floating point (every term it
+// adds is non-negative), so the checks carry no tolerance: anything
+// below zero, or NaN, is a fault.
 func checkBounds(tree string, b *Bounds) error {
 	if err := health.CheckFinite("core.nonfinite", tree, b.Node, "elmore", b.Elmore); err != nil {
 		return err
@@ -190,23 +175,23 @@ func checkBounds(tree string, b *Bounds) error {
 	if err := health.CheckFinite("core.nonfinite", tree, b.Node, "mu2", b.Mu2); err != nil {
 		return err
 	}
-	if !(b.Mu2 >= -1e-9*b.Elmore*b.Elmore) { // negated form catches NaN
+	if !(b.Mu2 >= 0) { // negated form catches NaN
 		if err := health.Violate(health.Event{
 			Check:  "moments.mu2_negative",
 			Tree:   tree,
 			Node:   b.Node,
-			Detail: "variance negative beyond roundoff (Lemma 2 requires mu2 >= 0)",
+			Detail: "variance negative (Lemma 2 requires mu2 >= 0)",
 			Values: map[string]health.F{"mu2": health.F(b.Mu2), "elmore": health.F(b.Elmore)},
 		}); err != nil {
 			return err
 		}
 	}
-	if !(b.Skewness >= -1e-6) {
+	if !(b.Skewness >= 0) {
 		if err := health.Violate(health.Event{
 			Check:  "moments.skew_negative",
 			Tree:   tree,
 			Node:   b.Node,
-			Detail: "skewness negative beyond roundoff (Lemma 2 requires gamma >= 0)",
+			Detail: "skewness negative (Lemma 2 requires gamma >= 0)",
 			Values: map[string]health.F{"skewness": health.F(b.Skewness)},
 		}); err != nil {
 			return err
@@ -247,7 +232,7 @@ func (a *Analysis) At(name string) (Bounds, error) {
 	return a.Bounds[i], nil
 }
 
-// Moments exposes the underlying moment set (order 3).
+// Moments exposes the underlying moment set.
 func (a *Analysis) Moments() *moments.Set { return a.ms }
 
 // PRH exposes the underlying Penfield-Rubinstein terms.

@@ -58,7 +58,7 @@ func CornerIntervals(t *rctree.Tree, opts CornerOptions) ([]CornerInterval, erro
 	if err != nil {
 		return nil, err
 	}
-	msSlow, err := moments.Compute(slow, 2)
+	msSlow, err := moments.Compute(slow)
 	if err != nil {
 		return nil, err
 	}

@@ -99,7 +99,7 @@ func TestCornerIntervalsContainRandomPoints(t *testing.T) {
 func TestMu2ElementwiseMonotonicity(t *testing.T) {
 	f := func(seed int64) bool {
 		tree := topo.RandomSmall(seed, 15)
-		ms, err := moments.Compute(tree, 2)
+		ms, err := moments.Compute(tree)
 		if err != nil {
 			return false
 		}
@@ -115,7 +115,7 @@ func TestMu2ElementwiseMonotonicity(t *testing.T) {
 				return false
 			}
 		}
-		ms2, err := moments.Compute(bumped, 2)
+		ms2, err := moments.Compute(bumped)
 		if err != nil {
 			return false
 		}

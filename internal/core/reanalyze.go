@@ -67,7 +67,8 @@ func (a *Analysis) Reanalyze(inc *moments.Incremental, sinks []int) error {
 		if i < 0 || i >= len(a.Bounds) {
 			return fmt.Errorf("core: Reanalyze sink index %d out of range [0,%d)", i, len(a.Bounds))
 		}
-		b := newBounds(a.Tree.Name(i), inc, i, a.TP, inc.TR(i)) // TR is O(depth): once per sink
+		mu2, mu3, tr := inc.PathStats(i) // one O(depth) walk per sink
+		b := newBounds(a.Tree, i, inc.Elmore(i), mu2, mu3, a.TP, tr)
 		a.Bounds[i] = b
 		if err := checkBounds(treeLabel, &b); err != nil {
 			return err

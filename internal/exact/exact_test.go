@@ -150,7 +150,7 @@ func TestMomentsCrossCheck(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ms, err := moments.Compute(tree, 3)
+		ms, err := moments.Compute(tree)
 		if err != nil {
 			return false
 		}

@@ -32,7 +32,8 @@ func TestHSingleRC(t *testing.T) {
 }
 
 // The Taylor coefficients of H about s=0 are the path-traced moments:
-// H(s) ≈ 1 + m1 s + m2 s^2 for small real s. A strong cross-check of
+// H(s) ≈ 1 + m1 s + m2 s^2 for small real s, with the raw moments
+// m1 = -T_D and m2 = (μ2 + T_D²)/2 formed from the cumulant set. A strong cross-check of
 // the moment engine against the eigen engine in a different domain.
 func TestHTaylorMatchesMoments(t *testing.T) {
 	f := func(seed int64) bool {
@@ -41,7 +42,7 @@ func TestHTaylorMatchesMoments(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ms, err := moments.Compute(tree, 2)
+		ms, err := moments.Compute(tree)
 		if err != nil {
 			return false
 		}
@@ -49,7 +50,9 @@ func TestHTaylorMatchesMoments(t *testing.T) {
 			// Pick s small relative to the fastest pole.
 			s0 := 1e-4 * sys.Poles()[0]
 			h := real(sys.H(i, complex(s0, 0)))
-			taylor := 1 + ms.M(1, i)*s0 + ms.M(2, i)*s0*s0
+			td := ms.Elmore(i)
+			m1, m2 := -td, (ms.Mu2(i)+td*td)/2
+			taylor := 1 + m1*s0 + m2*s0*s0
 			if math.Abs(h-taylor) > 1e-9 {
 				return false
 			}

@@ -24,7 +24,7 @@
 //	sim.step         every integration step of Runner.RunInto
 //	sim.state        NaN poisoning of the state vector (KindNaN rules)
 //	moments.compute  moments.Compute, before the traversals
-//	moments.m1       NaN poisoning of the computed m_1 (KindNaN rules)
+//	moments.m1       NaN poisoning of the deepest node's T_D (KindNaN rules)
 //	batch.dispatch   batch.Engine, at the top of every job attempt
 //	batch.write      batch.WriteResult, before encoding
 //	batch.journal    batch.Journal.Record, before appending

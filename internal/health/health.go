@@ -28,7 +28,7 @@
 // "health.violations". Events are emitted as NDJSON, one object per
 // line, with tree/node context:
 //
-//	{"check":"moments.nonfinite","severity":"violation","tree":"n20-1a2b…","node":"out","detail":"m_1 is NaN","values":{"m1":"NaN"}}
+//	{"check":"moments.nonfinite","severity":"violation","tree":"n20-1a2b…","node":"out","detail":"1 non-finite moment entries (first: td)","values":{"td":"NaN"}}
 //
 // Setting the environment variable ELMORE_STRICT_NUMERICS=1 installs a
 // strict monitor writing to stderr at package init — the hook the CI

@@ -40,16 +40,15 @@ func CapAdmittance(c float64) Admittance {
 // DownstreamAdmittances returns, for every node i, the admittance
 // moments looking downstream into node i: the local capacitor C(i) in
 // parallel with every child subtree seen through its series resistance.
-// Computed with a single upward sweep over the tree's arrays.
+// Computed with Compute's upward sweep over the tree's arrays.
 func DownstreamAdmittances(t *rctree.Tree) []Admittance {
-	a := t.Arrays()
-	out := make([]Admittance, len(a.Parent))
-	for i := len(out) - 1; i >= 0; i-- {
-		y := CapAdmittance(a.C[i])
-		for _, ch := range a.Kids[a.KidStart[i]:a.KidStart[i+1]] {
-			y = y.Parallel(out[ch].SeriesR(a.R[ch]))
-		}
-		out[i] = y
+	n := t.N()
+	back := make([]float64, 3*n)
+	y1, y2, y3 := back[0:n:n], back[n:2*n:2*n], back[2*n:3*n:3*n]
+	admittancesInto(t.Arrays(), y1, y2, y3)
+	out := make([]Admittance, n)
+	for i := range out {
+		out[i] = Admittance{y1[i], y2[i], y3[i]}
 	}
 	return out
 }

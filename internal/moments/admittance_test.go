@@ -35,7 +35,9 @@ func TestParallel(t *testing.T) {
 
 // Input admittance moments must agree with the transfer-function route:
 // for a single-root tree, Y_in(s) = (1 - H_root(s)) / R_root, so
-// y_q = -m_q(root)/R_root for q >= 1.
+// y_q = -m_q(root)/R_root for q >= 1, with the raw moments formed from
+// the cumulants: m1 = -T_D, m2 = (μ2 + T_D²)/2 and
+// m3 = -(μ3 + 3·T_D·μ2 + T_D³)/6.
 func TestInputAdmittanceVersusMoments(t *testing.T) {
 	f := func(seed int64) bool {
 		tree := topo.RandomSmall(seed, 40)
@@ -44,15 +46,17 @@ func TestInputAdmittanceVersusMoments(t *testing.T) {
 			return true // generator builds single-root trees; skip others
 		}
 		root := roots[0]
-		s, err := Compute(tree, 3)
+		s, err := Compute(tree)
 		if err != nil {
 			return false
 		}
+		td, mu2, mu3 := s.Elmore(root), s.Mu2(root), s.Mu3(root)
+		m1, m2, m3 := -td, (mu2+td*td)/2, -(mu3+3*td*mu2+td*td*td)/6
 		y := InputAdmittance(tree)
 		r := tree.R(root)
-		return approx(y.Y1, -s.M(1, root)/r, 1e-9) &&
-			approx(y.Y2, -s.M(2, root)/r, 1e-9) &&
-			approx(y.Y3, -s.M(3, root)/r, 1e-9)
+		return approx(y.Y1, -m1/r, 1e-9) &&
+			approx(y.Y2, -m2/r, 1e-9) &&
+			approx(y.Y3, -m3/r, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
@@ -182,14 +186,4 @@ func TestPRHFig1Values(t *testing.T) {
 	if p.TP <= p.TD[c1] {
 		t.Errorf("T_P = %v should exceed T_D(C1) = %v", p.TP, p.TD[c1])
 	}
-}
-
-func TestFactorial(t *testing.T) {
-	want := []float64{1, 1, 2, 6, 24, 120}
-	for n, w := range want {
-		if got := factorial(n); got != w {
-			t.Errorf("factorial(%d) = %v, want %v", n, got, w)
-		}
-	}
-	_ = math.Pi // keep math import if cases change
 }

@@ -15,27 +15,27 @@ import (
 // The kernels sweep the tree's own arrays and run in their outputs, so
 // no count includes scratch:
 //
-//	Compute:      Set header, row slice header array, row backing = 3
-//	ComputePRH:   PRHTerms, per-node backing                      = 2
-//	ElmoreDelays: td                                              = 1
+//	Compute:      Set header, column backing = 2
+//	ComputePRH:   PRHTerms, per-node backing = 2
+//	ElmoreDelays: td                         = 1
 const (
-	computeAllocBudget = 3
+	computeAllocBudget = 2
 	prhAllocBudget     = 2
 	elmoreAllocBudget  = 1
 )
 
 func TestComputeAllocBudget(t *testing.T) {
 	tree := topo.Random(11, topo.RandomOptions{N: 300})
-	if _, err := Compute(tree, 3); err != nil { // warm the telemetry counters
+	if _, err := Compute(tree); err != nil { // warm the telemetry counters
 		t.Fatal(err)
 	}
 	got := testing.AllocsPerRun(200, func() {
-		if _, err := Compute(tree, 3); err != nil {
+		if _, err := Compute(tree); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if got > computeAllocBudget {
-		t.Errorf("Compute(order=3) = %.1f allocs/op, budget %d", got, computeAllocBudget)
+		t.Errorf("Compute = %.1f allocs/op, budget %d", got, computeAllocBudget)
 	}
 }
 
@@ -93,11 +93,11 @@ func TestComputePRHBitIdenticalToStandalone(t *testing.T) {
 	}
 }
 
-func BenchmarkComputeOrder3(b *testing.B) {
+func BenchmarkCompute(b *testing.B) {
 	tree := topo.Random(11, topo.RandomOptions{N: 1000})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compute(tree, 3); err != nil {
+		if _, err := Compute(tree); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -42,7 +42,7 @@ func overflowTree(t *testing.T) *rctree.Tree {
 
 func TestComputeNonFiniteFailSoft(t *testing.T) {
 	m, sb, reg := installHealth(t, false)
-	s, err := Compute(overflowTree(t), 3)
+	s, err := Compute(overflowTree(t))
 	if err != nil {
 		t.Fatalf("non-strict monitor must not fail the computation: %v", err)
 	}
@@ -68,7 +68,7 @@ func TestComputeNonFiniteFailSoft(t *testing.T) {
 
 func TestComputeNonFiniteStrictFails(t *testing.T) {
 	installHealth(t, true)
-	_, err := Compute(overflowTree(t), 3)
+	_, err := Compute(overflowTree(t))
 	var v *health.Violation
 	if !errors.As(err, &v) {
 		t.Fatalf("strict monitor must fail Compute with *health.Violation, got %v", err)
@@ -81,7 +81,7 @@ func TestComputeNonFiniteStrictFails(t *testing.T) {
 func TestComputeHealthyTreeNoEvents(t *testing.T) {
 	m, _, _ := installHealth(t, true)
 	tree := twoNodeChain(t, 100, 1e-12, 50, 2e-12)
-	if _, err := Compute(tree, 3); err != nil {
+	if _, err := Compute(tree); err != nil {
 		t.Fatalf("healthy tree failed under strict monitor: %v", err)
 	}
 	if m.Events() != 0 {
@@ -106,7 +106,7 @@ func TestSigmaDegenerateEmitsNote(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, err := Compute(tree, 3)
+	s, err := Compute(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestSigmaDegenerateEmitsNote(t *testing.T) {
 	}
 	// Healthy node on a healthy tree: no event.
 	healthy := twoNodeChain(t, 100, 1e-12, 50, 2e-12)
-	hs, err := Compute(healthy, 3)
+	hs, err := Compute(healthy)
 	if err != nil {
 		t.Fatal(err)
 	}

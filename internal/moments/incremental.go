@@ -8,51 +8,47 @@ import (
 	"elmore/internal/telemetry"
 )
 
-// Incremental is a delta-update engine for the order-3 moment and PRH
-// state of one RC tree: it owns mutable copies of the element values
-// plus every derived per-node array (downstream capacitance, m1..m3,
-// path resistance, T_P) and re-sweeps only what an edit moves. It
-// exists so an optimizer's perturb → evaluate → revert inner loop stops
-// paying the full Compute + ComputePRH + per-node bound rebuild a fresh
-// analysis of a mutated rctree.Tree costs, and pays only for what
-// actually has to move.
+// Incremental is a delta-update engine for the moment and PRH state of
+// one RC tree: it owns mutable copies of the element values plus the
+// per-node state the queries read (admittance moments y1..y3, Elmore
+// delay, path resistance, T_P) and recomputes only what an edit moves.
+// It exists so an optimizer's perturb → evaluate → revert inner loop
+// stops paying the full Compute + ComputePRH + per-node bound rebuild a
+// fresh analysis of a mutated rctree.Tree costs.
 //
-// Every value the engine serves is bit-identical to a fresh
-// moments.Compute / ComputePRH on a tree carrying the same element
-// values: its two range kernels, gather and step, are the exact
-// per-node expressions of the full sweeps, and each node reads its
-// children in the same order, so IEEE-754 non-associativity never
-// shows.
+// Every value the engine serves is bit-identical to a fresh Compute /
+// ComputePRH on a tree carrying the same element values: it evaluates
+// the same per-node expressions (gather, step, stepTD and the prhInto
+// recurrences), and each node reads its children in the same order, so
+// IEEE-754 non-associativity never shows.
 //
 // The state is numbered in the tree's depth-first pre-order, where the
 // subtree of node k is the index range [k, end[k]) and each root
-// component is one range too. What an edit moves is one range per
-// stage:
+// component is one range too. The admittance y at a node depends only
+// on its subtree, and T_D, μ2, μ3 and T_R at a node only on y along its
+// root path. So:
 //
-//   - ΔC at k moves the downstream capacitance w1 on k's root path,
-//     re-gathered at once, and m1 over k's whole component (m1 at the
-//     root reads the root's downstream capacitance).
-//   - ΔR at k moves m1 and the path resistance only in [k, end[k]).
-//   - Either moves orders 2 and 3 over k's component. Those do not
-//     localize: m2/m3 at any node depend on m1 at every node of the
-//     component (through the subtree sums of C·m1), so an exact
-//     order-2+ update is Ω(component). The win there is the constant
-//     factor: in-place range sweeps with no allocation and no per-node
-//     bound reconstruction.
+//   - ΔC at k moves y on k's root path, regathered at once from k up,
+//     and T_D over k's whole component (every node's path meets the
+//     root).
+//   - ΔR at k moves y on the root path above k, regathered from k's
+//     parent up, and T_D and the path resistance only in [k, end[k]).
+//   - μ2, μ3 and T_R at a node are answered by PathStats with one walk
+//     down the node's root path, O(depth).
 //
-// Each stage keeps one pending range, the hull of the ranges its edits
-// moved, and sweeps it on the first query that reads the stage, so any
-// number of SetR/SetC between queries cost one sweep per stage.
+// T_D and the path resistance each keep one pending range, the hull of
+// the ranges edits moved, swept on the first query that reads them, so
+// any number of SetR/SetC between queries cost one sweep each; the
+// T_D range serves scans of many sinks (a worst-leaf objective).
 // Re-evaluating a clean node inside a hull rewrites the bits it already
 // has: hull slack costs time, never correctness.
 //
 // An Incremental is NOT safe for concurrent use; it is a single
-// optimizer's working state. The engine never
-// mutates the bound tree: SetR/SetC are what-if edits on the engine's
-// own arrays, Revert undoes everything since the last Commit, Commit
-// accepts the current values as the new revert baseline, and SyncTree
-// writes them back into the tree in one bulk mutation when the
-// optimizer is done.
+// optimizer's working state. The engine never mutates the bound tree:
+// SetR/SetC are what-if edits on the engine's own arrays, Revert undoes
+// everything since the last Commit, Commit accepts the current values
+// as the new revert baseline, and SyncTree writes them back into the
+// tree in one bulk mutation when the optimizer is done.
 type Incremental struct {
 	tree *rctree.Tree
 	n    int
@@ -65,28 +61,26 @@ type Incremental struct {
 	par, end, root  []int32
 	treeIdx, preIdx []int32
 
-	// Element values and derived per-node state, in pre-order. w1 is
-	// both the order-1 upward sum and the downstream capacitance (m0 = 1
-	// makes them the same array); m1..m3 are the transfer-function
-	// moments; rkk is the source-to-node path resistance.
-	r, c   []float64
-	w1, m1 []float64
-	w2, m2 []float64
-	w3, m3 []float64
-	rkk    []float64
-	tp     float64
+	// Element values and derived per-node state, in pre-order. y1..y3
+	// are the admittance moments looking into each node (y1 is the
+	// downstream capacitance), td the Elmore delay and rkk the
+	// source-to-node path resistance.
+	r, c       []float64
+	y1, y2, y3 []float64
+	td, rkk    []float64
+	tp         float64
 
-	// Pending ranges: m1, rkk, and w2/m2/w3/m3 to re-sweep; tpStale
-	// marks T_P for a re-sum. w1 is never pending. moved is the hull of
-	// every node whose moments moved since the last DrainMoved.
-	pend1, pendR, pend3 span
-	tpStale             bool
-	moved               span
+	// Pending ranges of td and rkk to re-sweep; tpStale marks T_P for a
+	// re-sum. y is never pending. moved is the hull of every node whose
+	// moments moved since the last DrainMoved.
+	pendTD, pendR span
+	tpStale       bool
+	moved         span
 
 	// undo is the revert log: every applied edit since the last Commit,
 	// oldest first.
 	undo    []valueEdit
-	pathBuf []int32 // TR scratch: a sink's root path
+	pathBuf []int32 // PathStats scratch: a node's root path
 
 	stats IncrementalStats
 }
@@ -115,26 +109,28 @@ type valueEdit struct {
 // IncrementalStats counts the engine's work since construction.
 type IncrementalStats struct {
 	Sets          int64 // applied SetR/SetC edits (no-op value repeats excluded)
-	Flushes       int64 // pending ranges swept (one per stage per sweep)
-	NodesTouched  int64 // per-node kernel evaluations, one per node per pass
+	Flushes       int64 // pending ranges swept (T_D or path resistance)
+	NodesTouched  int64 // nodes swept by flushes, one per node per range
+	Gathered      int64 // nodes whose admittance an edit or revert regathered
+	Walked        int64 // root-path nodes visited by PathStats
 	FullFallbacks int64 // always 0; kept because perfbench reads it
 	Reverts       int64
 	Commits       int64
 }
 
 // NewIncremental binds a delta-update engine to t, snapshotting its
-// current element values and computing the full order-3 moment and PRH
-// state once with the engine's kernels over the whole tree. The engine
-// does not mutate t afterwards (see SyncTree); conversely, mutating t
-// directly while an engine is bound to it leaves the engine describing
-// the values it was built from.
+// current element values and computing the admittance, T_D and path
+// resistance state once over the whole tree with the engine's kernels.
+// The engine does not mutate t afterwards (see SyncTree); conversely,
+// mutating t directly while an engine is bound to it leaves the engine
+// describing the values it was built from.
 func NewIncremental(t *rctree.Tree) (*Incremental, error) {
 	if t == nil || t.N() == 0 {
 		return nil, fmt.Errorf("moments: NewIncremental needs a non-empty tree")
 	}
 	n := t.N()
 	idx := make([]int32, 5*n)
-	back := make([]float64, 9*n)
+	back := make([]float64, 7*n)
 	inc := &Incremental{
 		tree:    t,
 		n:       n,
@@ -145,13 +141,11 @@ func NewIncremental(t *rctree.Tree) (*Incremental, error) {
 		preIdx:  idx[4*n : 5*n : 5*n],
 		r:       back[0*n : 1*n : 1*n],
 		c:       back[1*n : 2*n : 2*n],
-		w1:      back[2*n : 3*n : 3*n],
-		m1:      back[3*n : 4*n : 4*n],
-		w2:      back[4*n : 5*n : 5*n],
-		m2:      back[5*n : 6*n : 6*n],
-		w3:      back[6*n : 7*n : 7*n],
-		m3:      back[7*n : 8*n : 8*n],
-		rkk:     back[8*n : 9*n : 9*n],
+		y1:      back[2*n : 3*n : 3*n],
+		y2:      back[3*n : 4*n : 4*n],
+		y3:      back[4*n : 5*n : 5*n],
+		td:      back[5*n : 6*n : 6*n],
+		rkk:     back[6*n : 7*n : 7*n],
 		tpStale: true,
 	}
 	for k, u := range t.PreOrder() {
@@ -171,11 +165,12 @@ func NewIncremental(t *rctree.Tree) (*Incremental, error) {
 			inc.end[p] = max(inc.end[p], inc.end[k])
 		}
 	}
-	all := int32(n)
-	inc.gather(inc.w1, nil, 0, all)
-	inc.step(inc.m1, inc.w1, 0, all)
-	inc.step(inc.rkk, nil, 0, all)
-	inc.sweep3(0, all)
+	for k := int32(n - 1); k >= 0; k-- {
+		inc.regather(k)
+	}
+	all := span{0, int32(n)}
+	inc.sweepTD(all)
+	inc.sweepR(all)
 	telemetry.C("incremental.binds").Inc()
 	return inc, nil
 }
@@ -239,30 +234,33 @@ func (inc *Incremental) set(k int32, isR bool, v float64) {
 	telemetry.C("incremental.sets").Inc()
 }
 
-// moves records what an edit at k moves: w1 is re-gathered along k's
-// root path at once; m1, rkk and orders 2-3 get their pending ranges
-// extended, T_P goes stale and k's component joins the moved set.
+// moves records what an edit at k moves: y is regathered on the root
+// path at once (from k for ΔC, from k's parent for ΔR, whose y does not
+// read r_k), the T_D and path-resistance ranges are extended, T_P goes
+// stale and k's component joins the moved set.
 func (inc *Incremental) moves(k int32, isR bool) {
 	rt := inc.root[k]
+	from := k
 	if isR {
-		inc.pend1.cover(k, inc.end[k])
+		inc.pendTD.cover(k, inc.end[k])
 		inc.pendR.cover(k, inc.end[k])
+		from = inc.par[k]
 	} else {
-		for j := k; j != rctree.Source; j = inc.par[j] {
-			inc.gather(inc.w1, nil, j, j+1)
-		}
-		inc.pend1.cover(rt, inc.end[rt])
+		inc.pendTD.cover(rt, inc.end[rt])
 	}
-	inc.pend3.cover(rt, inc.end[rt])
+	for j := from; j != rctree.Source; j = inc.par[j] {
+		inc.regather(j)
+		inc.stats.Gathered++
+	}
 	inc.moved.cover(rt, inc.end[rt])
 	inc.tpStale = true
 }
 
 // Revert undoes every edit applied since the last Commit (or since
-// construction), restoring the engine to its baseline values. Reverted
-// ranges re-sweep lazily on the next query, and re-sweeping reproduces
-// the baseline bits exactly: the kernels are deterministic in the
-// values, which are bit-restored.
+// construction), restoring the engine to its baseline values. Each
+// undone edit regathers its root path from exact children, which
+// reproduces a fresh sweep's bits; T_D and the path resistance re-sweep
+// lazily on the next query.
 func (inc *Incremental) Revert() {
 	for k := len(inc.undo) - 1; k >= 0; k-- {
 		e := inc.undo[k]
@@ -304,15 +302,44 @@ func (inc *Incremental) SyncTree() error {
 
 // --- Queries (tree-indexed, bit-identical to Set / PRHTerms) ---
 
-// Elmore returns the Elmore delay T_D(i) = -m1(i), sweeping m1 only.
+// Elmore returns the Elmore delay T_D(i), sweeping T_D's pending range
+// first.
 func (inc *Incremental) Elmore(i int) float64 {
-	inc.flush1()
-	return -inc.m1[inc.preIdx[i]]
+	if s := inc.pendTD; !s.empty() {
+		inc.pendTD = span{}
+		inc.sweepTD(s)
+		inc.count(s)
+	}
+	return inc.td[inc.preIdx[i]]
+}
+
+// PathStats returns μ2 and μ3 of the impulse response and the PRH term
+// T_R at node i, from one walk down i's root path: the cumulant step of
+// Compute and the S(j) = S(p) + r_j (R_jj + R_pp) Cdown(j) recurrence
+// of prhInto, node by node from the root, so the bits match Set.Mu2,
+// Set.Mu3 and PRHTerms.TR. O(depth(i)) per call.
+func (inc *Incremental) PathStats(i int) (mu2, mu3, tr float64) {
+	path := inc.pathBuf[:0]
+	for j := inc.preIdx[i]; j != rctree.Source; j = inc.par[j] {
+		path = append(path, j)
+	}
+	inc.pathBuf = path[:0]
+	var td, rp, sp float64
+	for x := len(path) - 1; x >= 0; x-- {
+		j := path[x]
+		r, y := inc.r[j], Admittance{inc.y1[j], inc.y2[j], inc.y3[j]}
+		td, mu2, mu3 = step(td, mu2, mu3, r, y)
+		rjj := r + rp
+		sp += r * (rjj + rp) * y.Y1
+		rp = rjj
+	}
+	inc.stats.Walked += int64(len(path))
+	return mu2, mu3, sp / rp
 }
 
 // DownstreamC returns the total capacitance of the subtree rooted at i.
 func (inc *Incremental) DownstreamC(i int) float64 {
-	return inc.w1[inc.preIdx[i]]
+	return inc.y1[inc.preIdx[i]]
 }
 
 // PathResistance returns R_ii, the source-to-i path resistance.
@@ -333,55 +360,9 @@ func (inc *Incremental) C(i int) float64 { return inc.c[inc.preIdx[i]] }
 func (inc *Incremental) TotalC() float64 {
 	var sum float64
 	for k := int32(0); k < int32(inc.n); k = inc.end[k] {
-		sum += inc.w1[k]
+		sum += inc.y1[k]
 	}
 	return sum
-}
-
-// M returns the moment m_q(i) for q in [0,3].
-func (inc *Incremental) M(q, i int) float64 {
-	if q < 0 || q > 3 {
-		panic(fmt.Sprintf("moments: incremental order %d out of range [0,3]", q))
-	}
-	if i < 0 || i >= inc.n {
-		panic(fmt.Sprintf("moments: node index %d out of range [0,%d)", i, inc.n))
-	}
-	k := inc.preIdx[i]
-	switch q {
-	case 0:
-		return 1
-	case 1:
-		inc.flush1()
-		return inc.m1[k]
-	case 2:
-		inc.flush3()
-		return inc.m2[k]
-	default:
-		inc.flush3()
-		return inc.m3[k]
-	}
-}
-
-// Mu2 returns the impulse-response variance at node i (see Set.Mu2).
-func (inc *Incremental) Mu2(i int) float64 {
-	inc.flush3()
-	k := inc.preIdx[i]
-	return mu2(inc.m1[k], inc.m2[k])
-}
-
-// Mu3 returns the third central moment at node i (see Set.Mu3).
-func (inc *Incremental) Mu3(i int) float64 {
-	inc.flush3()
-	k := inc.preIdx[i]
-	return mu3(inc.m1[k], inc.m2[k], inc.m3[k])
-}
-
-// Sigma returns sqrt(mu2) under the Set.Sigma degenerate contract.
-func (inc *Incremental) Sigma(i int) float64 { return sigma(inc.Mu2(i), inc.tree, i) }
-
-// Skewness returns mu3 / mu2^(3/2), zero at zero-variance nodes.
-func (inc *Incremental) Skewness(i int) float64 {
-	return skewness(inc.Mu2(i), func() float64 { return inc.Mu3(i) })
 }
 
 // TP returns the Penfield-Rubinstein T_P = sum_k R_kk C_k, summed in
@@ -398,27 +379,6 @@ func (inc *Incremental) TP() float64 {
 	return inc.tp
 }
 
-// TR returns T_R(i) = sum_k R_ki^2 C_k / R_ii. It evaluates the
-// prhInto recurrence S(j) = S(p) + r_j (R_jj + R_pp) Cdown(j) down the
-// root path of i over the engine's arrays — O(depth(i)) per call, the
-// same expressions in the same order, so the bits match PRHTerms.TR.
-func (inc *Incremental) TR(i int) float64 {
-	inc.flushR()
-	path := inc.pathBuf[:0]
-	for j := inc.preIdx[i]; j != rctree.Source; j = inc.par[j] {
-		path = append(path, j)
-	}
-	inc.pathBuf = path[:0]
-	var rp, sp float64
-	for k := len(path) - 1; k >= 0; k-- {
-		j := path[k]
-		rjj := inc.rkk[j]
-		sp += inc.r[j] * (rjj + rp) * inc.w1[j]
-		rp = rjj
-	}
-	return sp / rp
-}
-
 // DrainMoved appends to dst the tree indices of every node whose
 // moments may have moved since the last drain (conservatively: the hull
 // of the edited components) and resets the moved set. It does not
@@ -432,14 +392,28 @@ func (inc *Incremental) DrainMoved(dst []int) []int {
 	return dst
 }
 
-// --- Range sweeps ---
+// --- Kernels ---
 
-// flush1 sweeps m1's pending range.
-func (inc *Incremental) flush1() {
-	if s := inc.pend1; !s.empty() {
-		inc.pend1 = span{}
-		inc.step(inc.m1, inc.w1, s.lo, s.hi)
-		inc.count(s, 1)
+// regather sets node k's admittance from its capacitor and its
+// children's admittances, in child order: the upward kernel of Compute.
+func (inc *Incremental) regather(k int32) {
+	y := CapAdmittance(inc.c[k])
+	for ch := k + 1; ch < inc.end[k]; ch = inc.end[ch] {
+		y = gather(y, Admittance{inc.y1[ch], inc.y2[ch], inc.y3[ch]}, inc.r[ch])
+	}
+	inc.y1[k], inc.y2[k], inc.y3[k] = y.Y1, y.Y2, y.Y3
+}
+
+// sweepTD sets T_D over s, parents first, with step's T_D expression.
+// A parent outside s must be up to date.
+func (inc *Incremental) sweepTD(s span) {
+	r, y1, td, par := inc.r, inc.y1, inc.td, inc.par
+	for k := s.lo; k < s.hi; k++ {
+		var p float64
+		if pk := par[k]; pk != rctree.Source {
+			p = td[pk]
+		}
+		td[k] = stepTD(p, r[k], y1[k])
 	}
 }
 
@@ -447,70 +421,28 @@ func (inc *Incremental) flush1() {
 func (inc *Incremental) flushR() {
 	if s := inc.pendR; !s.empty() {
 		inc.pendR = span{}
-		inc.step(inc.rkk, nil, s.lo, s.hi)
-		inc.count(s, 1)
+		inc.sweepR(s)
+		inc.count(s)
 	}
 }
 
-// flush3 sweeps m1, then the order-2/3 pending range. That range is a
-// union of whole components, so every gather finds its children inside
-// it.
-func (inc *Incremental) flush3() {
-	inc.flush1()
-	if s := inc.pend3; !s.empty() {
-		inc.pend3 = span{}
-		inc.sweep3(s.lo, s.hi)
-		inc.count(s, 4)
+// sweepR sets R_kk = r_k + R_pp over s, parents first: the path
+// resistance step of prhInto.
+func (inc *Incremental) sweepR(s span) {
+	r, rkk, par := inc.r, inc.rkk, inc.par
+	for k := s.lo; k < s.hi; k++ {
+		v := r[k]
+		if p := par[k]; p != rctree.Source {
+			v += rkk[p]
+		}
+		rkk[k] = v
 	}
 }
 
-func (inc *Incremental) sweep3(lo, hi int32) {
-	inc.gather(inc.w2, inc.m1, lo, hi)
-	inc.step(inc.m2, inc.w2, lo, hi)
-	inc.gather(inc.w3, inc.m2, lo, hi)
-	inc.step(inc.m3, inc.w3, lo, hi)
-}
-
-func (inc *Incremental) count(s span, passes int) {
-	touched := int64(passes) * int64(s.hi-s.lo)
+func (inc *Incremental) count(s span) {
+	touched := int64(s.hi - s.lo)
 	inc.stats.Flushes++
 	inc.stats.NodesTouched += touched
 	telemetry.C("incremental.flushes").Inc()
 	telemetry.C("incremental.nodes_touched").Add(touched)
-}
-
-// gather sets w[k] = c[k]·m[k] + the sum of w over k's children (c[k]
-// alone when m is nil) for k from hi-1 down to lo, children first: the
-// upward kernel of computeInto. Every child of a node in [lo, hi) that
-// is not itself up to date must lie inside the range.
-func (inc *Incremental) gather(w, m []float64, lo, hi int32) {
-	c, end := inc.c, inc.end
-	for k := hi - 1; k >= lo; k-- {
-		d := c[k]
-		if m != nil {
-			d = c[k] * m[k]
-		}
-		for ch := k + 1; ch < end[k]; ch = end[ch] {
-			d += w[ch]
-		}
-		w[k] = d
-	}
-}
-
-// step sets m[k] = -(r[k]·w[k]) + m[parent] for k from lo up to hi-1,
-// parents first: the downward kernel of computeInto. With w nil it is
-// the path-resistance step of prhInto, m[k] = r[k] + m[parent]. A
-// parent outside [lo, hi) must be up to date.
-func (inc *Incremental) step(m, w []float64, lo, hi int32) {
-	r, par := inc.r, inc.par
-	for k := lo; k < hi; k++ {
-		v := r[k]
-		if w != nil {
-			v = -(r[k] * w[k])
-		}
-		if p := par[k]; p != rctree.Source {
-			v += m[p]
-		}
-		m[k] = v
-	}
 }

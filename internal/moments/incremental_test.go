@@ -19,10 +19,11 @@ func bitsEq(a, b float64) bool {
 
 // checkAgainstFull compares every quantity the engine serves, at every
 // node, against a fresh full recompute on a shadow tree carrying the
-// same element values. All comparisons are bit-exact.
+// same element values: T_D and the PathStats walk (μ2, μ3, T_R)
+// against a fresh Set and ComputePRH. All comparisons are bit-exact.
 func checkAgainstFull(t *testing.T, label string, inc *Incremental, shadow *rctree.Tree) {
 	t.Helper()
-	ms, err := Compute(shadow, 3)
+	ms, err := Compute(shadow)
 	if err != nil {
 		t.Fatalf("%s: full Compute: %v", label, err)
 	}
@@ -30,32 +31,26 @@ func checkAgainstFull(t *testing.T, label string, inc *Incremental, shadow *rctr
 	downC := shadow.DownstreamC()
 	n := shadow.N()
 	for i := 0; i < n; i++ {
-		for q := 1; q <= 3; q++ {
-			if got, want := inc.M(q, i), ms.M(q, i); !bitsEq(got, want) {
-				t.Fatalf("%s: m%d(%d) = %x, full recompute has %x",
-					label, q, i, math.Float64bits(got), math.Float64bits(want))
-			}
-		}
 		if got, want := inc.Elmore(i), ms.Elmore(i); !bitsEq(got, want) {
 			t.Fatalf("%s: Elmore(%d) = %v, want %v", label, i, got, want)
 		}
-		if got, want := inc.Mu2(i), ms.Mu2(i); !bitsEq(got, want) {
-			t.Fatalf("%s: Mu2(%d) = %v, want %v", label, i, got, want)
+		if got, want := inc.Elmore(i), prh.TD[i]; !bitsEq(got, want) {
+			t.Fatalf("%s: Elmore(%d) = %v, ComputePRH has %v", label, i, got, want)
 		}
-		if got, want := inc.Mu3(i), ms.Mu3(i); !bitsEq(got, want) {
-			t.Fatalf("%s: Mu3(%d) = %v, want %v", label, i, got, want)
+		mu2, mu3, tr := inc.PathStats(i)
+		if got, want := mu2, ms.Mu2(i); !bitsEq(got, want) {
+			t.Fatalf("%s: mu2(%d) = %x, full recompute has %x",
+				label, i, math.Float64bits(got), math.Float64bits(want))
 		}
-		if got, want := inc.Sigma(i), ms.Sigma(i); !bitsEq(got, want) {
-			t.Fatalf("%s: Sigma(%d) = %v, want %v", label, i, got, want)
+		if got, want := mu3, ms.Mu3(i); !bitsEq(got, want) {
+			t.Fatalf("%s: mu3(%d) = %x, full recompute has %x",
+				label, i, math.Float64bits(got), math.Float64bits(want))
 		}
-		if got, want := inc.Skewness(i), ms.Skewness(i); !bitsEq(got, want) {
-			t.Fatalf("%s: Skewness(%d) = %v, want %v", label, i, got, want)
+		if got, want := tr, prh.TR(i); !bitsEq(got, want) {
+			t.Fatalf("%s: TR(%d) = %v, want %v", label, i, got, want)
 		}
 		if got, want := inc.PathResistance(i), prh.PathResistance(i); !bitsEq(got, want) {
 			t.Fatalf("%s: Rkk(%d) = %v, want %v", label, i, got, want)
-		}
-		if got, want := inc.TR(i), prh.TR(i); !bitsEq(got, want) {
-			t.Fatalf("%s: TR(%d) = %v, want %v", label, i, got, want)
 		}
 		if got, want := inc.DownstreamC(i), downC[i]; !bitsEq(got, want) {
 			t.Fatalf("%s: DownstreamC(%d) = %v, want %v", label, i, got, want)
@@ -255,10 +250,9 @@ func TestIncrementalNoopEditIsFree(t *testing.T) {
 	}
 }
 
-// TestIncrementalPropertyRandomSequences is the satellite-required
-// property test: random SetR/SetC/Revert sequences over chains, stars
-// and deep fans, asserting bit-identical moments, sigma and Elmore
-// against a fresh full Compute after every step. Run under -race in the
+// TestIncrementalPropertyRandomSequences: random SetR/SetC/Revert
+// sequences over chains, stars and deep fans, asserting bit-identical
+// Elmore, μ2, μ3 and T_R against a fresh full Compute after every step. Run under -race in the
 // standard lanes.
 func TestIncrementalPropertyRandomSequences(t *testing.T) {
 	topos := []struct {
@@ -331,7 +325,7 @@ func TestIncrementalDrainMoved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := Compute(tree, 3)
+	before, err := Compute(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +337,7 @@ func TestIncrementalDrainMoved(t *testing.T) {
 	if err := shadow.SetR(node, 777); err != nil {
 		t.Fatal(err)
 	}
-	after, err := Compute(shadow, 3)
+	after, err := Compute(shadow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,12 +347,8 @@ func TestIncrementalDrainMoved(t *testing.T) {
 		inSet[i] = true
 	}
 	for i := 0; i < tree.N(); i++ {
-		changed := false
-		for q := 1; q <= 3; q++ {
-			if !bitsEq(before.M(q, i), after.M(q, i)) {
-				changed = true
-			}
-		}
+		changed := !bitsEq(before.Elmore(i), after.Elmore(i)) ||
+			!bitsEq(before.Mu2(i), after.Mu2(i)) || !bitsEq(before.Mu3(i), after.Mu3(i))
 		if changed && !inSet[i] {
 			t.Fatalf("node %d moved but is not in the drained set", i)
 		}
@@ -369,31 +359,46 @@ func TestIncrementalDrainMoved(t *testing.T) {
 }
 
 // TestIncrementalStatsAndLocality pins the headline property: a single
-// leaf perturbation on a long chain flushes far fewer nodes for the
-// order-1 state than the full tree, and the counters record it.
+// leaf perturbation on a long branch costs work proportional to the
+// leaf's depth, never to the tree, and the counters record it. A ΔR at
+// the leaf regathers the admittances above it (depth-1 nodes), the T_D
+// flush sweeps the leaf's one-node subtree, and PathStats walks the
+// leaf's root path (depth nodes).
 func TestIncrementalStatsAndLocality(t *testing.T) {
 	const n = 4000
-	tree := topo.Star(4, n/4, 10, 1e-15) // 4 branches, depth n/4
+	tree := topo.Star(4, n/4, 10, 1e-15) // hub + 4 branches of n/4
 	inc, err := NewIncremental(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Perturb R at a leaf: order-1 dirt is the leaf's subtree (1 node)
-	// plus nothing else; the order-1 flush must touch O(1) nodes, not
-	// O(n).
 	leaf := tree.N() - 1
+	depth := int64(tree.Depth(leaf))
+	st0 := inc.Stats()
 	if err := inc.SetR(leaf, 55); err != nil {
 		t.Fatal(err)
 	}
-	st0 := inc.Stats()
-	_ = inc.Elmore(leaf) // stage-1 flush only
 	st1 := inc.Stats()
-	touched := st1.NodesTouched - st0.NodesTouched
-	if touched == 0 || touched > int64(tree.N())/10 {
-		t.Fatalf("order-1 flush after a leaf ΔR touched %d of %d nodes; want a local region", touched, tree.N())
+	if got := st1.Gathered - st0.Gathered; got != depth-1 {
+		t.Errorf("leaf ΔR regathered %d nodes, want depth-1 = %d", got, depth-1)
 	}
-	if st1.Flushes != st0.Flushes+1 {
-		t.Fatalf("expected exactly one flush, got %+v", st1)
+	_ = inc.Elmore(leaf)
+	st2 := inc.Stats()
+	if got := st2.NodesTouched - st1.NodesTouched; got != 1 {
+		t.Errorf("T_D flush after a leaf ΔR touched %d nodes, want 1", got)
+	}
+	if st2.Flushes != st1.Flushes+1 {
+		t.Errorf("expected exactly one flush, got %+v", st2)
+	}
+	inc.PathStats(leaf)
+	st3 := inc.Stats()
+	if got := st3.Walked - st2.Walked; got != depth {
+		t.Errorf("PathStats walked %d nodes, want depth = %d", got, depth)
+	}
+	if st3.NodesTouched != st2.NodesTouched || st3.Gathered != st2.Gathered {
+		t.Errorf("PathStats flushed or regathered: %+v -> %+v", st2, st3)
+	}
+	if depth > n/4+1 || st3.FullFallbacks != 0 {
+		t.Fatalf("depth %d, stats %+v", depth, st3)
 	}
 }
 
@@ -419,8 +424,8 @@ func logUniformForest(seed int64, n, rootEvery int) *rctree.Tree {
 	return t
 }
 
-// TestIncrementalTRMatchesFresh pins Incremental.TR and TP to a fresh
-// ComputePRH bit for bit after random SetR/SetC/Revert/Commit
+// TestIncrementalTRMatchesFresh pins the T_R of Incremental.PathStats
+// and TP to a fresh ComputePRH bit for bit after random SetR/SetC/Revert/Commit
 // sequences — one to three edits between checks — on a chain, a
 // single-root tree and a multi-root forest whose element values span
 // seven decades.
@@ -474,13 +479,14 @@ func TestIncrementalTRMatchesFresh(t *testing.T) {
 					}
 				}
 				prh := ComputePRH(shadow)
-				if step%2 == 0 { // flush orders 2-3 first on even steps
+				if step%2 == 0 { // flush the path resistance first on even steps
 					if got, want := inc.TP(), prh.TP; !bitsEq(got, want) {
 						t.Fatalf("%s/seed%d/step%d: TP %v, fresh %v", tc.name, seed, step, got, want)
 					}
 				}
 				for i := 0; i < tree.N(); i++ {
-					if got, want := inc.TR(i), prh.TR(i); !bitsEq(got, want) {
+					if _, _, got := inc.PathStats(i); !bitsEq(got, prh.TR(i)) {
+						want := prh.TR(i)
 						t.Fatalf("%s/seed%d/step%d: TR(%d) = %x, fresh ComputePRH %x",
 							tc.name, seed, step, i, math.Float64bits(got), math.Float64bits(want))
 					}
@@ -493,13 +499,14 @@ func TestIncrementalTRMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestIncrementalForestRanges pins what one edit re-sweeps on a
-// multi-root forest. A ΔR at an inner node k sweeps exactly k's
-// subtree for m1 (Elmore) and again for the path resistance
-// (PathResistance); a ΔC at k sweeps exactly k's component for m1 and
-// for each of the four order-2/3 passes (Sigma); and the moved set is
-// exactly k's component. Sizes come from Tree.Children, not from the
-// engine.
+// TestIncrementalForestRanges pins what one edit costs on a multi-root
+// forest. A ΔR at an inner node k regathers the admittances strictly
+// above k (depth(k)-1 nodes) and sweeps exactly k's subtree for T_D
+// (Elmore) and again for the path resistance (PathResistance); a ΔC at
+// k regathers k's whole root path (depth(k) nodes) and sweeps exactly
+// k's component for T_D; PathStats walks depth(k) nodes and sweeps
+// nothing; and the moved set is exactly k's component. Sizes come from
+// Tree.Children and Tree.Depth, not from the engine.
 func TestIncrementalForestRanges(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		tree := logUniformForest(seed, 90, 6)
@@ -526,44 +533,59 @@ func TestIncrementalForestRanges(t *testing.T) {
 		for tree.Parent(root) != rctree.Source {
 			root = tree.Parent(root)
 		}
-		sub, comp := subtree(k), subtree(root)
+		sub, comp, depth := subtree(k), subtree(root), int64(tree.Depth(k))
 
 		inc, err := NewIncremental(tree)
 		if err != nil {
 			t.Fatal(err)
 		}
 		shadow := tree.Clone()
-		touched := func(query func()) int64 {
-			before := inc.Stats().NodesTouched
-			query()
-			return inc.Stats().NodesTouched - before
+		// work runs f and returns the nodes it regathered, swept and
+		// walked.
+		work := func(f func()) (gathered, touched, walked int64) {
+			before := inc.Stats()
+			f()
+			after := inc.Stats()
+			return after.Gathered - before.Gathered, after.NodesTouched - before.NodesTouched, after.Walked - before.Walked
 		}
 		label := fmt.Sprintf("seed%d/k=%d", seed, k)
 
 		r := 2 * tree.R(k)
-		if err := inc.SetR(k, r); err != nil {
-			t.Fatal(err)
+		if g, _, _ := work(func() {
+			if err := inc.SetR(k, r); err != nil {
+				t.Fatal(err)
+			}
+		}); g != depth-1 {
+			t.Errorf("%s: SetR regathered %d nodes, want depth-1 = %d", label, g, depth-1)
 		}
 		if err := shadow.SetR(k, r); err != nil {
 			t.Fatal(err)
 		}
-		if got := touched(func() { inc.Elmore(k) }); got != int64(len(sub)) {
+		if _, got, _ := work(func() { inc.Elmore(k) }); got != int64(len(sub)) {
 			t.Errorf("%s: SetR then Elmore touched %d nodes, want |subtree| = %d", label, got, len(sub))
 		}
-		if got := touched(func() { inc.PathResistance(k) }); got != int64(len(sub)) {
+		if _, got, _ := work(func() { inc.PathResistance(k) }); got != int64(len(sub)) {
 			t.Errorf("%s: then PathResistance touched %d nodes, want |subtree| = %d", label, got, len(sub))
 		}
 		checkAgainstFull(t, label+"/SetR", inc, shadow)
 
 		c := 3 * tree.C(k)
-		if err := inc.SetC(k, c); err != nil {
-			t.Fatal(err)
+		if g, _, _ := work(func() {
+			if err := inc.SetC(k, c); err != nil {
+				t.Fatal(err)
+			}
+		}); g != depth {
+			t.Errorf("%s: SetC regathered %d nodes, want depth = %d", label, g, depth)
 		}
 		if err := shadow.SetC(k, c); err != nil {
 			t.Fatal(err)
 		}
-		if got := touched(func() { inc.Sigma(k) }); got != 5*int64(len(comp)) {
-			t.Errorf("%s: SetC then Sigma touched %d nodes, want 5·|component| = %d", label, got, 5*len(comp))
+		if g, touched, walked := work(func() { inc.PathStats(k) }); g != 0 || touched != 0 || walked != depth {
+			t.Errorf("%s: SetC then PathStats regathered %d, swept %d and walked %d nodes; want 0, 0 and depth = %d",
+				label, g, touched, walked, depth)
+		}
+		if _, got, _ := work(func() { inc.Elmore(k) }); got != int64(len(comp)) {
+			t.Errorf("%s: SetC then Elmore touched %d nodes, want |component| = %d", label, got, len(comp))
 		}
 		moved := inc.DrainMoved(nil)
 		slices.Sort(moved)
@@ -577,8 +599,9 @@ func TestIncrementalForestRanges(t *testing.T) {
 
 // FuzzIncrementalEdits builds a forest of at most 48 nodes from the
 // input and replays an input-chosen sequence of SetR/SetC/Revert/Commit
-// on an engine bound to it, checking every served value against a
-// fresh full recompute on a shadow tree after every operation.
+// on an engine bound to it, checking every served value (T_D and the
+// PathStats walk included) bit for bit against a fresh Set and
+// ComputePRH on a shadow tree after every operation.
 //
 // Input layout: one byte for the node count; three bytes per node
 // (parent, R, C); then three bytes per operation (kind, node, value).

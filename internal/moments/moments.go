@@ -1,20 +1,22 @@
-// Package moments computes transfer-function moments of RC trees with
-// O(N)-per-order path-tracing traversals, in the style of RICE
-// (Ratzlaff & Pillage 1994). These moments are the raw material for the
-// Elmore delay, the Gupta-Tutuianu-Pileggi delay bounds, the
-// Penfield-Rubinstein-Horowitz waveform bounds, and AWE approximations.
+// Package moments computes, in O(N), the statistics of the impulse
+// response at every node of an RC tree that the paper's bounds consume
+// — the Elmore delay T_D (the mean) and the central moments μ2 and μ3 —
+// plus the PRH terms and driving-point admittance moments.
 //
-// Edge-case contracts: M panics on an out-of-range node index (a
-// programming error, not a data error); a zero-variance node (mu2 == 0,
-// e.g. a capacitance-free tree) has Sigma == +0, never NaN.
+// T_D, μ2 and μ3 are the first three cumulants, and cumulants add
+// stage by stage through each 1/(1 + r·Y(s)) section (paper Appendix
+// B): one upward sweep gathers the admittance moments y1..y3 looking
+// into every node, and one downward sweep adds, per node,
 //
-// Sign convention (paper eq. 9): the transfer function at node i is
-// expanded as H_i(s) = sum_q m_q(i) s^q, so that
+//	T_D(i) = T_D(p) + r·y1
+//	μ2(i)  = μ2(p) + (r·y1)² − 2·r·y2
+//	μ3(i)  = μ3(p) + 6·r·y3 − 6·r·(r·y1)·y2 + 2·(r·y1)³
 //
-//	m_q(i) = (-1)^q / q! * integral t^q h_i(t) dt.
-//
-// Consequently the Elmore delay is T_D(i) = -m_1(i), and the
-// distribution moments are M_q = (-1)^q q! m_q.
+// The gather keeps y1 ≥ 0, y2 ≤ 0 and y3 ≥ 0 in floating point, so
+// every added term is non-negative and Lemma 2 (μ2 ≥ 0, μ3 ≥ 0) holds
+// by construction. Raw transfer-function moments, which only AWE
+// needs, live in package awe. A zero-variance node (μ2 == 0) has
+// Sigma == +0 and Skewness == 0, never NaN.
 package moments
 
 import (
@@ -27,200 +29,171 @@ import (
 	"elmore/internal/telemetry"
 )
 
-// Set holds moments m_0..m_Order for every node of a tree.
+// Set holds the Elmore delay T_D and the central moments μ2 and μ3 of
+// the impulse response at every node of a tree.
 type Set struct {
-	tree  *rctree.Tree
-	order int
-	m     [][]float64 // m[q][i]
+	tree         *rctree.Tree
+	td, mu2, mu3 []float64
 }
 
-// Compute returns the transfer-function moments m_0..m_order at every
-// node of the tree. order must be >= 1. Cost is O(order * N).
+// Compute returns T_D, μ2 and μ3 at every node of the tree, with one
+// upward admittance sweep and one downward cumulant sweep over the
+// tree's arrays (rctree.Tree.Arrays). Cost is O(N).
 //
-// The recurrences sweep the tree's own arrays (rctree.Tree.Arrays):
-// index order is topological, so each pass is one plain loop, and each
-// order is computed in place in its own row of the returned Set.
-func Compute(t *rctree.Tree, order int) (*Set, error) {
+// The three columns share one backing array, so a Set costs two
+// allocations. The upward sweep leaves y1, y2, y3 in the columns and
+// the downward one overwrites them in place, each node after its
+// parent.
+func Compute(t *rctree.Tree) (*Set, error) {
 	if err := faultinject.Fire("moments.compute"); err != nil {
 		return nil, err
 	}
-	if order < 1 {
-		return nil, fmt.Errorf("moments: order must be >= 1, got %d", order)
-	}
 	n := t.N()
-	// One backing array serves every moment row, so a Set costs three
-	// allocations regardless of order. Rows are full-capacity
-	// sub-slices (the three-index form), so an append on one row can
-	// never bleed into its neighbor.
-	back := make([]float64, (order+1)*n)
-	s := &Set{tree: t, order: order, m: make([][]float64, order+1)}
-	for q := range s.m {
-		s.m[q] = back[q*n : (q+1)*n : (q+1)*n]
-	}
-	for i := 0; i < n; i++ {
-		s.m[0][i] = 1 // m_0 = DC gain = 1 at every node of an RC tree
-	}
-	computeInto(t.Arrays(), s)
+	back := make([]float64, 3*n)
+	s := &Set{tree: t, td: back[0:n:n], mu2: back[n : 2*n : 2*n], mu3: back[2*n : 3*n : 3*n]}
+	a := t.Arrays()
+	admittancesInto(a, s.td, s.mu2, s.mu3)
+	cumulantsInto(a, s.td, s.mu2, s.mu3)
 	if faultinject.Enabled() && n > 0 {
-		// Poisoning the deepest node's m_1 is enough for chaos runs: it
+		// Poisoning the deepest node's T_D is enough for chaos runs: it
 		// is the Elmore delay every downstream bound reads, and the
 		// checkFinite sentinel below sees it when health is on.
-		s.m[1][n-1] = faultinject.Poison("moments.m1", s.m[1][n-1])
+		s.td[n-1] = faultinject.Poison("moments.m1", s.td[n-1])
 	}
 	telemetry.C("moments.computes").Inc()
-	telemetry.C("moments.traversals").Add(2 * int64(order))
-	telemetry.C("moments.node_visits").Add(2 * int64(order) * int64(n))
-	if err := s.checkFinite(); err != nil {
+	telemetry.C("moments.traversals").Add(2)
+	telemetry.C("moments.node_visits").Add(2 * int64(n))
+	if err := checkFinite(t, back); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// checkFinite is the health sentinel on freshly computed moments: a
-// non-finite element value (a NaN capacitance, an Inf resistance)
-// poisons the recurrences and propagates through every downstream
-// bound, so catch it here, at the source. The O(order*N) scan runs only
-// when a health monitor is installed; one violation event summarizes
-// the damage (first poisoned node plus the total count), and under a
-// strict monitor the violation fails the computation.
-func (s *Set) checkFinite() error {
+// checkFinite is the health sentinel on a freshly computed set, whose
+// columns T_D, μ2, μ3 of t are back: a non-finite element value (a NaN
+// capacitance, an Inf resistance) or an overflow poisons the sweeps and
+// propagates through every downstream bound, so catch it here, at the
+// source. The O(N) scan runs only when a health monitor is installed;
+// one violation event summarizes the damage (first poisoned entry plus
+// the total count), and under a strict monitor the violation fails the
+// computation.
+func checkFinite(t *rctree.Tree, back []float64) error {
 	if !health.Enabled() {
 		return nil
 	}
-	firstQ, firstI, bad := 0, 0, 0
-	for q := 1; q <= s.order; q++ {
-		for i, v := range s.m[q] {
-			if !health.IsFinite(v) {
-				if bad == 0 {
-					firstQ, firstI = q, i
-				}
-				bad++
+	first, bad := 0, 0
+	for k, v := range back {
+		if !health.IsFinite(v) {
+			if bad == 0 {
+				first = k
 			}
+			bad++
 		}
 	}
 	if bad == 0 {
 		return nil
 	}
-	t := s.tree
+	n := t.N()
+	col := [...]string{"td", "mu2", "mu3"}[first/n]
 	return health.Violate(health.Event{
 		Check:  "moments.nonfinite",
-		Tree:   health.TreeLabel(t.N(), t.Fingerprint()),
-		Node:   t.Name(firstI),
-		Detail: fmt.Sprintf("%d non-finite moment entries (first: m_%d)", bad, firstQ),
-		Values: map[string]health.F{fmt.Sprintf("m%d", firstQ): health.F(s.m[firstQ][firstI])},
+		Tree:   health.TreeLabel(n, t.Fingerprint()),
+		Node:   t.Name(first % n),
+		Detail: fmt.Sprintf("%d non-finite moment entries (first: %s)", bad, col),
+		Values: map[string]health.F{col: health.F(back[first])},
 	})
 }
 
-// computeInto fills s.m[1..order] from s.m[0] by sweeping the tree's
-// arrays. Each order needs no scratch: the row of m_q itself first
-// accumulates the downstream sums and is then rewritten in place with
-// m_q.
-//
-// Recurrence (from KCL in the Laplace domain):
-//
-//	m_q(i) = - sum_k R_ki * C_k * m_{q-1}(k)
-//
-// computed per order with one upward pass (subtree sums of the "moment
-// weights" w_k = C_k m_{q-1}(k), children before parents) and one
-// downward pass that accumulates m_q(i) = m_q(parent) - R(i) *
-// subtreeSum(i) along each path (slot i is read before it is written,
-// and a parent's slot is final before any child reads it).
-func computeInto(a rctree.Arrays, s *Set) {
-	r, c, par, ks, kids := a.R, a.C, a.Parent, a.KidStart, a.Kids
-	for q := 1; q <= s.order; q++ {
-		prev, work := s.m[q-1], s.m[q]
-		for i := len(work) - 1; i >= 0; i-- {
-			d := c[i] * prev[i]
-			for _, ch := range kids[ks[i]:ks[i+1]] {
-				d += work[ch]
-			}
-			work[i] = d
+// admittancesInto is the upward sweep: children before parents, it
+// leaves in y1, y2, y3 the admittance moments looking into every node
+// (gather).
+func admittancesInto(a rctree.Arrays, y1, y2, y3 []float64) {
+	r, c, ks, kids := a.R, a.C, a.KidStart, a.Kids
+	for i := len(y1) - 1; i >= 0; i-- {
+		y := CapAdmittance(c[i])
+		for _, ch := range kids[ks[i]:ks[i+1]] {
+			y = gather(y, Admittance{y1[ch], y2[ch], y3[ch]}, r[ch])
 		}
-		for i := range work {
-			m := -(r[i] * work[i])
-			if p := par[i]; p != rctree.Source {
-				m += work[p]
-			}
-			work[i] = m
-		}
+		y1[i], y2[i], y3[i] = y.Y1, y.Y2, y.Y3
 	}
 }
+
+// cumulantsInto is the downward sweep: parents before children, it
+// overwrites the admittance moments admittancesInto left in td, mu2,
+// mu3 with T_D, μ2 and μ3 (step). Slot i is read before it is written,
+// and a parent's slots are final before any child reads them.
+func cumulantsInto(a rctree.Arrays, td, mu2, mu3 []float64) {
+	r, par := a.R, a.Parent
+	for i := range td {
+		var tdp, mu2p, mu3p float64
+		if p := par[i]; p != rctree.Source {
+			tdp, mu2p, mu3p = td[p], mu2[p], mu3[p]
+		}
+		td[i], mu2[i], mu3[i] = step(tdp, mu2p, mu3p, r[i], Admittance{td[i], mu2[i], mu3[i]})
+	}
+}
+
+// gather returns y in parallel with the admittance ch of a child seen
+// through the child's resistor r: the one per-child expression of the
+// upward sweep, shared by Compute, DownstreamAdmittances and
+// Incremental, so their bits agree by construction.
+func gather(y, ch Admittance, r float64) Admittance {
+	return y.Parallel(ch.SeriesR(r))
+}
+
+// step returns T_D, μ2 and μ3 of node i from those of its parent (all
+// zero at a root), the resistor r into i and the admittance y looking
+// into i: the one per-node expression of the downward sweep, shared by
+// Compute and Incremental. Each increment is a sum of non-negative
+// terms (y2 ≤ 0 ≤ y3).
+func step(tdp, mu2p, mu3p, r float64, y Admittance) (td, mu2, mu3 float64) {
+	a := r * y.Y1
+	return stepTD(tdp, r, y.Y1), mu2p + (a*a - 2*r*y.Y2), mu3p + (6*r*y.Y3 - 6*r*a*y.Y2 + 2*a*a*a)
+}
+
+// stepTD is step's T_D expression, T_D(p) + r·y1, for sweeps that need
+// the delay alone. It is also the ElmoreDelays and ComputePRH
+// expression, so T_D agrees bit for bit with both.
+func stepTD(tdp, r, y1 float64) float64 { return tdp + r*y1 }
 
 // Tree returns the tree the moments were computed for.
 func (s *Set) Tree() *rctree.Tree { return s.tree }
 
-// Order returns the highest computed moment order.
-func (s *Set) Order() int { return s.order }
-
-// M returns the coefficient moment m_q at node i. It panics with a
-// descriptive message when q exceeds the computed order or i is not a
-// valid node index of the underlying tree.
-func (s *Set) M(q, i int) float64 {
-	if q < 0 || q > s.order {
-		panic(fmt.Sprintf("moments: order %d out of range [0,%d]", q, s.order))
-	}
-	if i < 0 || i >= len(s.m[q]) {
-		panic(fmt.Sprintf("moments: node index %d out of range [0,%d)", i, len(s.m[q])))
-	}
-	return s.m[q][i]
-}
-
-// Elmore returns the Elmore delay T_D(i) = -m_1(i) (seconds).
-func (s *Set) Elmore(i int) float64 { return -s.m[1][i] }
-
-// DistMoment returns the raw distribution moment
-// M_q(i) = integral t^q h_i(t) dt = (-1)^q q! m_q(i).
-func (s *Set) DistMoment(q, i int) float64 {
-	v := s.M(q, i)
-	sign := 1.0
-	if q%2 == 1 {
-		sign = -1
-	}
-	return sign * factorial(q) * v
-}
+// Elmore returns the Elmore delay T_D(i), the mean of the impulse
+// response (seconds).
+func (s *Set) Elmore(i int) float64 { return s.td[i] }
 
 // Mu2 returns the second central moment (variance) of the impulse
-// response at node i: mu2 = 2 m2 - m1^2. Requires order >= 2.
-func (s *Set) Mu2(i int) float64 { return mu2(s.M(1, i), s.M(2, i)) }
+// response at node i.
+func (s *Set) Mu2(i int) float64 { return s.mu2[i] }
 
 // Mu3 returns the third central moment of the impulse response at node
-// i: mu3 = -6 m3 + 6 m1 m2 - 2 m1^3. Requires order >= 3.
-func (s *Set) Mu3(i int) float64 { return mu3(s.M(1, i), s.M(2, i), s.M(3, i)) }
+// i.
+func (s *Set) Mu3(i int) float64 { return s.mu3[i] }
 
-// Sigma returns the standard deviation sqrt(mu2) of the impulse
-// response at node i. Lemma 2 guarantees mu2 >= 0 for RC trees; tiny
-// negative values from roundoff are clamped to zero, and the
-// zero-variance case (degenerate trees, e.g. no capacitance anywhere
-// on the node's branch) returns exactly +0, never -0. The clamp path
-// reports a health note (moments.sigma_degenerate) so degenerate
-// inputs are countable rather than silent.
-func (s *Set) Sigma(i int) float64 { return sigma(s.Mu2(i), s.tree, i) }
+// Sigma returns the standard deviation sqrt(μ2) of the impulse response
+// at node i (see Sigma).
+func (s *Set) Sigma(i int) float64 { return Sigma(s.mu2[i], s.tree, i) }
 
-// Skewness returns the coefficient of skewness
-// gamma = mu3 / mu2^(3/2) (paper Definition 5). Lemma 2 proves
-// gamma >= 0 at every node of an RC tree. For a node with zero
-// variance the skewness is defined as zero.
-func (s *Set) Skewness(i int) float64 {
-	return skewness(s.Mu2(i), func() float64 { return s.Mu3(i) })
-}
+// Skewness returns the coefficient of skewness γ = μ3 / μ2^(3/2) at
+// node i (see Skewness).
+func (s *Set) Skewness(i int) float64 { return Skewness(s.mu2[i], s.mu3[i]) }
 
-// The order-3 statistics, shared by Set and Incremental so both serve
-// the same bits from the same moments.
-
-func mu2(m1, m2 float64) float64 { return 2*m2 - m1*m1 }
-
-func mu3(m1, m2, m3 float64) float64 { return -6*m3 + 6*m1*m2 - 2*m1*m1*m1 }
-
-// sigma is sqrt(mu2), with mu2 <= 0 clamped to +0 and noted against
-// node i of t when a health monitor is installed.
-func sigma(mu2 float64, t *rctree.Tree, i int) float64 {
-	if mu2 <= 0 {
+// Sigma returns sqrt(mu2), the standard deviation of the impulse
+// response at node i of t. The zero-variance case (degenerate trees,
+// e.g. no capacitance anywhere on the node's branch) returns exactly
+// +0, never -0, and reports a health note (moments.sigma_degenerate)
+// so degenerate inputs are countable rather than silent. A negative or
+// NaN mu2 is not clamped: it gives NaN, which core's Lemma 2 check
+// reports.
+func Sigma(mu2 float64, t *rctree.Tree, i int) float64 {
+	if mu2 == 0 {
 		if health.Enabled() {
 			health.Note(health.Event{
 				Check:  "moments.sigma_degenerate",
 				Tree:   health.TreeLabel(t.N(), t.Fingerprint()),
 				Node:   t.Name(i),
-				Detail: "mu2 <= 0 clamped to sigma = +0",
+				Detail: "mu2 == 0: sigma = +0",
 				Values: map[string]health.F{"mu2": health.F(mu2)},
 			})
 		}
@@ -229,21 +202,14 @@ func sigma(mu2 float64, t *rctree.Tree, i int) float64 {
 	return math.Sqrt(mu2)
 }
 
-// skewness is mu3 / mu2^(3/2), and 0 when mu2 <= 0; mu3 is evaluated
-// only when mu2 > 0.
-func skewness(mu2 float64, mu3 func() float64) float64 {
-	if mu2 <= 0 {
+// Skewness returns the coefficient of skewness γ = mu3 / mu2^(3/2)
+// (paper Definition 5); Lemma 2 proves γ ≥ 0 at every node of an RC
+// tree. At zero variance it is defined as zero.
+func Skewness(mu2, mu3 float64) float64 {
+	if mu2 == 0 {
 		return 0
 	}
-	return mu3() / math.Pow(mu2, 1.5)
-}
-
-func factorial(n int) float64 {
-	f := 1.0
-	for k := 2; k <= n; k++ {
-		f *= float64(k)
-	}
-	return f
+	return mu3 / math.Pow(mu2, 1.5)
 }
 
 // ElmoreDelays computes the Elmore delay at every node with the classic

@@ -3,7 +3,6 @@ package moments
 import (
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -41,20 +40,13 @@ func twoNodeChain(t *testing.T, r1, c1, r2, c2 float64) *rctree.Tree {
 }
 
 func TestSingleRCMoments(t *testing.T) {
-	// H(s) = 1/(1 + sRC) => m_q = (-RC)^q.
 	const r, c = 1000.0, 1e-12
 	tree := singleRC(t, r, c)
-	s, err := Compute(tree, 4)
+	s, err := Compute(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc := r * c
-	for q := 0; q <= 4; q++ {
-		want := math.Pow(-rc, float64(q))
-		if got := s.M(q, 0); !approx(got, want, 1e-12) {
-			t.Errorf("m_%d = %v, want %v", q, got, want)
-		}
-	}
 	if got := s.Elmore(0); !approx(got, rc, 1e-12) {
 		t.Errorf("Elmore = %v, want %v", got, rc)
 	}
@@ -73,27 +65,20 @@ func TestSingleRCMoments(t *testing.T) {
 	}
 }
 
-func TestComputeRejectsBadOrder(t *testing.T) {
-	tree := singleRC(t, 1, 1e-12)
-	if _, err := Compute(tree, 0); err == nil {
-		t.Errorf("order 0 should be rejected")
-	}
-}
-
 func TestAppendixBFormulas(t *testing.T) {
-	// Paper eq. B3: m1(1) = -R1(C1+C2), m1(2) = -R1(C1+C2) - R2 C2,
-	// and eq. 28/29 for the central moments at node 1.
+	// Paper eq. B3: T_D(1) = -m1(1) = R1(C1+C2), T_D(2) = R1(C1+C2) +
+	// R2 C2, and eq. 28/29 for the central moments at node 1.
 	const r1, c1, r2, c2 = 120.0, 2e-12, 340.0, 0.7e-12
 	tree := twoNodeChain(t, r1, c1, r2, c2)
-	s, err := Compute(tree, 3)
+	s, err := Compute(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s.M(1, 0), -r1*(c1+c2); !approx(got, want, 1e-12) {
-		t.Errorf("m1(1) = %v, want %v", got, want)
+	if got, want := s.Elmore(0), r1*(c1+c2); !approx(got, want, 1e-12) {
+		t.Errorf("T_D(1) = %v, want %v", got, want)
 	}
-	if got, want := s.M(1, 1), -r1*(c1+c2)-r2*c2; !approx(got, want, 1e-12) {
-		t.Errorf("m1(2) = %v, want %v", got, want)
+	if got, want := s.Elmore(1), r1*(c1+c2)+r2*c2; !approx(got, want, 1e-12) {
+		t.Errorf("T_D(2) = %v, want %v", got, want)
 	}
 	wantMu2 := r1*r1*(c1*c1+c2*c2) + 2*r1*r1*c1*c2 + 2*r1*r2*c2*c2
 	if got := s.Mu2(0); !approx(got, wantMu2, 1e-12) {
@@ -102,23 +87,6 @@ func TestAppendixBFormulas(t *testing.T) {
 	wantMu3 := 6*r1*r2*c2*c2*(r1*(c1+c2)+r2*c2) + 2*math.Pow(r1*(c1+c2), 3)
 	if got := s.Mu3(0); !approx(got, wantMu3, 1e-12) {
 		t.Errorf("mu3(1) = %v, want %v", got, wantMu3)
-	}
-}
-
-func TestDistMoment(t *testing.T) {
-	const r, c = 500.0, 2e-12
-	tree := singleRC(t, r, c)
-	s, err := Compute(tree, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc := r * c
-	// Exponential density h(t) = (1/RC) e^{-t/RC}: integral t^q h dt = q! (RC)^q.
-	for q := 0; q <= 3; q++ {
-		want := factorial(q) * math.Pow(rc, float64(q))
-		if got := s.DistMoment(q, 0); !approx(got, want, 1e-12) {
-			t.Errorf("M_%d = %v, want %v", q, got, want)
-		}
 	}
 }
 
@@ -152,7 +120,7 @@ func TestElmoreMatchesDirectOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		tree := topo.RandomSmall(seed, 40)
 		td := ElmoreDelays(tree)
-		s, err := Compute(tree, 1)
+		s, err := Compute(tree)
 		if err != nil {
 			return false
 		}
@@ -170,16 +138,17 @@ func TestElmoreMatchesDirectOracle(t *testing.T) {
 }
 
 // Lemma 2 (paper): mu2 >= 0 and mu3 >= 0 at every node of any RC tree,
-// hence skewness gamma >= 0.
+// hence skewness gamma >= 0. The cumulant sweep adds only non-negative
+// terms, so the signs hold exactly, with no tolerance.
 func TestLemma2NonnegativeSkew(t *testing.T) {
 	f := func(seed int64) bool {
 		tree := topo.RandomSmall(seed, 60)
-		s, err := Compute(tree, 3)
+		s, err := Compute(tree)
 		if err != nil {
 			return false
 		}
 		for i := 0; i < tree.N(); i++ {
-			if s.Mu2(i) < -1e-30 || s.Mu3(i) < -1e-40 {
+			if !(s.Mu2(i) >= 0) || !(s.Mu3(i) >= 0) {
 				return false
 			}
 			if s.Skewness(i) < 0 {
@@ -195,11 +164,12 @@ func TestLemma2NonnegativeSkew(t *testing.T) {
 
 // Section IV-B: along any root-to-leaf path, mu2 and mu3 are
 // nondecreasing (central moments add under convolution with each
-// further segment, and each increment is nonnegative).
+// further segment, and each increment is nonnegative). The sweep adds
+// each increment to the parent's value, so this holds exactly.
 func TestCentralMomentsGrowDownstream(t *testing.T) {
 	f := func(seed int64) bool {
 		tree := topo.RandomSmall(seed, 60)
-		s, err := Compute(tree, 3)
+		s, err := Compute(tree)
 		if err != nil {
 			return false
 		}
@@ -208,10 +178,7 @@ func TestCentralMomentsGrowDownstream(t *testing.T) {
 			if p == rctree.Source {
 				continue
 			}
-			if s.Mu2(i) < s.Mu2(p)*(1-1e-12) {
-				return false
-			}
-			if s.Mu3(i) < s.Mu3(p)*(1-1e-12) {
+			if !(s.Mu2(i) >= s.Mu2(p)) || !(s.Mu3(i) >= s.Mu3(p)) {
 				return false
 			}
 		}
@@ -233,69 +200,29 @@ func TestMomentsMonotoneDownstream(t *testing.T) {
 	}
 }
 
+// The zero-variance contract: μ2 of either zero sign gives Sigma = +0
+// and Skewness = 0. A negative μ2 is not clamped: the sweep cannot
+// produce one, and if one is handed in, Sigma says NaN so the Lemma 2
+// check downstream reports it.
 func TestSigmaZeroClamp(t *testing.T) {
-	// Sigma clamps tiny negative mu2 (roundoff) to zero rather than NaN.
-	s := &Set{order: 2, m: [][]float64{{1}, {0}, {-1e-40}}}
-	if got := s.Sigma(0); got != 0 {
-		t.Errorf("Sigma = %v, want 0", got)
-	}
-	if got := s.Skewness(0); got != 0 {
-		t.Errorf("Skewness on zero-variance = %v, want 0", got)
-	}
-}
-
-func TestMPanicsOutOfRange(t *testing.T) {
 	tree := singleRC(t, 1, 1e-12)
-	s, err := Compute(tree, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Errorf("M(5, 0) should panic")
+	for _, mu2 := range []float64{0, math.Copysign(0, -1)} {
+		if got := Sigma(mu2, tree, 0); math.Float64bits(got) != 0 {
+			t.Errorf("Sigma(%v) = %v, want +0", mu2, got)
 		}
-	}()
-	s.M(5, 0)
-}
-
-func TestOrderAndTreeAccessors(t *testing.T) {
-	tree := singleRC(t, 1, 1e-12)
-	s, err := Compute(tree, 3)
+		if got := Skewness(mu2, 1); got != 0 {
+			t.Errorf("Skewness on zero variance = %v, want 0", got)
+		}
+	}
+	if got := Sigma(-1e-40, tree, 0); !math.IsNaN(got) {
+		t.Errorf("Sigma(-1e-40) = %v, want NaN (no clamp)", got)
+	}
+	s, err := Compute(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Order() != 3 || s.Tree() != tree {
-		t.Errorf("accessors wrong")
-	}
-}
-
-func TestMRejectsBadNodeIndex(t *testing.T) {
-	tree := twoNodeChain(t, 100, 1e-12, 50, 1e-12)
-	ms, err := Compute(tree, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Errorf("%s: expected panic", name)
-				return
-			}
-			msg := fmt.Sprint(r)
-			if !strings.Contains(msg, "node index") || !strings.Contains(msg, "out of range") {
-				t.Errorf("%s: unhelpful panic message %q", name, msg)
-			}
-		}()
-		f()
-	}
-	mustPanic("negative index", func() { ms.M(1, -1) })
-	mustPanic("index == N", func() { ms.M(1, tree.N()) })
-	mustPanic("index past N", func() { ms.M(0, tree.N()+7) })
-	// In-range lookups still work after the check.
-	if got := ms.M(0, tree.N()-1); got != 1 {
-		t.Errorf("M(0, last) = %v, want 1", got)
+	if s.Tree() != tree {
+		t.Errorf("Tree accessor wrong")
 	}
 }
 
@@ -304,7 +231,7 @@ func TestMRejectsBadNodeIndex(t *testing.T) {
 func TestCompiledMatchesDirectOracle(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		tree := topo.RandomSmall(seed, 40)
-		s, err := Compute(tree, 1)
+		s, err := Compute(tree)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +249,7 @@ func TestCompiledMatchesDirectOracle(t *testing.T) {
 // the kernels must read the current element values, never stale ones.
 func TestComputeSeesMutations(t *testing.T) {
 	tree := topo.Random(4, topo.RandomOptions{N: 200})
-	before, err := Compute(tree, 2)
+	before, err := Compute(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +257,7 @@ func TestComputeSeesMutations(t *testing.T) {
 	if err := tree.SetR(17, orig*3); err != nil {
 		t.Fatal(err)
 	}
-	during, err := Compute(tree, 2)
+	during, err := Compute(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +267,7 @@ func TestComputeSeesMutations(t *testing.T) {
 	if err := tree.SetR(17, orig); err != nil {
 		t.Fatal(err)
 	}
-	after, err := Compute(tree, 2)
+	after, err := Compute(tree)
 	if err != nil {
 		t.Fatal(err)
 	}

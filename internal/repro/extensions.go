@@ -96,15 +96,11 @@ func InputShapeStudy(nodeName string, sigmaIn float64) ([]InputShapeRow, error) 
 	if err != nil {
 		return nil, err
 	}
-	ms, err := moments.Compute(tree, 1)
-	if err != nil {
-		return nil, err
-	}
 	i, ok := tree.Index(nodeName)
 	if !ok {
 		return nil, fmt.Errorf("repro: no node %q in the Fig. 1 circuit", nodeName)
 	}
-	td := ms.Elmore(i)
+	td := moments.ElmoreDelays(tree)[i]
 
 	// Equal derivative-sigma edges: match each family's parameter so
 	// sqrt(DerivMu2) == sigmaIn.

@@ -70,11 +70,10 @@ func AnalyzePath(p Path) (*PathResult, error) {
 	return AnalyzePathContext(context.Background(), p)
 }
 
-// MomentSource supplies the moment set (of at least the given order)
-// for one net. It is the seam through which a batch engine injects a
+// MomentSource supplies the moment set for one net. It is the seam through which a batch engine injects a
 // shared, fingerprint-keyed cache; when nil, moments.Compute runs per
 // stage as before.
-type MomentSource func(ctx context.Context, t *rctree.Tree, order int) (*moments.Set, error)
+type MomentSource func(ctx context.Context, t *rctree.Tree) (*moments.Set, error)
 
 // AnalyzePathContext is AnalyzePath under a context: when the context
 // carries a telemetry tracer the path walk is recorded as a span with
@@ -150,14 +149,14 @@ func analyzeStage(ctx context.Context, si int, st Stage, slew float64, src Momen
 
 	var ms *moments.Set
 	if src != nil {
-		ms, err = src(ctx, st.Net, 2)
+		ms, err = src(ctx, st.Net)
 	} else {
-		ms, err = moments.Compute(st.Net, 2)
+		ms, err = moments.Compute(st.Net)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("sta: stage %d: %w", si, err)
 	}
-	if ms == nil || ms.Order() < 2 || ms.Tree().N() != st.Net.N() {
+	if ms == nil || ms.Tree().N() != st.Net.N() {
 		return nil, fmt.Errorf("sta: stage %d: moment source returned an unusable set", si)
 	}
 	td := ms.Elmore(sink)

@@ -18,7 +18,7 @@ var standardHelp = map[string]string{
 	"core.nodes_reanalyzed":             "Nodes re-bounded by incremental reanalysis.",
 	"core.sim_verifications":            "Bound intervals cross-checked against transient simulation.",
 	"moments.computes":                  "Full moment-set computations (cache misses end up here).",
-	"moments.traversals":                "Tree traversals performed by the moment engine.",
+	"moments.traversals":                "Tree traversals performed by the moment engine: 2 per compute (admittances up, cumulants down).",
 	"moments.node_visits":               "Node visits across all moment traversals.",
 	"incremental.binds":                 "Incremental engines bound to a tree.",
 	"incremental.sets":                  "SetR/SetC delta updates applied to incremental engines.",

@@ -115,6 +115,20 @@ func (t *SLOTracker) Observe(d time.Duration, failed bool) {
 	}
 }
 
+// Fail rescores one event that Observe counted as successful, with
+// latency d, as failed: bad for every objective.
+func (t *SLOTracker) Fail(d time.Duration) {
+	if t == nil {
+		return
+	}
+	for i, s := range t.SLOs {
+		if d <= s.Target {
+			t.good[i]--
+			t.bad[i]++
+		}
+	}
+}
+
 // Good returns the good-event count for objective i.
 func (t *SLOTracker) Good(i int) int64 {
 	if t == nil {
