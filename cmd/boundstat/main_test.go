@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"elmore/internal/health"
 )
 
 func runCLI(t *testing.T, args ...string) (string, error) {
@@ -133,8 +136,10 @@ func TestBatchModeFailSoftExit(t *testing.T) {
 	if _, err := runCLI(t, "-jobs", filepath.Join(dir, "absent.ndjson")); err == nil {
 		t.Errorf("missing jobs file should fail")
 	}
-	// T_D = +Inf (the RC product overflows) degrades to an error record
-	// in the writer; that is a failed job too.
+	// T_D = +Inf (the RC product overflows). With no health monitor the
+	// writer degrades the result to an error record; a strict monitor
+	// fails the job earlier, at the moment sweep. Either way the job
+	// fails, and so does the run (exit status 1).
 	infPath := filepath.Join(dir, "inf.sp")
 	if err := os.WriteFile(infPath, []byte("Vin in 0 1\nR1 in z 1e200\nC1 z 0 1e200\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -143,11 +148,24 @@ func TestBatchModeFailSoftExit(t *testing.T) {
 	if err := os.WriteFile(jobsPath, spec, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, err = runCLI(t, "-jobs", jobsPath)
-	if err == nil || !strings.Contains(err.Error(), "1 of 1 jobs failed") {
-		t.Errorf("an unencodable result must fail the run: %v", err)
-	}
-	if !strings.Contains(out, `"error":"batch: encode result: json: unsupported value: +Inf"`) {
-		t.Errorf("missing encode error record:\n%s", out)
+	for _, tc := range []struct {
+		name    string
+		monitor *health.Monitor
+		record  string
+	}{
+		{"no monitor", nil, `"error":"batch: encode result: json: unsupported value: +Inf"`},
+		{"strict monitor", health.New(io.Discard, true), `"error":"health: moments.nonfinite `},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prev := health.SetDefault(tc.monitor)
+			t.Cleanup(func() { health.SetDefault(prev) })
+			out, err := runCLI(t, "-jobs", jobsPath)
+			if err == nil || !strings.Contains(err.Error(), "1 of 1 jobs failed") {
+				t.Errorf("an unencodable result must fail the run: %v", err)
+			}
+			if !strings.Contains(out, tc.record) {
+				t.Errorf("missing error record %s:\n%s", tc.record, out)
+			}
+		})
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"elmore/internal/cliutil"
 	"elmore/internal/core"
 	"elmore/internal/faultinject"
+	"elmore/internal/health"
 	"elmore/internal/telemetry"
 )
 
@@ -147,29 +148,46 @@ func TestBoundOneShot(t *testing.T) {
 // A result JSON cannot encode (T_D = +Inf: the deck's RC product
 // overflows) is an error record: /v1/bound answers it as a failed job
 // instead of a 200 with an empty body, and /v1/analyze counts it in
-// serve_summary.failed.
+// serve_summary.failed. With no health monitor the writer degrades the
+// result; a strict monitor fails the job earlier, at the moment sweep,
+// and the answers are the same but for the error text.
 func TestUnencodableResultIsFailedJob(t *testing.T) {
-	_, ts := startTestServer(t, testConfig())
 	spec, err := json.Marshal(map[string]any{"id": "inf", "netlist": "Vin in 0 1\nR1 in z 1e200\nC1 z 0 1e200\n"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantErr = "batch: encode result: json: unsupported value: +Inf"
-	resp, err := http.Post(ts.URL+"/v1/bound", "application/json", strings.NewReader(string(spec)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var rec batch.ResultRecord
-	if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
-		t.Fatalf("status %d, body is not a record: %v", resp.StatusCode, err)
-	}
-	if resp.StatusCode != http.StatusUnprocessableEntity || rec.ID != "inf" || rec.Error != wantErr {
-		t.Errorf("/v1/bound: status %d, record %+v", resp.StatusCode, rec)
-	}
-	lines, sum, status := analyze(t, ts.URL, string(spec)+"\n", nil)
-	if status != http.StatusOK || len(lines) != 1 || lines[0]["error"] != wantErr || sum.Failed != 1 {
-		t.Errorf("/v1/analyze: status %d, lines %v, summary %+v", status, lines, sum)
+	for _, tc := range []struct {
+		name    string
+		monitor *health.Monitor
+		wantErr func(string) bool
+	}{
+		{"no monitor", nil, func(e string) bool { return e == "batch: encode result: json: unsupported value: +Inf" }},
+		{"strict monitor", health.New(io.Discard, true), func(e string) bool { return strings.HasPrefix(e, "health: moments.nonfinite ") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prev := health.SetDefault(tc.monitor)
+			t.Cleanup(func() { health.SetDefault(prev) })
+			_, ts := startTestServer(t, testConfig())
+			resp, err := http.Post(ts.URL+"/v1/bound", "application/json", strings.NewReader(string(spec)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var rec batch.ResultRecord
+			if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
+				t.Fatalf("status %d, body is not a record: %v", resp.StatusCode, err)
+			}
+			if resp.StatusCode != http.StatusUnprocessableEntity || rec.ID != "inf" || !tc.wantErr(rec.Error) {
+				t.Errorf("/v1/bound: status %d, record %+v", resp.StatusCode, rec)
+			}
+			lines, sum, status := analyze(t, ts.URL, string(spec)+"\n", nil)
+			if status != http.StatusOK || len(lines) != 1 || sum.Failed != 1 {
+				t.Fatalf("/v1/analyze: status %d, lines %v, summary %+v", status, lines, sum)
+			}
+			if e, _ := lines[0]["error"].(string); !tc.wantErr(e) {
+				t.Errorf("/v1/analyze: error %q", e)
+			}
+		})
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"elmore/internal/core"
+	"elmore/internal/health"
 	"elmore/internal/telemetry"
 )
 
@@ -105,26 +106,40 @@ const infDeck = "Vin in 0 1\nR1 in z 1e200\nC1 z 0 1e200\n"
 
 // A result the writer degrades to an error record is a failed job: it
 // counts in RunStats.Failed, which fails the CLI run and feeds
-// elmored's serve_summary.
+// elmored's serve_summary. Under a strict health monitor the same deck
+// fails at the moment sweep instead, and counts the same way.
 func TestRunSpecsCountsUnencodableAsFailed(t *testing.T) {
 	spec, err := json.Marshal(JobSpec{ID: "inf", Netlist: infDeck})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	st, err := RunSpecsOpts(context.Background(), &Engine{Workers: 1}, bytes.NewReader(spec), &out, SpecRunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Emitted != 1 || st.Failed != 1 {
-		t.Errorf("emitted=%d failed=%d, want 1/1", st.Emitted, st.Failed)
-	}
-	var rec ResultRecord
-	if err := json.Unmarshal(out.Bytes(), &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.ID != "inf" || rec.Error != "batch: encode result: json: unsupported value: +Inf" || rec.Sinks != nil {
-		t.Errorf("record: %+v", rec)
+	for _, tc := range []struct {
+		name    string
+		monitor *health.Monitor
+		wantErr func(string) bool
+	}{
+		{"no monitor", nil, func(e string) bool { return e == "batch: encode result: json: unsupported value: +Inf" }},
+		{"strict monitor", health.New(io.Discard, true), func(e string) bool { return strings.HasPrefix(e, "health: moments.nonfinite ") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prev := health.SetDefault(tc.monitor)
+			t.Cleanup(func() { health.SetDefault(prev) })
+			var out bytes.Buffer
+			st, err := RunSpecsOpts(context.Background(), &Engine{Workers: 1}, bytes.NewReader(spec), &out, SpecRunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Emitted != 1 || st.Failed != 1 {
+				t.Errorf("emitted=%d failed=%d, want 1/1", st.Emitted, st.Failed)
+			}
+			var rec ResultRecord
+			if err := json.Unmarshal(out.Bytes(), &rec); err != nil {
+				t.Fatal(err)
+			}
+			if rec.ID != "inf" || !tc.wantErr(rec.Error) || rec.Sinks != nil {
+				t.Errorf("record: %+v", rec)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"elmore/internal/health"
 )
 
 // workerJobAllocBudget is the steady-state marginal allocation count
@@ -21,8 +23,12 @@ const workerJobAllocBudget = 8
 // TestWorkerLoopAllocBudget pins the sharded-cache fast path by
 // marginal cost: the difference between a 40-job and an 8-job run
 // divided out per job, which cancels the engine's fixed setup
-// (channels, goroutines, stats).
+// (channels, goroutines, stats). It measures the path with health
+// checking off, so it installs no monitor even where the environment
+// asks for one.
 func TestWorkerLoopAllocBudget(t *testing.T) {
+	prev := health.SetDefault(nil)
+	t.Cleanup(func() { health.SetDefault(prev) })
 	tree := chainNet(t, 300)
 	e := &Engine{Workers: 1, Cache: NewCache()}
 	mk := func(k int) []Job {

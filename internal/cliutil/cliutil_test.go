@@ -197,6 +197,7 @@ func TestTraceErrorSurfacesOnClose(t *testing.T) {
 func TestHealthLogLifecycle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "health.ndjson")
 	cf := parse(t, "-health-log", path)
+	before := health.Default() // nil, or the environment's strict monitor
 	sess, err := cf.Start(io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -214,8 +215,8 @@ func TestHealthLogLifecycle(t *testing.T) {
 	if err := sess.Close(); err != nil {
 		t.Fatalf("non-strict Close: %v", err)
 	}
-	if health.Default() != nil {
-		t.Error("Close must restore the previous (nil) default monitor")
+	if health.Default() != before {
+		t.Error("Close must restore the default monitor installed before Start")
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -78,6 +78,34 @@ func FuzzParse(f *testing.F) {
 		"V1 a 0 1\nR1 a b 1\nC1 b 0 1p\nC2 b 0 -2p\n",
 		"V1 a 0 1\nR1 a b 1\nC1 b 0 1p\nC9 z 0 1p\nC8 y 0 1p\nC7 z 0 2p\n",
 		"V1 a 0 1\nV2 a 0 1\nR1 a b 1\nC1 b 0 1p\nV3 0 b 1\n",
+		// The one-pass scanner's edges. A ';' or "$ " right after the
+		// fourth field, or inside it, and a ';' after a "$ ".
+		"V1 a 0 1\nR1 a b 1;x\nC1 b 0 1p; y\n",
+		"V1 a 0 1\nR1 a b 1k$ x\nC1 b 0 1p$ y\n",
+		"V1 a 0 1\nR1 a b xyz$ q ;\nC1 b 0 1p\n",
+		"V1 a 0 1\nR1 a b $ x ;\nC1 b 0 1p\n",
+		"V1 a 0 1\nR1 a $ b 1 ; c\nC1 b 0 1p\n",
+		// A "$" whose space is trailing white space, and one that a
+		// continuation's joining space turns into a comment.
+		"V1 a 0 1\nR1 a b $ \nC1 b 0 1p\n",
+		"V1 a 0 1\nR1 a b $\t\n+ 1\nC1 b 0 1p\n",
+		"V1 a 0 1\nR1 a b 1 x$\n+\nC1 b 0 1p\n",
+		"V1 a 0 1\nR1 a b 1$\u00a0\n+ x\nC1 b 0 1p\n",
+		"V1 a 0 1\nR1 a b\n+ 1 $ \u00a0\n+ ;\nC1 b 0 1p\n",
+		// Tabs, CRs, U+00A0 and U+3000 between fields.
+		"V1\ta\t0\t1\r\nR1\u00a0a\u3000b\t1\r\nC1 b\u00a00\u30001p\r\n",
+		// A '+' continuation after a plain line, after a blank one and
+		// after a comment; a title continued over lines.
+		"V1 a 0 1\nR1 a b 1\n+ junk\nC1 b 0 1p\n",
+		"V1 a 0 1\n\n+ R1 a b 1\nC1 b 0 1p\n",
+		"V1 a 0 1\n* note\n+ R1 a b 1\nR1 a b 1\nC1 b 0 1p\n",
+		".title one \n+ two\n+\n+ three ; four\nV1 a 0 1\nR1 a b 1\nC1 b 0 1p\n",
+		"\n+ .title x\u00a0\n+ y\nV1 a 0 1\nR1 a b 1\nC1 b 0 1p\n",
+		// Five or more fields.
+		"V1 a 0 1 extra more\nR1 a b 1 2 3 4\nC1 b 0 1p x y z\n",
+		// A 200-byte node name, and names that are prefixes of others.
+		"V1 a 0 1\nR1 a " + strings.Repeat("n", 200) + " 1\nC1 " + strings.Repeat("n", 200) + " 0 1p\n",
+		"V1 n 0 1\nR1 n n1 1\nR2 n1 n10 1\nR3 n10 n1x 1\nC1 n1x 0 1p\nC2 n1 0 1p\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)

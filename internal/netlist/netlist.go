@@ -101,25 +101,29 @@ func read(r io.Reader) (data string, err error) {
 }
 
 // ParseString parses a deck held in a string. The returned deck and
-// tree share no memory with s: each node name is copied once, when it
-// first appears, so a retained tree does not keep the deck text alive.
+// tree share no memory with s: node names are looked up as substrings
+// of s while it is scanned, and each is copied once, in tree order, into
+// the tree's own name string, so a retained tree does not keep the deck
+// text alive.
 func ParseString(s string) (*Deck, error) { return parse(s, nil) }
+
+// span is a range of byte offsets into the deck text.
+type span struct{ lo, hi int32 }
 
 // parser is the reader's state: nodes are dense ids in order of first
 // appearance, resistors are parallel arrays in deck order.
 type parser struct {
-	// ids maps each node name to its id (ground has no id). Its keys
-	// are the copies in names; after the walk, buildTree rewrites its
-	// values to tree indices and the tree adopts it as its name index.
-	ids      map[string]int
-	names    []string        // id -> node name, copied into store
-	store    strings.Builder // the current chunk of name storage
-	lastName string          // the name node looked up last, and its id
+	data string
+	// names gives each node name (ground has none) its id. After the
+	// walk, buildTree renumbers it to tree indices and the tree adopts
+	// it as its names and name index.
+	names    *rctree.NameTable
+	lastName string // the name node looked up last, and its id
 	lastID   int32
 	capSum   []float64 // id -> summed grounded capacitance
 	capLine  []int32   // id -> line of its last capacitor; 0 = none
 
-	rName        []string // resistor -> card name
+	rName        []span   // resistor -> card name
 	rKey         []uint64 // resistor -> name hash<<32 | resistor (see duplicateName)
 	rA, rB       []int32  // resistor -> endpoint ids; ground = -1
 	rVal         []float64
@@ -134,16 +138,20 @@ func parse(data string, readErr error) (*Deck, error) {
 	if err := scanErr(data, readErr); err != nil {
 		return nil, err
 	}
-	// A tree has one node per resistor plus the source: size the
-	// per-node and per-resistor state for the cards that start a line
-	// with R (an indented card just grows the slices).
-	hint := resistorCards(data) + 1
+	if len(data) > math.MaxInt32 {
+		return nil, fmt.Errorf("netlist: deck of %d bytes is over the %d-byte limit", len(data), math.MaxInt32)
+	}
+	// A tree has one node per resistor plus the source, and a deck
+	// usually has an R and a C card per node: size the per-node and
+	// per-resistor state for half its lines (a deck with more nodes just
+	// grows the slices).
+	hint := strings.Count(data, "\n")/2 + 1
 	p := &parser{
-		ids:     make(map[string]int, hint),
-		names:   make([]string, 0, hint),
+		data:    data,
+		names:   rctree.NewNameTable(data, hint),
 		capSum:  make([]float64, 0, hint),
 		capLine: make([]int32, 0, hint),
-		rName:   make([]string, 0, hint),
+		rName:   make([]span, 0, hint),
 		rKey:    make([]uint64, 0, hint),
 		rA:      make([]int32, 0, hint),
 		rB:      make([]int32, 0, hint),
@@ -151,59 +159,15 @@ func parse(data string, readErr error) (*Deck, error) {
 		rLine:   make([]int32, 0, hint),
 		src:     -1,
 	}
-	// Node names take about a tenth of a typical deck: one chunk of an
-	// eighth of it holds them all.
-	p.store.Grow(max(len(data)/8, minNameChunk))
-	// Physical lines join into logical ones: a line whose first
-	// non-space character is '+' continues the previous card. Only a
-	// joined line is copied; any other is a substring of data.
-	var cur string // logical line being assembled
-	curLine := 0   // its first physical line; 0 = none yet
-	var joined []byte
-	joining := false
-	emit := func() error {
-		if curLine == 0 {
-			return nil
-		}
-		if joining {
-			cur = string(joined)
-		}
-		if err := p.card(cur, curLine); err != nil {
+	sc := scanner{data: data}
+	for sc.next() {
+		if err := p.card(&sc); err != nil {
 			// A repeated resistor name on an earlier card comes first.
 			if dup := p.duplicateName(); dup != nil {
-				return dup
+				return nil, dup
 			}
-			return err
-		}
-		return nil
-	}
-	lineNo := 0
-	for off := 0; off < len(data); {
-		raw := data[off:]
-		if end := strings.IndexByte(raw, '\n'); end >= 0 {
-			raw = raw[:end]
-			off += end + 1
-		} else {
-			off = len(data)
-		}
-		lineNo++
-		line := trimRightBlank(raw)
-		if rest, ok := continuation(line); ok {
-			if !joining {
-				joined = append(joined[:0], cur...)
-				joining = true
-			}
-			joined = append(joined, ' ')
-			joined = append(joined, rest...)
-			continue
-		}
-		if err := emit(); err != nil {
 			return nil, err
 		}
-		cur, curLine, joining = line, lineNo, false
-	}
-	if err := emit(); err != nil {
-		return nil, err
 	}
 	if err := p.duplicateName(); err != nil {
 		return nil, err
@@ -211,25 +175,17 @@ func parse(data string, readErr error) (*Deck, error) {
 	if p.src < 0 {
 		return nil, fmt.Errorf("netlist: no voltage source found; add 'Vin <node> 0 1' to mark the input")
 	}
+	input := strings.Clone(p.names.Name(p.src))
 	tree, warnings, err := p.buildTree()
 	if err != nil {
 		return nil, err
 	}
 	return &Deck{
 		Title:     strings.Clone(p.title),
-		InputNode: p.names[p.src],
+		InputNode: input,
 		Tree:      tree,
 		Warnings:  warnings,
 	}, nil
-}
-
-// resistorCards counts the lines of data that start with R or r.
-func resistorCards(data string) int {
-	n := strings.Count(data, "\nR") + strings.Count(data, "\nr")
-	if data != "" && (data[0] == 'R' || data[0] == 'r') {
-		n++
-	}
-	return n
 }
 
 // scanErr returns the errors that take precedence over every card
@@ -244,7 +200,7 @@ func scanErr(data string, readErr error) error {
 	if len(first) >= maxLine {
 		return fmt.Errorf("netlist: read: %w", bufio.ErrTooLong)
 	}
-	if _, ok := continuation(trimRightBlank(first)); ok {
+	if continuation(data, 0) >= 0 {
 		return errors.New("netlist: line 1: continuation with no previous card")
 	}
 	for rest := data; len(rest) >= maxLine; {
@@ -263,6 +219,198 @@ func scanErr(data string, readErr error) error {
 	return nil
 }
 
+// scanner reads a deck one card at a time. A card is a physical line
+// and the '+' continuation lines after it, joined by a space; a ';', or
+// failing one a '$' followed by a space, starts a comment that runs to
+// the end of the card. One loop over the bytes finds the line ends, the
+// continuations, the comment and the first four fields. A field never
+// spans two physical lines, so every field is a substring of the deck.
+type scanner struct {
+	data   string
+	off    int // start of the next physical line
+	lineNo int // physical lines read
+
+	// The card read last.
+	line int       // its first physical line
+	nf   int       // how many fields f holds
+	f    [4]string // its leading fields
+	at   [4]int    // where each field starts in data
+	cut  int       // where its text ends: at its comment or its last line's end
+	segs []span    // the text each of its physical lines adds
+}
+
+// next reads the card at s.off and reports whether there was one.
+func (s *scanner) next() bool {
+	data := s.data
+	if s.off >= len(data) {
+		return false
+	}
+	s.lineNo++
+	s.line, s.nf, s.segs = s.lineNo, 0, s.segs[:0]
+	semi, dollar := -1, -1 // the first ';' and the first '$' that starts a comment
+	text := s.off          // where the text of the current physical line starts
+	for i, first := s.off, true; ; first = false {
+		start := i
+		if semi < 0 {
+			i = s.fields(i, &semi, &dollar)
+		}
+		if i < len(data) && data[i] != '\n' {
+			if j := strings.IndexByte(data[i:], '\n'); j >= 0 {
+				i += j
+			} else {
+				i = len(data)
+			}
+		}
+		// The line's text: a card's first line loses its trailing
+		// spaces, tabs and CRs, a continuation line all white space
+		// around what follows its '+'.
+		var line string
+		if first {
+			line = trimRightBlank(data[text:i])
+		} else {
+			line = strings.TrimLeftFunc(data[start:i], unicode.IsSpace)
+			text = i - len(line)
+			line = strings.TrimRightFunc(line, unicode.IsSpace)
+		}
+		end := text + len(line)
+		s.segs = append(s.segs, span{int32(text), int32(end)})
+		s.off = min(i+1, len(data))
+		plus := continuation(data, s.off)
+		if plus < 0 {
+			// A "$ " whose space was trailing white space is no comment.
+			if dollar >= start && dollar+1 >= end {
+				dollar = -1
+			}
+			s.cut = end
+			break
+		}
+		// The joining space makes a '$' that ends this line a comment.
+		if dollar < 0 && line != "" && line[len(line)-1] == '$' {
+			dollar = end - 1
+		}
+		s.lineNo++
+		i = plus
+	}
+	switch {
+	case semi >= 0:
+		s.cut = semi
+	case dollar >= 0:
+		s.cut = dollar
+		for k := 0; k < s.nf; k++ {
+			if s.at[k] >= dollar {
+				s.nf = k
+				break
+			}
+			if s.at[k]+len(s.f[k]) > dollar {
+				s.f[k] = s.f[k][:dollar-s.at[k]]
+			}
+		}
+	}
+	return true
+}
+
+// fields reads the fields of the physical line at data[i:], up to its
+// end or its first ';', splitting around white space exactly like
+// strings.Fields. It keeps the first len(s.f) fields of the card and
+// returns where it stopped. It notes in semi where it found a ';' and,
+// if dollar is unset, in dollar the first '$' followed by a space.
+func (s *scanner) fields(i int, semi, dollar *int) int {
+	data := s.data
+	for i < len(data) {
+		// White space.
+		if c := data[i]; c < utf8.RuneSelf {
+			if c == '\n' {
+				return i
+			}
+			if asciiSpace[c] {
+				i++
+				continue
+			}
+			if c == ';' {
+				*semi = i
+				return i
+			}
+		} else if r, w := utf8.DecodeRuneInString(data[i:]); unicode.IsSpace(r) {
+			i += w
+			continue
+		}
+		// A field.
+		start := i
+		for i < len(data) {
+			c := data[i]
+			if plain[c] {
+				i++
+				continue
+			}
+			if c == '$' {
+				if *dollar < 0 && i+1 < len(data) && data[i+1] == ' ' {
+					*dollar = i
+				}
+				i++
+				continue
+			}
+			if c < utf8.RuneSelf {
+				break // white space or ';'
+			}
+			r, w := utf8.DecodeRuneInString(data[i:])
+			if unicode.IsSpace(r) {
+				break
+			}
+			i += w
+		}
+		if s.nf < len(s.f) {
+			s.f[s.nf], s.at[s.nf] = data[start:i], start
+			s.nf++
+		}
+	}
+	return i
+}
+
+// text returns the card's text from data offset lo to hi, its lines
+// joined by a space.
+func (s *scanner) text(lo, hi int) string {
+	k := 0
+	for int(s.segs[k].hi) < lo {
+		k++
+	}
+	if hi <= int(s.segs[k].hi) {
+		return s.data[lo:hi]
+	}
+	b := []byte(s.data[lo:s.segs[k].hi])
+	for k++; ; k++ {
+		b = append(b, ' ')
+		if sg := s.segs[k]; hi <= int(sg.hi) {
+			return string(append(b, s.data[sg.lo:hi]...))
+		}
+		b = append(b, s.data[s.segs[k].lo:s.segs[k].hi]...)
+	}
+}
+
+// continuation returns where the text after the '+' starts if the
+// physical line at data[i:] is a continuation line, one whose first
+// non-space character is '+', and -1 if it is not.
+func continuation(data string, i int) int {
+	for i < len(data) {
+		c := data[i]
+		if c == '+' {
+			return i + 1
+		}
+		if c < utf8.RuneSelf {
+			if c == '\n' || !asciiSpace[c] {
+				return -1
+			}
+			i++
+		} else {
+			r, w := utf8.DecodeRuneInString(data[i:])
+			if !unicode.IsSpace(r) {
+				return -1
+			}
+			i += w
+		}
+	}
+	return -1
+}
+
 // trimRightBlank drops trailing spaces, tabs and carriage returns.
 func trimRightBlank(s string) string {
 	for len(s) > 0 {
@@ -276,21 +424,9 @@ func trimRightBlank(s string) string {
 	return s
 }
 
-// continuation reports whether line is a '+' continuation line and
-// returns the text it appends, trimmed.
-func continuation(line string) (string, bool) {
-	t := strings.TrimSpace(line)
-	if t == "" || t[0] != '+' {
-		return "", false
-	}
-	return strings.TrimSpace(t[1:]), true
-}
-
-// card reads one logical line.
-func (p *parser) card(raw string, ln int) error {
-	line := stripComment(raw)
-	var f [4]string
-	nf := fields(line, &f)
+// card reads the card the scanner read last.
+func (p *parser) card(sc *scanner) error {
+	f, nf, ln := &sc.f, sc.nf, sc.line
 	if nf == 0 || f[0][0] == '*' {
 		return nil // blank, or a comment line
 	}
@@ -300,7 +436,7 @@ func (p *parser) card(raw string, ln int) error {
 		case ".end":
 			// Nothing to do; later lines are still read.
 		case ".title":
-			p.title = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(line), f[0]))
+			p.title = strings.TrimSpace(sc.text(sc.at[0]+len(f[0]), sc.cut))
 		default:
 			// Unknown dot-cards (.tran, .print, ...) are ignored: a
 			// timing tool consumes topology, not simulation control.
@@ -314,9 +450,9 @@ func (p *parser) card(raw string, ln int) error {
 			return fmt.Errorf("netlist: line %d: %w", ln, err)
 		}
 		p.rKey = append(p.rKey, maphash.String(nameSeed, f[0])&^math.MaxUint32|uint64(len(p.rName)))
-		p.rName = append(p.rName, f[0])
-		p.rA = append(p.rA, p.endpoint(f[1]))
-		p.rB = append(p.rB, p.endpoint(f[2]))
+		p.rName = append(p.rName, span{int32(sc.at[0]), int32(sc.at[0] + len(f[0]))})
+		p.rA = append(p.rA, p.endpoint(sc, 1))
+		p.rB = append(p.rB, p.endpoint(sc, 2))
 		p.rVal = append(p.rVal, v)
 		p.rLine = append(p.rLine, int32(ln))
 	case 'c':
@@ -328,18 +464,18 @@ func (p *parser) card(raw string, ln int) error {
 			return fmt.Errorf("netlist: line %d: %w", ln, err)
 		}
 		ga, gb := isGround(f[1]), isGround(f[2])
-		var at string
+		var at int
 		switch {
 		case ga && gb:
 			return fmt.Errorf("netlist: line %d: capacitor %s has both terminals grounded", ln, f[0])
 		case gb:
-			at = f[1]
+			at = 1
 		case ga:
-			at = f[2]
+			at = 2
 		default:
 			return fmt.Errorf("netlist: line %d: capacitor %s couples two non-ground nodes (%s, %s): not an RC tree", ln, f[0], f[1], f[2])
 		}
-		id := p.node(at)
+		id := p.node(sc, at)
 		p.capSum[id] += v // parallel caps sum
 		p.capLine[id] = int32(ln)
 	case 'v':
@@ -347,16 +483,16 @@ func (p *parser) card(raw string, ln int) error {
 			return fmt.Errorf("netlist: line %d: source needs 'Vname n+ n-'", ln)
 		}
 		ga, gb := isGround(f[1]), isGround(f[2])
-		var at string
+		var at int
 		switch {
 		case !ga && gb:
-			at = f[1]
+			at = 1
 		case ga && !gb:
-			at = f[2]
+			at = 2
 		default:
 			return fmt.Errorf("netlist: line %d: source %s must connect one node to ground", ln, f[0])
 		}
-		id := p.node(at)
+		id := p.node(sc, at)
 		if p.src >= 0 && p.src != id {
 			return fmt.Errorf("netlist: line %d: second voltage source (first at line %d); RC trees have a single input", ln, p.srcLine)
 		}
@@ -367,53 +503,36 @@ func (p *parser) card(raw string, ln int) error {
 	return nil
 }
 
-// node returns the id of a non-ground node name, assigning the next id
-// on first appearance. The name looked up last is answered without a
-// map probe: a C card names the node its R card just added, and a
-// chain's next R card names it again as the parent.
-func (p *parser) node(name string) int32 {
+// node returns the id of the non-ground node named by field k of the
+// scanner's card, assigning the next id on first appearance. The name
+// looked up last is answered without a table probe: a C card names the
+// node its R card just added, and a chain's next R card names it again
+// as the parent.
+func (p *parser) node(sc *scanner, k int) int32 {
+	name := sc.f[k]
 	if name == p.lastName {
 		return p.lastID
 	}
-	id, ok := p.ids[name]
-	if !ok {
-		id = len(p.names)
-		name = p.intern(name)
-		p.ids[name] = id
-		p.names = append(p.names, name)
+	id, added := p.names.Intern(sc.at[k], sc.at[k]+len(name))
+	if added {
 		p.capSum = append(p.capSum, 0)
 		p.capLine = append(p.capLine, 0)
 	}
-	p.lastName, p.lastID = p.names[id], int32(id)
-	return int32(id)
+	p.lastName, p.lastID = name, id
+	return id
 }
 
-// minNameChunk is the smallest chunk of name storage.
-const minNameChunk = 64
-
-// intern returns a copy of name in the reader's name storage. The
-// storage is a chain of chunks, each a strings.Builder filled only up
-// to the capacity it was grown to, so it never moves the bytes of a
-// name it has handed out; a full chunk is left to the names in it and
-// the next is twice its size.
-func (p *parser) intern(name string) string {
-	if p.store.Cap()-p.store.Len() < len(name) {
-		size := max(2*p.store.Cap(), len(name), minNameChunk)
-		p.store = strings.Builder{}
-		p.store.Grow(size)
-	}
-	p.store.WriteString(name)
-	s := p.store.String()
-	return s[len(s)-len(name):]
-}
-
-// endpoint returns a resistor endpoint's id, or -1 for ground.
-func (p *parser) endpoint(name string) int32 {
-	if isGround(name) {
+// endpoint returns the id of the resistor endpoint in field k, or -1
+// for ground.
+func (p *parser) endpoint(sc *scanner, k int) int32 {
+	if isGround(sc.f[k]) {
 		return -1
 	}
-	return p.node(name)
+	return p.node(sc, k)
 }
+
+// str returns the deck text in sp.
+func (p *parser) str(sp span) string { return p.data[sp.lo:sp.hi] }
 
 // buildTree roots the resistor graph at the source node and constructs
 // the rctree, validating the RC-tree topology class on the way. The
@@ -424,13 +543,13 @@ func (p *parser) buildTree() (*rctree.Tree, []string, error) {
 	m := len(p.rName)
 	for e := 0; e < m; e++ {
 		if p.rA[e] < 0 || p.rB[e] < 0 {
-			return nil, nil, fmt.Errorf("netlist: line %d: resistor %s connects to ground: not an RC tree", p.rLine[e], p.rName[e])
+			return nil, nil, fmt.Errorf("netlist: line %d: resistor %s connects to ground: not an RC tree", p.rLine[e], p.str(p.rName[e]))
 		}
 		if p.rA[e] == p.rB[e] {
-			return nil, nil, fmt.Errorf("netlist: line %d: resistor %s is self-connected", p.rLine[e], p.rName[e])
+			return nil, nil, fmt.Errorf("netlist: line %d: resistor %s is self-connected", p.rLine[e], p.str(p.rName[e]))
 		}
 	}
-	nn := len(p.names)
+	nn := p.names.Len()
 	adjStart := make([]int32, nn+1)
 	for e := 0; e < m; e++ {
 		adjStart[p.rA[e]+1]++
@@ -455,7 +574,7 @@ func (p *parser) buildTree() (*rctree.Tree, []string, error) {
 	if ln := p.capLine[src]; ln != 0 {
 		warnings = append(warnings,
 			fmt.Sprintf("line %d: %s capacitance on driven node %q is shorted by the ideal source and ignored",
-				ln, rctree.FormatFarads(p.capSum[src]), p.names[src]))
+				ln, rctree.FormatFarads(p.capSum[src]), p.names.Name(src)))
 		p.capLine[src] = 0
 	}
 
@@ -473,24 +592,24 @@ func (p *parser) buildTree() (*rctree.Tree, []string, error) {
 		visited[e] = true
 	}
 	if len(queue) == 0 {
-		return nil, nil, fmt.Errorf("netlist: no resistor connects to the input node %q", p.names[src])
+		return nil, nil, fmt.Errorf("netlist: no resistor connects to the input node %q", p.names.Name(src))
 	}
-	b := rctree.NewBuilderIndex(nn-1, p.ids)
+	b := rctree.NewBuilderNames(nn-1, p.names)
 	treeIndex := make([]int32, nn) // id -> tree index
 	seen := make([]bool, nn)
 	seen[src] = true
 	for head := 0; head < len(queue); head++ {
 		q := queue[head]
 		if seen[q.node] {
-			return nil, nil, fmt.Errorf("netlist: line %d: resistor %s closes a loop at node %q: not a tree", p.rLine[q.via], p.rName[q.via], p.names[q.node])
+			return nil, nil, fmt.Errorf("netlist: line %d: resistor %s closes a loop at node %q: not a tree", p.rLine[q.via], p.str(p.rName[q.via]), p.names.Name(q.node))
 		}
 		seen[q.node] = true
 		var id int
 		var err error
 		if q.parent == rctree.Source {
-			id, err = b.Root(p.names[q.node], p.rVal[q.via], p.capSum[q.node])
+			id, err = b.Root(p.names.Name(q.node), p.rVal[q.via], p.capSum[q.node])
 		} else {
-			id, err = b.Attach(int(q.parent), p.names[q.node], p.rVal[q.via], p.capSum[q.node])
+			id, err = b.Attach(int(q.parent), p.names.Name(q.node), p.rVal[q.via], p.capSum[q.node])
 		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("netlist: line %d: %w", p.rLine[q.via], err)
@@ -507,25 +626,22 @@ func (p *parser) buildTree() (*rctree.Tree, []string, error) {
 	}
 	for e := 0; e < m; e++ {
 		if !visited[e] {
-			return nil, nil, fmt.Errorf("netlist: line %d: resistor %s (%s-%s) is not connected to the input", p.rLine[e], p.rName[e], p.names[p.rA[e]], p.names[p.rB[e]])
+			return nil, nil, fmt.Errorf("netlist: line %d: resistor %s (%s-%s) is not connected to the input", p.rLine[e], p.str(p.rName[e]), p.names.Name(p.rA[e]), p.names.Name(p.rB[e]))
 		}
 	}
 	orphan := int32(-1)
 	for id, ln := range p.capLine {
-		if ln != 0 && (orphan < 0 || p.names[id] < p.names[orphan]) {
+		if ln != 0 && (orphan < 0 || p.names.Name(int32(id)) < p.names.Name(orphan)) {
 			orphan = int32(id)
 		}
 	}
 	if orphan >= 0 {
-		return nil, nil, fmt.Errorf("netlist: line %d: capacitor node %q is not connected to the input through resistors", p.capLine[orphan], p.names[orphan])
+		return nil, nil, fmt.Errorf("netlist: line %d: capacitor node %q is not connected to the input through resistors", p.capLine[orphan], p.names.Name(orphan))
 	}
-	// Every node but the source is now in the tree: turn the name map
-	// into the tree's index in one pass (each write lands on the entry
-	// just read) and hand it to the builder.
-	for name, id := range p.ids {
-		p.ids[name] = int(treeIndex[id])
-	}
-	delete(p.ids, p.names[src])
+	// Every node but the source is now in the tree: renumber the name
+	// table to tree indices, dropping the source, and hand it over.
+	treeIndex[src] = -1
+	p.names.Reindex(treeIndex)
 	tree, err := b.Build()
 	if err != nil {
 		return nil, nil, err
@@ -533,56 +649,14 @@ func (p *parser) buildTree() (*rctree.Tree, []string, error) {
 	return tree, warnings, nil
 }
 
-// fields splits line around runs of white space exactly like
-// strings.Fields, storing up to len(f) leading fields in f, and returns
-// how many it stored.
-func fields(line string, f *[4]string) int {
-	n := 0
-	i := 0
-	for n < len(f) {
-		for i < len(line) {
-			if c := line[i]; c < utf8.RuneSelf {
-				if !asciiSpace[c] {
-					break
-				}
-				i++
-			} else if w := spaceWidth(line[i:]); w > 0 {
-				i += w
-			} else {
-				break
-			}
-		}
-		if i == len(line) {
-			break
-		}
-		start := i
-		for i < len(line) {
-			if c := line[i]; c < utf8.RuneSelf {
-				if asciiSpace[c] {
-					break
-				}
-				i++
-			} else if spaceWidth(line[i:]) > 0 {
-				break
-			} else {
-				_, w := utf8.DecodeRuneInString(line[i:])
-				i += w
-			}
-		}
-		f[n] = line[start:i]
-		n++
+// plain marks the bytes that continue a field and need no other look:
+// ASCII, not white space, not ';' and not '$'.
+var plain = func() (t [256]bool) {
+	for c := 0; c < utf8.RuneSelf; c++ {
+		t[c] = !asciiSpace[c] && c != ';' && c != '$'
 	}
-	return n
-}
-
-// spaceWidth returns the byte width of the non-ASCII rune starting s if
-// unicode.IsSpace holds for it, else 0.
-func spaceWidth(s string) int {
-	if r, w := utf8.DecodeRuneInString(s); unicode.IsSpace(r) {
-		return w
-	}
-	return 0
-}
+	return t
+}()
 
 var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
@@ -634,26 +708,6 @@ func equalFoldASCII(s, lower string) bool {
 	return true
 }
 
-// stripComment cuts a trailing comment off line: at the first ';', or
-// failing one at the first '$' followed by a space. A line whose first
-// non-space character is '*' is a comment as a whole; card drops it by
-// its first field, which starts with that character.
-func stripComment(line string) string {
-	if i := strings.IndexByte(line, ';'); i >= 0 {
-		return line[:i]
-	}
-	for i := 0; ; {
-		j := strings.IndexByte(line[i:], '$')
-		if j < 0 {
-			return line
-		}
-		i += j + 1
-		if i < len(line) && line[i] == ' ' {
-			return line[:i-1]
-		}
-	}
-}
-
 var nameSeed = maphash.MakeSeed()
 
 // duplicateName returns the error for the first resistor card, in deck
@@ -662,12 +716,12 @@ var nameSeed = maphash.MakeSeed()
 // error, so the error stands where a check at each card would put it.
 //
 // Each card's key holds a seeded hash of its name in the high 32 bits
-// and the card's number in the low 32. Sorting the keys brings equal
-// names together, each run of equal hashes in card order; comparing the
-// names within each run makes the check exact.
+// and the card's number in the low 32. Sorting the keys by hash, stably,
+// brings equal names together, each run of equal hashes in card order;
+// comparing the names within each run makes the check exact.
 func (p *parser) duplicateName() error {
 	keys := p.rKey
-	slices.Sort(keys)
+	sortByHash(keys)
 	repeat, first := len(keys), -1
 	for i := 0; i < len(keys); {
 		j := i + 1
@@ -677,7 +731,7 @@ func (p *parser) duplicateName() error {
 	run:
 		for b := i + 1; b < j && int(uint32(keys[b])) < repeat; b++ {
 			for a := i; a < b; a++ {
-				if ka, kb := int(uint32(keys[a])), int(uint32(keys[b])); p.rName[ka] == p.rName[kb] {
+				if ka, kb := int(uint32(keys[a])), int(uint32(keys[b])); p.str(p.rName[ka]) == p.str(p.rName[kb]) {
 					repeat, first = kb, ka
 					break run
 				}
@@ -688,7 +742,45 @@ func (p *parser) duplicateName() error {
 	if first < 0 {
 		return nil
 	}
-	return fmt.Errorf("netlist: line %d: duplicate resistor name %s (first at line %d)", p.rLine[repeat], p.rName[repeat], p.rLine[first])
+	return fmt.Errorf("netlist: line %d: duplicate resistor name %s (first at line %d)", p.rLine[repeat], p.str(p.rName[repeat]), p.rLine[first])
+}
+
+// radixMin is the key count from which sortByHash's radix sort is
+// faster than a comparison sort; below it, the sort's two 64K-entry
+// count passes cost more than they save.
+const radixMin = 4096
+
+// sortByHash sorts keys in ascending card order, as appended, by their
+// high 32 bits, and keeps keys with equal high bits in card order. Large
+// inputs take two passes of a least-significant-digit radix sort on 16
+// bits each; each pass is stable. Small inputs are sorted whole: their
+// low 32 bits are the ascending card numbers, so a plain sort orders
+// them the same way.
+func sortByHash(keys []uint64) {
+	if len(keys) < radixMin {
+		slices.Sort(keys)
+		return
+	}
+	tmp := make([]uint64, len(keys))
+	count := make([]int, 1<<16)
+	src, dst := keys, tmp
+	for shift := 32; shift < 64; shift += 16 {
+		clear(count)
+		for _, k := range src {
+			count[uint16(k>>shift)]++
+		}
+		sum := 0
+		for d, n := range count {
+			count[d] = sum
+			sum += n
+		}
+		for _, k := range src {
+			d := uint16(k >> shift)
+			dst[count[d]] = k
+			count[d]++
+		}
+		src, dst = dst, src
+	}
 }
 
 // Write renders a tree as a SPICE deck with input node "in" and the

@@ -289,23 +289,45 @@ func allocs(t *testing.T, runs int, parse func() (*Deck, error)) (bytes, objects
 }
 
 // The reader of a big deck allocates a bounded number of objects and
-// bytes: one name map, copied names in a few chunks, flat per-node and
-// per-resistor arrays and the tree. The object count depends on the map
-// implementation. For the bushy 100k-node deck of bigDeckCards the
-// reader takes about 295 objects and 25.2 MB with Go 1.24's swiss-table
-// maps, and about 1700 objects and 25.7 MB with the bucket maps of
-// earlier releases (GOEXPERIMENT=noswissmap), which allocate overflow
-// buckets one by one. The object budget catches a string allocated per
-// name or value (100k objects). The byte budget catches a second name
-// map, 3.5 to 4 MB: the reader that kept three name maps took 30.9 MB
-// with swiss tables and 30.5 MB with bucket maps.
+// bytes: the name table, flat per-node and per-resistor arrays, the
+// duplicate check's sort buffers and the tree. For the bushy 100k-node
+// deck of bigDeckCards the reader takes 39 objects and 16.27 MB; the
+// budgets are those plus 10%. The object budget catches a string
+// allocated per name or value (100k objects); the byte budget catches a
+// second name index (2.1 MB at this size).
 func TestParseBigDeckAllocs(t *testing.T) {
 	deck := bigDeck()
 	bytes, objects := allocs(t, 3, func() (*Deck, error) { return ParseString(deck) })
-	const maxObjects, maxBytes = 2500, 27e6
+	const maxObjects, maxBytes = 43, 17.9e6
 	if objects > maxObjects || bytes > maxBytes {
-		t.Fatalf("ParseString of a %d-byte, 100k-node deck allocates %.0f objects and %.1f MB; budget %d objects, %.1f MB",
+		t.Fatalf("ParseString of a %d-byte, 100k-node deck allocates %.0f objects and %.2f MB; budget %d objects, %.2f MB",
 			len(deck), objects, bytes/1e6, maxObjects, maxBytes/1e6)
+	}
+}
+
+// A parsed tree keeps its nodes in flat arrays: parent links, R and C,
+// the child lists, the names in one string with their offsets, and the
+// name index. For the bushy 100k-node deck of bigDeckCards that is
+// 59.0 bytes of heap per node, the budget rounded up to a whole byte;
+// the reader that kept a name map and a string header per node left
+// 85.9.
+func TestParsedTreeHeapPerNode(t *testing.T) {
+	deck := bigDeck()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d, err := ParseString(deck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perNode := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(d.Tree.N())
+	runtime.KeepAlive(d)
+	runtime.KeepAlive(deck)
+	const maxPerNode = 60
+	if perNode > maxPerNode {
+		t.Fatalf("a parsed %d-node tree keeps %.1f bytes of heap per node; budget %d", d.Tree.N(), perNode, maxPerNode)
 	}
 }
 

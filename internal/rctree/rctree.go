@@ -14,7 +14,6 @@ package rctree
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -37,14 +36,18 @@ const Source = -1
 // (see Arrays). Element values (R, C) may be updated in place via
 // SetR/SetC, which is useful for sizing loops; topology cannot change
 // after Build.
+//
+// Node names are arrays too: one string holding every name in index
+// order, the int32 offset of each, and a flat open-addressing table of
+// (hash tag, index+1) words that Index probes. Hand-built and parsed
+// trees share this one representation.
 type Tree struct {
 	parent []int32 // parent index, or Source; parent[i] < i
 	r, c   []float64
-	names  []string
+	names  nameList
 	// kidStart has length N+1; the children of node i are
 	// kids[kidStart[i]:kidStart[i+1]], in attach order.
 	kidStart, kids []int32
-	byName         map[string]int
 	roots          []int // parent == Source, in index order
 
 	preOnce sync.Once
@@ -90,7 +93,7 @@ func Compile(t *Tree) Arrays { return t.Arrays() }
 func (t *Tree) N() int { return len(t.parent) }
 
 // Name returns the user-assigned name of node i.
-func (t *Tree) Name(i int) string { return t.names[i] }
+func (t *Tree) Name(i int) string { return t.names.name(i) }
 
 // R returns the resistance (ohms) between node i and its parent.
 func (t *Tree) R(i int) float64 { return t.r[i] }
@@ -140,15 +143,12 @@ func (t *Tree) Leaves() []int {
 }
 
 // Index returns the index of the node with the given name.
-func (t *Tree) Index(name string) (int, bool) {
-	i, ok := t.byName[name]
-	return i, ok
-}
+func (t *Tree) Index(name string) (int, bool) { return t.names.lookup(name) }
 
 // MustIndex is like Index but panics if the name is unknown. It is meant
 // for tests and examples operating on hand-built circuits.
 func (t *Tree) MustIndex(name string) int {
-	i, ok := t.byName[name]
+	i, ok := t.names.lookup(name)
 	if !ok {
 		panic(fmt.Sprintf("rctree: no node named %q", name))
 	}
@@ -162,7 +162,7 @@ func (t *Tree) MustIndex(name string) int {
 // ScaleValues, which validate and invalidate once instead of per node.
 func (t *Tree) SetR(i int, r float64) error {
 	if err := checkR(r); err != nil {
-		return fmt.Errorf("rctree: node %q: %w", t.names[i], err)
+		return fmt.Errorf("rctree: node %q: %w", t.Name(i), err)
 	}
 	t.r[i] = r
 	t.gen.Add(1)
@@ -177,7 +177,7 @@ func (t *Tree) SetR(i int, r float64) error {
 // mutation/caching contract, and SetValues/ScaleValues for bulk edits.
 func (t *Tree) SetC(i int, c float64) error {
 	if err := checkC(c); err != nil {
-		return fmt.Errorf("rctree: node %q: %w", t.names[i], err)
+		return fmt.Errorf("rctree: node %q: %w", t.Name(i), err)
 	}
 	t.c[i] = c
 	t.gen.Add(1)
@@ -205,12 +205,12 @@ func (t *Tree) SetValues(r, c []float64) error {
 	for i := 0; i < n; i++ {
 		if r != nil {
 			if err := checkR(r[i]); err != nil {
-				return fmt.Errorf("rctree: node %q: %w", t.names[i], err)
+				return fmt.Errorf("rctree: node %q: %w", t.Name(i), err)
 			}
 		}
 		if c != nil {
 			if err := checkC(c[i]); err != nil {
-				return fmt.Errorf("rctree: node %q: %w", t.names[i], err)
+				return fmt.Errorf("rctree: node %q: %w", t.Name(i), err)
 			}
 		}
 	}
@@ -232,16 +232,16 @@ func (t *Tree) SetValues(r, c []float64) error {
 func (t *Tree) Generation() uint64 { return t.gen.Load() }
 
 // Clone returns a deep copy of the tree. The copy shares no mutable state
-// with the original, so SetR/SetC on one does not affect the other.
+// with the original, so SetR/SetC on one does not affect the other. The
+// names, which nothing writes after Build, are shared.
 func (t *Tree) Clone() *Tree {
 	return &Tree{
 		parent:   slices.Clone(t.parent),
 		r:        slices.Clone(t.r),
 		c:        slices.Clone(t.c),
-		names:    slices.Clone(t.names),
+		names:    t.names,
 		kidStart: slices.Clone(t.kidStart),
 		kids:     slices.Clone(t.kids),
-		byName:   maps.Clone(t.byName),
 		roots:    slices.Clone(t.roots),
 	}
 }
@@ -361,9 +361,9 @@ func (t *Tree) Subtree(i int) (*Tree, error) {
 		var id int
 		var err error
 		if parent == Source {
-			id, err = b.Root(t.names[j], t.r[j], t.c[j])
+			id, err = b.Root(t.Name(j), t.r[j], t.c[j])
 		} else {
-			id, err = b.Attach(parent, t.names[j], t.r[j], t.c[j])
+			id, err = b.Attach(parent, t.Name(j), t.r[j], t.c[j])
 		}
 		if err != nil {
 			return err
@@ -388,7 +388,7 @@ func (t *Tree) String() string {
 	var walk func(i, indent int)
 	walk = func(i, indent int) {
 		fmt.Fprintf(&sb, "%s%s: R=%s C=%s\n",
-			strings.Repeat("  ", indent), t.names[i],
+			strings.Repeat("  ", indent), t.Name(i),
 			FormatOhms(t.r[i]), FormatFarads(t.c[i]))
 		for _, ch := range t.Children(i) {
 			walk(int(ch), indent+1)
@@ -402,7 +402,11 @@ func (t *Tree) String() string {
 
 // Names returns all node names in index order.
 func (t *Tree) Names() []string {
-	return append([]string(nil), t.names...)
+	names := make([]string, t.N())
+	for i := range names {
+		names[i] = t.Name(i)
+	}
+	return names
 }
 
 // Validate re-checks the structural invariants of the tree: positive
@@ -417,16 +421,16 @@ func (t *Tree) Validate() error {
 	anyC := false
 	for i, p := range t.parent {
 		if err := checkR(t.r[i]); err != nil {
-			return fmt.Errorf("rctree: node %q: %w", t.names[i], err)
+			return fmt.Errorf("rctree: node %q: %w", t.Name(i), err)
 		}
 		if err := checkC(t.c[i]); err != nil {
-			return fmt.Errorf("rctree: node %q: %w", t.names[i], err)
+			return fmt.Errorf("rctree: node %q: %w", t.Name(i), err)
 		}
 		if t.c[i] > 0 {
 			anyC = true
 		}
 		if p < Source || int(p) >= i {
-			return fmt.Errorf("rctree: node %q: parent index %d not in [%d,%d)", t.names[i], p, Source, i)
+			return fmt.Errorf("rctree: node %q: parent index %d not in [%d,%d)", t.Name(i), p, Source, i)
 		}
 	}
 	if !anyC {
@@ -465,39 +469,40 @@ func checkC(c float64) error {
 }
 
 // Builder constructs a Tree incrementally, filling the tree's own
-// arrays. The zero value is not usable; create one with NewBuilder or
-// NewBuilderIndex.
+// arrays: parent links and values, and the names with their hash
+// index. The zero value is not usable; create one with NewBuilder or
+// NewBuilderNames.
 type Builder struct {
 	parent []int32
 	r, c   []float64
-	names  []string
-	byName map[string]int
-	// adopted marks a byName the caller owns and fills (NewBuilderIndex).
-	adopted bool
+	// text holds the names added so far; names is their list.
+	text  strings.Builder
+	names nameList
+	// adopted is the caller's name table (NewBuilderNames), or nil.
+	adopted *NameTable
 	err     error
 }
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
-	return &Builder{byName: make(map[string]int)}
+	return &Builder{names: nameList{off: []int32{0}, index: newNameIndex(0)}}
 }
 
-// NewBuilderIndex returns an empty Builder with room for n nodes that
-// adopts index as the built tree's name index instead of building its
-// own, for a reader that already keeps one map entry per node name.
-// Root and Attach neither read nor write index, so they skip the
-// duplicate-name check; by the time Build is called the caller must
-// have made index map the name of every added node to the index Root or
-// Attach returned for it, and hold nothing else. Build checks that
-// index holds one entry per node; the tree then owns the map.
-func NewBuilderIndex(n int, index map[string]int) *Builder {
+// NewBuilderNames returns an empty Builder with room for n nodes that
+// adopts names as the built tree's names and name index instead of
+// building its own, for a deck reader that fills the table while it
+// scans. Root and Attach use the name they are given only in their
+// errors, so they skip the duplicate-name check. Before Build the
+// caller must Reindex names so that it holds the name of every added
+// node under the index Root or Attach returned for it, and nothing
+// else; Build checks that it holds one name per node, and the tree then
+// owns the table's names.
+func NewBuilderNames(n int, names *NameTable) *Builder {
 	return &Builder{
 		parent:  make([]int32, 0, n),
 		r:       make([]float64, 0, n),
 		c:       make([]float64, 0, n),
-		names:   make([]string, 0, n),
-		byName:  index,
-		adopted: true,
+		adopted: names,
 	}
 }
 
@@ -549,9 +554,17 @@ func (b *Builder) add(name string, parent int, r, c float64) (int, error) {
 	if name == "" {
 		name = fmt.Sprintf("n%d", id+1)
 	}
-	if !b.adopted {
-		if _, dup := b.byName[name]; dup {
+	var h uint64
+	var slot int
+	if b.adopted == nil {
+		var dup int32
+		if dup, h, slot = b.names.find(name); dup >= 0 {
 			err := fmt.Errorf("rctree: duplicate node name %q", name)
+			b.fail(err)
+			return -1, err
+		}
+		if b.text.Len()+len(name) > math.MaxInt32 {
+			err := fmt.Errorf("rctree: node names exceed %d bytes", math.MaxInt32)
 			b.fail(err)
 			return -1, err
 		}
@@ -569,9 +582,8 @@ func (b *Builder) add(name string, parent int, r, c float64) (int, error) {
 	b.parent = append(b.parent, int32(parent))
 	b.r = append(b.r, r)
 	b.c = append(b.c, c)
-	b.names = append(b.names, name)
-	if !b.adopted {
-		b.byName[name] = id
+	if b.adopted == nil {
+		b.names.add(&b.text, name, h, slot)
 	}
 	return id, nil
 }
@@ -593,16 +605,20 @@ func (b *Builder) Build() (*Tree, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	if len(b.byName) != len(b.parent) {
-		return nil, fmt.Errorf("rctree: name index holds %d names for %d nodes", len(b.byName), len(b.parent))
+	names := b.names
+	if b.adopted != nil {
+		names = b.adopted.names
 	}
-	t := &Tree{parent: b.parent, r: b.r, c: b.c, names: b.names, byName: b.byName}
+	if n := len(names.off) - 1; n != len(b.parent) {
+		return nil, fmt.Errorf("rctree: name table holds %d names for %d nodes", max(n, 0), len(b.parent))
+	}
+	t := &Tree{parent: b.parent, r: b.r, c: b.c, names: names}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	t.link()
 	// Detach the builder so further use cannot alias the built tree.
-	*b = Builder{byName: make(map[string]int)}
+	*b = *NewBuilder()
 	return t, nil
 }
 
@@ -686,7 +702,8 @@ func (t *Tree) fingerprint() uint64 {
 		}
 	}
 	mix(uint64(t.N()))
-	for i, name := range t.names {
+	for i := range t.parent {
+		name := t.Name(i)
 		// Length-prefix the name so its bytes cannot be confused with
 		// the fixed-width fields that follow: without it, shifting
 		// bytes between a name and the adjacent mixed fields (or an
@@ -723,7 +740,11 @@ func (b *Builder) AddCap(node int, c float64) error {
 		return err
 	}
 	if err := checkC(c); err != nil {
-		err = fmt.Errorf("rctree: AddCap node %q: %w", b.names[node], err)
+		if b.adopted == nil {
+			err = fmt.Errorf("rctree: AddCap node %q: %w", b.names.name(node), err)
+		} else {
+			err = fmt.Errorf("rctree: AddCap node %d: %w", node, err)
+		}
 		b.fail(err)
 		return err
 	}

@@ -84,10 +84,10 @@ func (t *Tree) ScaleValues(rFactor, cFactor float64) error {
 	}
 	for i := range t.r {
 		if err := checkR(t.r[i] * rFactor); err != nil {
-			return fmt.Errorf("rctree: node %q: %w", t.names[i], err)
+			return fmt.Errorf("rctree: node %q: %w", t.Name(i), err)
 		}
 		if err := checkC(t.c[i] * cFactor); err != nil {
-			return fmt.Errorf("rctree: node %q: %w", t.names[i], err)
+			return fmt.Errorf("rctree: node %q: %w", t.Name(i), err)
 		}
 	}
 	for i := range t.r {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Engineering-notation helpers shared by the String method, the netlist
@@ -79,30 +80,45 @@ func FormatSeconds(t float64) string { return FormatSI(t, "s") }
 // exponent in [-22, 22] is converted in the same pass that scans it (see
 // exactPrefix); any other goes to strconv.ParseFloat.
 func ParseValue(s string) (float64, error) {
-	// ToLower returns a token with no upper-case letter as it is, and
-	// TrimSpace returns a substring: a lower-case token is not copied.
-	t := strings.TrimSpace(strings.ToLower(s))
+	// An ASCII token is read as it is, folding case only where a letter
+	// matters: the exponent marker and the suffix. A non-ASCII token is
+	// lower-cased by Unicode rules first, since some runes lower-case to
+	// ASCII letters (U+212A, the Kelvin sign, to k).
+	t := strings.TrimSpace(s)
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			t = strings.TrimSpace(strings.ToLower(s))
+			break
+		}
+	}
 	if t == "" {
 		return 0, fmt.Errorf("rctree: empty numeric value")
 	}
 	base, end, ok := exactPrefix(t)
 	if !ok {
-		end = numericPrefix(t)
+		if end == 0 {
+			end = numericPrefix(t)
+		}
 		if end < 0 {
 			return 0, fmt.Errorf("rctree: %q is not a number", s)
 		}
+		// The prefix's one letter is its exponent marker. ParseFloat
+		// takes either case, but its error quotes the prefix as given.
+		num := t[:end]
+		if strings.IndexByte(num, 'E') >= 0 {
+			num = strings.ToLower(num)
+		}
 		var err error
-		if base, err = strconv.ParseFloat(t[:end], 64); err != nil {
+		if base, err = strconv.ParseFloat(num, 64); err != nil {
 			return 0, fmt.Errorf("rctree: parse %q: %w", s, err)
 		}
 	}
 	return base * suffixScale(t[end:]), nil
 }
 
-// numericPrefix returns the length of the longest prefix of the
-// lower-case token t made of digits, signs, points and exponent letters
-// (an e after a digit and before an exponent), or -1 if that prefix
-// holds no digit.
+// numericPrefix returns the length of the longest prefix of the token
+// t made of digits, signs, points and exponent letters (an e or E after
+// a digit and before an exponent), or -1 if that prefix holds no digit.
 func numericPrefix(t string) int {
 	end := 0
 	seenDigit := false
@@ -112,7 +128,7 @@ scan:
 		case '0' <= c && c <= '9':
 			seenDigit = true
 		case c == '+' || c == '-' || c == '.':
-		case c == 'e' && seenDigit && isExpStart(t[end+1:]):
+		case lower(c) == 'e' && seenDigit && isExpStart(t[end+1:]):
 		default:
 			break scan
 		}
@@ -123,16 +139,16 @@ scan:
 	return end
 }
 
-// suffixScale returns the multiplier a lower-case engineering suffix
-// stands for: meg or x, t, g, k, m, u, n, p, f, a. Unknown letters
+// suffixScale returns the multiplier an engineering suffix stands for,
+// in any case: meg or x, t, g, k, m, u, n, p, f, a. Unknown letters
 // (e.g. a bare unit like "ohm") are ignored, as in SPICE.
 func suffixScale(suffix string) float64 {
 	if suffix == "" {
 		return 1
 	}
-	switch suffix[0] {
+	switch lower(suffix[0]) {
 	case 'm':
-		if strings.HasPrefix(suffix, "meg") {
+		if len(suffix) >= 3 && lower(suffix[1]) == 'e' && lower(suffix[2]) == 'g' {
 			return 1e6
 		}
 		return 1e-3
@@ -158,13 +174,17 @@ func suffixScale(suffix string) float64 {
 	return 1
 }
 
+// lower returns c with A-Z folded to a-z. Only A-Z and a-z fold to a
+// letter; every other byte maps to a byte that is not one.
+func lower(c byte) byte { return c | 0x20 }
+
 // exactPow10 holds the powers of ten a float64 represents exactly
 // (5^22 < 2^53).
 var exactPow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
 	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
-// exactPrefix converts the numeric prefix of the lower-case token t
-// (see numericPrefix) when it reads [+-]digits[.digits][e[+-]digits]
+// exactPrefix converts the numeric prefix of the token t (see
+// numericPrefix) when it reads [+-]digits[.digits][e[+-]digits]
 // with at most 15 significant digits and a decimal exponent e in
 // [-22, 22], and returns its value and length. Such a prefix is m·10^e
 // for an integer m < 10^15; both m and 10^|e| are exact float64 values,
@@ -172,7 +192,8 @@ var exactPow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 
 // rounded half to even. That is the value strconv.ParseFloat returns,
 // and it takes this same path (float64(m), the sign, then one operation
 // by the same power) for these inputs. ok is false for every other
-// prefix, malformed ones included.
+// prefix. n is then the prefix's length if it reads as above with more
+// digits or a wider exponent, and 0 if it reads otherwise.
 func exactPrefix(t string) (f float64, n int, ok bool) {
 	i := 0
 	neg := false
@@ -181,34 +202,25 @@ func exactPrefix(t string) (f float64, n int, ok bool) {
 		i++
 	}
 	var mant uint64
-	digits, sig, exp := 0, 0, 0
-	dot := false
-	for ; i < len(t); i++ {
-		c := t[i]
-		if c == '.' && !dot {
-			dot = true
-			continue
+	sig, exp, exact := 0, 0, true
+	start := i
+	for ; i < len(t) && '0' <= t[i] && t[i] <= '9'; i++ {
+		mant, sig, exact = addDigit(mant, sig, exact, t[i])
+	}
+	digits := i - start
+	if i < len(t) && t[i] == '.' {
+		i++
+		start = i
+		for ; i < len(t) && '0' <= t[i] && t[i] <= '9'; i++ {
+			mant, sig, exact = addDigit(mant, sig, exact, t[i])
 		}
-		if c < '0' || c > '9' {
-			break
-		}
-		digits++
-		if dot {
-			exp--
-		}
-		if c == '0' && sig == 0 {
-			continue // a leading zero
-		}
-		if sig == 15 {
-			return 0, 0, false
-		}
-		mant = mant*10 + uint64(c-'0')
-		sig++
+		digits += i - start
+		exp = start - i
 	}
 	if digits == 0 {
 		return 0, 0, false
 	}
-	if i < len(t) && t[i] == 'e' && isExpStart(t[i+1:]) {
+	if i < len(t) && lower(t[i]) == 'e' && isExpStart(t[i+1:]) {
 		i++
 		esign := 1
 		if t[i] == '+' || t[i] == '-' {
@@ -228,12 +240,12 @@ func exactPrefix(t string) (f float64, n int, ok bool) {
 	if i < len(t) {
 		// The numeric prefix goes on past the number ("1.2.3", "1e5e3"):
 		// strconv.ParseFloat decides.
-		if c := t[i]; c == '.' || c == '+' || c == '-' || c == 'e' && isExpStart(t[i+1:]) {
+		if c := t[i]; c == '.' || c == '+' || c == '-' || lower(c) == 'e' && isExpStart(t[i+1:]) {
 			return 0, 0, false
 		}
 	}
-	if exp < -22 || exp > 22 {
-		return 0, 0, false
+	if !exact || exp < -22 || exp > 22 {
+		return 0, i, false
 	}
 	f = float64(mant)
 	if neg {
@@ -243,6 +255,20 @@ func exactPrefix(t string) (f float64, n int, ok bool) {
 		return f * exactPow10[exp], i, true
 	}
 	return f / exactPow10[-exp], i, true
+}
+
+// addDigit appends the decimal digit c to the mantissa m of sig
+// significant digits. A leading zero adds nothing, and a digit past the
+// fifteenth leaves m as it is and clears exact.
+func addDigit(m uint64, sig int, exact bool, c byte) (uint64, int, bool) {
+	d := uint64(c - '0')
+	switch {
+	case m|d == 0:
+		return m, sig, exact
+	case sig == 15:
+		return m, sig, false
+	}
+	return m*10 + d, sig + 1, exact
 }
 
 // isExpStart reports whether rest begins like the tail of a float
