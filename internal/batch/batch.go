@@ -4,9 +4,10 @@
 // characterization flows sweep thousands of net/slew/corner
 // combinations per run; this package is the layer that exploits that.
 //
-// A Job is either a net analysis (core.AnalyzeContext plus per-sink
-// Bounds/InputBounds), an STA path walk (sta.AnalyzePathMoments), or a
-// transient characterization sweep (sim.Plan). The Engine guarantees:
+// A Job is either a net analysis (core.BoundsAt at the requested sinks,
+// plus InputBounds for a non-step input), an STA path walk
+// (sta.AnalyzePathMoments), or a transient characterization sweep
+// (sim.Plan). The Engine guarantees:
 //
 //   - Bounded concurrency: at most Workers jobs run at once (default
 //     GOMAXPROCS).
@@ -101,6 +102,9 @@ type SinkBounds struct {
 
 // NetResult is the outcome of one net job.
 type NetResult struct {
+	// Deprecated: the engine evaluates bounds at the requested sinks
+	// only and leaves Analysis nil. The field stays while the benchmark
+	// replay fills it.
 	Analysis *core.Analysis
 	Sinks    []SinkBounds
 }
@@ -478,7 +482,8 @@ func (e *Engine) runAttempts(ctx context.Context, idx int, j Job, res *Result) {
 
 	// The tree resolves once and is memoized across attempts (no
 	// re-parsing per retry); pre-built trees give the breaker its key
-	// before the first attempt, loader-built trees after it. Path jobs
+	// before the first attempt, loader-built trees after it. The key is
+	// an O(N) hash, taken only when a breaker will read it. Path jobs
 	// span multiple nets and skip the breaker.
 	var tree *rctree.Tree
 	switch {
@@ -489,7 +494,7 @@ func (e *Engine) runAttempts(ctx context.Context, idx int, j Job, res *Result) {
 	}
 	var fp uint64
 	haveFP := false
-	if tree != nil {
+	if tree != nil && e.Breaker != nil {
 		fp, haveFP = tree.Fingerprint(), true
 	}
 
@@ -515,7 +520,7 @@ func (e *Engine) runAttempts(ctx context.Context, idx int, j Job, res *Result) {
 			asp.AttrString("error", err.Error())
 		}
 		asp.End()
-		if tree != nil && !haveFP {
+		if tree != nil && e.Breaker != nil && !haveFP {
 			fp, haveFP = tree.Fingerprint(), true
 		}
 		if err == nil {
@@ -652,9 +657,29 @@ func resolveTree(load func() (*rctree.Tree, error), kind string) (*rctree.Tree, 
 	return load()
 }
 
+// runNet answers a net job from the tree's O(N) sweeps and one
+// evaluation per requested sink (core.BoundsAt). Sink names resolve
+// first, but the errors keep their order: cancellation, then the
+// analysis, then the first missing sink.
 func (e *Engine) runNet(ctx context.Context, nj *NetJob, tree *rctree.Tree) (*NetResult, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
+	}
+	var nodes []int
+	if len(nj.Sinks) == 0 {
+		nodes = make([]int, tree.N())
+		for i := range nodes {
+			nodes[i] = i
+		}
+	} else {
+		nodes = make([]int, 0, len(nj.Sinks))
+		for _, name := range nj.Sinks {
+			i, ok := tree.Index(name)
+			if !ok {
+				break // reported after the analysis
+			}
+			nodes = append(nodes, i)
+		}
 	}
 	var (
 		ms  *moments.Set
@@ -667,39 +692,31 @@ func (e *Engine) runNet(ctx context.Context, nj *NetJob, tree *rctree.Tree) (*Ne
 			return nil, false, err
 		}
 	}
-	var a *core.Analysis
-	if ms != nil {
-		a, err = core.AnalyzeWithMoments(ctx, tree, ms)
-	} else {
-		a, err = core.AnalyzeContext(ctx, tree)
-	}
+	bounds, err := core.BoundsAt(ctx, tree, ms, nodes)
 	if err != nil {
 		return nil, hit, err
 	}
-	sinks := nj.Sinks
-	if len(sinks) == 0 {
-		sinks = tree.Names()
-	}
-	out := &NetResult{Analysis: a, Sinks: make([]SinkBounds, 0, len(sinks))}
-	for _, name := range sinks {
+	_, isStep := nj.Input.(signal.Step)
+	out := &NetResult{Sinks: make([]SinkBounds, len(bounds))}
+	for k, b := range bounds {
 		if err := ctx.Err(); err != nil {
 			return nil, hit, err
 		}
-		i, ok := tree.Index(name)
-		if !ok {
-			return nil, hit, fmt.Errorf("batch: net has no node %q", name)
-		}
-		sb := SinkBounds{Node: name, Bounds: a.Bounds[i]}
-		if nj.Input != nil {
-			if _, isStep := nj.Input.(signal.Step); !isStep {
-				ib, err := a.ForInput(i, nj.Input)
-				if err != nil {
-					return nil, hit, err
-				}
-				sb.Input = &ib
+		sb := &out.Sinks[k]
+		sb.Node, sb.Bounds = b.Node, b
+		if nj.Input != nil && !isStep {
+			ib, err := b.ForInput(nj.Input)
+			if err != nil {
+				return nil, hit, err
 			}
+			sb.Input = &ib
 		}
-		out.Sinks = append(out.Sinks, sb)
+	}
+	if len(nodes) < len(nj.Sinks) {
+		if err := ctx.Err(); err != nil {
+			return nil, hit, err
+		}
+		return nil, hit, fmt.Errorf("batch: net has no node %q", nj.Sinks[len(nodes)])
 	}
 	return out, hit, nil
 }

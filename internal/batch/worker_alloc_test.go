@@ -14,8 +14,8 @@ import (
 // workerJobAllocBudget is the steady-state marginal allocation count
 // of one cache-warm net job in the worker loop: the moment set is a
 // cache hit and the PRH sweeps run in their own outputs, so what
-// remains is the result plumbing (PRHTerms + per-node backing,
-// Analysis + bounds, NetResult + sinks, reorder parking) — ~7
+// remains is PRHTerms + its per-node backing, the sink indices, the
+// sink bounds, NetResult + its sinks and the reorder parking — 7.00
 // measured; 8 leaves one alloc of headroom before the regression
 // trips.
 const workerJobAllocBudget = 8
@@ -49,6 +49,7 @@ func TestWorkerLoopAllocBudget(t *testing.T) {
 	}
 	small, large := run(8), run(40)
 	perJob := (large - small) / 32
+	t.Logf("worker loop: %.2f allocs/job (runs: 8 jobs %.0f, 40 jobs %.0f)", perJob, small, large)
 	if perJob > workerJobAllocBudget {
 		t.Errorf("worker loop = %.2f allocs/job (runs: 8 jobs %.0f, 40 jobs %.0f), budget %d",
 			perJob, small, large, workerJobAllocBudget)

@@ -87,11 +87,14 @@ func AnalyzeContext(ctx context.Context, t *rctree.Tree) (*Analysis, error) {
 	return analyze(ctx, t, nil)
 }
 
-// AnalyzeWithMoments is AnalyzeContext with a precomputed moment set —
-// the seam through which batch engines share one moments.Set across
-// repeated identical nets. ms may have been computed for a different
-// *Tree value as long as it describes the same circuit (equal rctree
-// fingerprints); only node indices are read from it.
+// AnalyzeWithMoments is AnalyzeContext with a precomputed moment set.
+// ms may have been computed for a different *Tree value as long as it
+// describes the same circuit (equal rctree fingerprints); only node
+// indices are read from it.
+//
+// Deprecated: the batch engine reads bounds at its sinks through
+// BoundsAt, which takes the same moment set. AnalyzeWithMoments stays
+// while the benchmark replay calls it.
 func AnalyzeWithMoments(ctx context.Context, t *rctree.Tree, ms *moments.Set) (*Analysis, error) {
 	if ms == nil {
 		return nil, fmt.Errorf("core: AnalyzeWithMoments needs a non-nil moment set")
@@ -109,40 +112,136 @@ func analyze(ctx context.Context, t *rctree.Tree, ms *moments.Set) (*Analysis, e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if ms == nil {
-		var err error
-		ms, err = moments.Compute(t)
-		if err != nil {
-			return nil, err
-		}
+	sw, err := newSweep(t, ms)
+	if err != nil {
+		return nil, err
 	}
-	prh := moments.ComputePRH(t)
 	a := &Analysis{
 		Tree:   t,
-		TP:     prh.TP,
+		TP:     sw.prh.TP,
 		Bounds: make([]Bounds, t.N()),
-		prh:    prh,
-		ms:     ms,
+		prh:    sw.prh,
+		ms:     sw.ms,
 	}
-	var treeLabel string
-	if health.Enabled() {
-		treeLabel = health.TreeLabel(t.N(), t.Fingerprint())
+	if err := sw.every(a.Bounds); err != nil {
+		return nil, err
 	}
-	for i := 0; i < t.N(); i++ {
-		b := newBounds(t, i, ms.Elmore(i), ms.Mu2(i), ms.Mu3(i), prh.TP, prh.TR(i))
-		a.Bounds[i] = b
-		if err := checkBounds(treeLabel, &b); err != nil {
-			return nil, err
-		}
-	}
-	telemetry.C("core.analyses").Inc()
-	telemetry.C("core.nodes_analyzed").Add(int64(t.N()))
+	countAnalysis(t)
 	return a, nil
 }
 
+// BoundsAt returns the bounds at the listed node indices, in list order
+// (repeats allowed): the O(N) sweeps of Analyze plus one closed-form
+// evaluation per listed node, so a net analyzed for a few sinks builds
+// no per-node Bounds. ms is nil, or a precomputed moment set of the
+// same circuit: it may belong to another *Tree value with an equal
+// fingerprint, since only node indices are read from it. Every returned
+// value is the one Analyze reports at that index.
+//
+// Under a health monitor every node is still evaluated and checked once,
+// in index order, and the listed bounds are read from that pass, so the
+// monitor records exactly the events (and a strict monitor returns
+// exactly the error) of Analyze. Without one, the checks of unlisted
+// nodes could only have been no-ops.
+func BoundsAt(ctx context.Context, t *rctree.Tree, ms *moments.Set, nodes []int) ([]Bounds, error) {
+	if ms != nil && ms.Tree().N() != t.N() {
+		return nil, fmt.Errorf("core: moment set covers %d nodes, tree has %d", ms.Tree().N(), t.N())
+	}
+	for _, i := range nodes {
+		if i < 0 || i >= t.N() {
+			return nil, fmt.Errorf("core: node index %d out of range [0,%d)", i, t.N())
+		}
+	}
+	_, sp := telemetry.Start(ctx, "core.analyze")
+	sp.AttrInt("nodes", int64(t.N()))
+	sp.AttrInt("sinks", int64(len(nodes)))
+	defer sp.End()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	sw, err := newSweep(t, ms)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Bounds, len(nodes))
+	if sw.monitored() {
+		all := make([]Bounds, t.N())
+		if err := sw.every(all); err != nil {
+			return nil, err
+		}
+		for k, i := range nodes {
+			out[k] = all[i]
+		}
+	} else {
+		for k, i := range nodes {
+			if out[k], err = sw.at(i); err != nil {
+				return nil, err
+			}
+		}
+	}
+	countAnalysis(t)
+	return out, nil
+}
+
+// countAnalysis counts one finished analysis and the nodes its sweeps
+// covered.
+func countAnalysis(t *rctree.Tree) {
+	telemetry.C("core.analyses").Inc()
+	telemetry.C("core.nodes_analyzed").Add(int64(t.N()))
+}
+
+// sweep is the O(N) half of an analysis of one tree: the moment set
+// and the PRH terms. The bounds at any node follow from them in closed
+// form (at).
+type sweep struct {
+	t     *rctree.Tree
+	ms    *moments.Set
+	prh   *moments.PRHTerms
+	label string // health tree label; empty when no monitor is installed
+}
+
+// newSweep runs the sweeps over t, computing the moment set unless ms
+// is given.
+func newSweep(t *rctree.Tree, ms *moments.Set) (sweep, error) {
+	if ms == nil {
+		var err error
+		if ms, err = moments.Compute(t); err != nil {
+			return sweep{}, err
+		}
+	}
+	sw := sweep{t: t, ms: ms, prh: moments.ComputePRH(t)}
+	if health.Enabled() {
+		sw.label = health.TreeLabel(t.N(), t.Fingerprint())
+	}
+	return sw, nil
+}
+
+// monitored reports whether a health monitor was installed when the
+// sweeps ran.
+func (sw *sweep) monitored() bool { return sw.label != "" }
+
+// at evaluates and checks the bounds of node i.
+func (sw *sweep) at(i int) (Bounds, error) {
+	b := newBounds(sw.t, i, sw.ms.Elmore(i), sw.ms.Mu2(i), sw.ms.Mu3(i), sw.prh.TP, sw.prh.TR(i))
+	return b, checkBounds(sw.label, &b)
+}
+
+// every evaluates and checks every node in index order into out (one
+// entry per node), stopping at the first check that fails.
+func (sw *sweep) every(out []Bounds) error {
+	for i := range out {
+		b, err := sw.at(i)
+		if err != nil {
+			return err
+		}
+		out[i] = b
+	}
+	return nil
+}
+
 // newBounds builds the Bounds of node i of t from its T_D, μ2 and μ3 and
-// the PRH terms T_P and T_R(i): the one set of formulas behind Analyze
-// and Reanalyze.
+// the PRH terms T_P and T_R(i): the one set of formulas behind Analyze,
+// BoundsAt and Reanalyze.
 func newBounds(t *rctree.Tree, i int, td, mu2, mu3, tp, tr float64) Bounds {
 	sigma := moments.Sigma(mu2, t, i)
 	return Bounds{
@@ -163,8 +262,9 @@ func newBounds(t *rctree.Tree, i int, td, mu2, mu3, tp, tr float64) Bounds {
 // checkBounds runs the paper's invariants on one node's freshly
 // computed bounds, reporting health violations fail-soft (hard only
 // under a strict monitor). The passing path is a handful of float
-// comparisons and no allocation, so the checks stay in the hot loop
-// permanently. Lemma 2 guarantees mu2 >= 0 and gamma >= 0, and the
+// comparisons and no allocation, so every evaluated node is checked;
+// under a monitor that is every node of the tree, BoundsAt included.
+// Lemma 2 guarantees mu2 >= 0 and gamma >= 0, and the
 // cumulant sweep keeps both exactly in floating point (every term it
 // adds is non-negative), so the checks carry no tolerance: anything
 // below zero, or NaN, is a fault.
@@ -303,17 +403,22 @@ type InputBounds struct {
 }
 
 // ForInput computes the generalized-input delay bounds at node i for a
-// monotone input signal. It returns an error if the input's derivative
-// is not unimodal — the hypothesis of Corollary 2 — since the Elmore
-// upper bound is only proven under that condition.
+// monotone input signal (see Bounds.ForInput).
 func (a *Analysis) ForInput(i int, sig signal.Signal) (InputBounds, error) {
+	return a.Bounds[i].ForInput(sig)
+}
+
+// ForInput computes the generalized-input delay bounds at this node for
+// a monotone input signal. It returns an error if the input's
+// derivative is not unimodal — the hypothesis of Corollary 2 — since
+// the Elmore upper bound is only proven under that condition.
+func (b *Bounds) ForInput(sig signal.Signal) (InputBounds, error) {
 	if err := signal.Validate(sig); err != nil {
 		return InputBounds{}, err
 	}
 	if !sig.UnimodalDerivative() {
 		return InputBounds{}, fmt.Errorf("core: input %v has a non-unimodal derivative; Corollary 2 does not apply", sig)
 	}
-	b := a.Bounds[i]
 	inMean := sig.DerivMean()
 	in50 := sig.Cross(0.5)
 	outMean := b.Elmore + inMean

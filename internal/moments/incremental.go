@@ -31,8 +31,11 @@ import (
 //   - ΔC at k moves y on k's root path, regathered at once from k up,
 //     and T_D over k's whole component (every node's path meets the
 //     root).
-//   - ΔR at k moves y on the root path above k, regathered from k's
-//     parent up, and T_D and the path resistance only in [k, end[k]).
+//   - ΔR at k moves y2 and y3 on the root path above k, and T_D and the
+//     path resistance only in [k, end[k]). y1 does not read r, and y1 is
+//     all that Elmore, TotalC and DownstreamC read, so the root path is
+//     regathered lazily: k's parent is marked stale, and PathStats walks
+//     up from every stale mark before it reads y2 and y3.
 //   - μ2, μ3 and T_R at a node are answered by PathStats with one walk
 //     down the node's root path, O(depth).
 //
@@ -71,11 +74,16 @@ type Incremental struct {
 	tp         float64
 
 	// Pending ranges of td and rkk to re-sweep; tpStale marks T_P for a
-	// re-sum. y is never pending. moved is the hull of every node whose
-	// moments moved since the last DrainMoved.
+	// re-sum. moved is the hull of every node whose moments moved since
+	// the last DrainMoved. pendY lists the starts of root-path regathers
+	// that ΔR edits left for PathStats, each at most once (staleY marks
+	// the listed nodes), so it never holds more than n; y1 is never
+	// pending.
 	pendTD, pendR span
 	tpStale       bool
 	moved         span
+	pendY         []int32
+	staleY        []bool
 
 	// undo is the revert log: every applied edit since the last Commit,
 	// oldest first.
@@ -111,7 +119,7 @@ type IncrementalStats struct {
 	Sets          int64 // applied SetR/SetC edits (no-op value repeats excluded)
 	Flushes       int64 // pending ranges swept (T_D or path resistance)
 	NodesTouched  int64 // nodes swept by flushes, one per node per range
-	Gathered      int64 // nodes whose admittance an edit or revert regathered
+	Gathered      int64 // nodes whose admittance an edit, a revert or a PathStats regathered
 	Walked        int64 // root-path nodes visited by PathStats
 	FullFallbacks int64 // always 0; kept because perfbench reads it
 	Reverts       int64
@@ -146,6 +154,7 @@ func NewIncremental(t *rctree.Tree) (*Incremental, error) {
 		y3:      back[4*n : 5*n : 5*n],
 		td:      back[5*n : 6*n : 6*n],
 		rkk:     back[6*n : 7*n : 7*n],
+		staleY:  make([]bool, n),
 		tpStale: true,
 	}
 	for k, u := range t.PreOrder() {
@@ -235,32 +244,51 @@ func (inc *Incremental) set(k int32, isR bool, v float64) {
 }
 
 // moves records what an edit at k moves: y is regathered on the root
-// path at once (from k for ΔC, from k's parent for ΔR, whose y does not
-// read r_k), the T_D and path-resistance ranges are extended, T_P goes
-// stale and k's component joins the moved set.
+// path, at once from k for ΔC and lazily from k's parent for ΔR (whose
+// y does not read r_k), the T_D and path-resistance ranges are
+// extended, T_P goes stale and k's component joins the moved set.
 func (inc *Incremental) moves(k int32, isR bool) {
 	rt := inc.root[k]
-	from := k
 	if isR {
 		inc.pendTD.cover(k, inc.end[k])
 		inc.pendR.cover(k, inc.end[k])
-		from = inc.par[k]
+		if p := inc.par[k]; p != rctree.Source && !inc.staleY[p] {
+			inc.staleY[p] = true
+			inc.pendY = append(inc.pendY, p)
+		}
 	} else {
 		inc.pendTD.cover(rt, inc.end[rt])
-	}
-	for j := from; j != rctree.Source; j = inc.par[j] {
-		inc.regather(j)
-		inc.stats.Gathered++
+		inc.regatherPath(k)
 	}
 	inc.moved.cover(rt, inc.end[rt])
 	inc.tpStale = true
 }
 
+// regatherPath regathers y on the root path from j up.
+func (inc *Incremental) regatherPath(j int32) {
+	for ; j != rctree.Source; j = inc.par[j] {
+		inc.regather(j)
+		inc.stats.Gathered++
+	}
+}
+
+// flushY runs the root-path regathers that ΔR edits left pending. Any
+// order gives a fresh sweep's bits: a stale node's ancestors all lie on
+// its own walk, so each node's last regather comes after the last one of
+// every stale child.
+func (inc *Incremental) flushY() {
+	for _, j := range inc.pendY {
+		inc.staleY[j] = false
+		inc.regatherPath(j)
+	}
+	inc.pendY = inc.pendY[:0]
+}
+
 // Revert undoes every edit applied since the last Commit (or since
 // construction), restoring the engine to its baseline values. Each
-// undone edit regathers its root path from exact children, which
-// reproduces a fresh sweep's bits; T_D and the path resistance re-sweep
-// lazily on the next query.
+// undone edit regathers its root path from exact children (a ΔR one
+// lazily, as SetR does), which reproduces a fresh sweep's bits; T_D and
+// the path resistance re-sweep lazily on the next query.
 func (inc *Incremental) Revert() {
 	for k := len(inc.undo) - 1; k >= 0; k-- {
 		e := inc.undo[k]
@@ -317,8 +345,10 @@ func (inc *Incremental) Elmore(i int) float64 {
 // T_R at node i, from one walk down i's root path: the cumulant step of
 // Compute and the S(j) = S(p) + r_j (R_jj + R_pp) Cdown(j) recurrence
 // of prhInto, node by node from the root, so the bits match Set.Mu2,
-// Set.Mu3 and PRHTerms.TR. O(depth(i)) per call.
+// Set.Mu3 and PRHTerms.TR. O(depth(i)) per call, after the root-path
+// regathers ΔR edits left pending.
 func (inc *Incremental) PathStats(i int) (mu2, mu3, tr float64) {
+	inc.flushY()
 	path := inc.pathBuf[:0]
 	for j := inc.preIdx[i]; j != rctree.Source; j = inc.par[j] {
 		path = append(path, j)

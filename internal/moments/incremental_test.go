@@ -361,9 +361,9 @@ func TestIncrementalDrainMoved(t *testing.T) {
 // TestIncrementalStatsAndLocality pins the headline property: a single
 // leaf perturbation on a long branch costs work proportional to the
 // leaf's depth, never to the tree, and the counters record it. A ΔR at
-// the leaf regathers the admittances above it (depth-1 nodes), the T_D
-// flush sweeps the leaf's one-node subtree, and PathStats walks the
-// leaf's root path (depth nodes).
+// the leaf regathers nothing at once, the T_D flush sweeps the leaf's
+// one-node subtree, and the next PathStats regathers the admittances
+// above the leaf (depth-1 nodes) and walks its root path (depth nodes).
 func TestIncrementalStatsAndLocality(t *testing.T) {
 	const n = 4000
 	tree := topo.Star(4, n/4, 10, 1e-15) // hub + 4 branches of n/4
@@ -378,8 +378,8 @@ func TestIncrementalStatsAndLocality(t *testing.T) {
 		t.Fatal(err)
 	}
 	st1 := inc.Stats()
-	if got := st1.Gathered - st0.Gathered; got != depth-1 {
-		t.Errorf("leaf ΔR regathered %d nodes, want depth-1 = %d", got, depth-1)
+	if got := st1.Gathered - st0.Gathered; got != 0 {
+		t.Errorf("leaf ΔR regathered %d nodes at once, want 0", got)
 	}
 	_ = inc.Elmore(leaf)
 	st2 := inc.Stats()
@@ -394,8 +394,11 @@ func TestIncrementalStatsAndLocality(t *testing.T) {
 	if got := st3.Walked - st2.Walked; got != depth {
 		t.Errorf("PathStats walked %d nodes, want depth = %d", got, depth)
 	}
-	if st3.NodesTouched != st2.NodesTouched || st3.Gathered != st2.Gathered {
-		t.Errorf("PathStats flushed or regathered: %+v -> %+v", st2, st3)
+	if got := st3.Gathered - st2.Gathered; got != depth-1 {
+		t.Errorf("PathStats after a leaf ΔR regathered %d nodes, want depth-1 = %d", got, depth-1)
+	}
+	if st3.NodesTouched != st2.NodesTouched {
+		t.Errorf("PathStats flushed: %+v -> %+v", st2, st3)
 	}
 	if depth > n/4+1 || st3.FullFallbacks != 0 {
 		t.Fatalf("depth %d, stats %+v", depth, st3)
@@ -500,9 +503,10 @@ func TestIncrementalTRMatchesFresh(t *testing.T) {
 }
 
 // TestIncrementalForestRanges pins what one edit costs on a multi-root
-// forest. A ΔR at an inner node k regathers the admittances strictly
-// above k (depth(k)-1 nodes) and sweeps exactly k's subtree for T_D
-// (Elmore) and again for the path resistance (PathResistance); a ΔC at
+// forest. A ΔR at an inner node k regathers nothing at once, sweeps
+// exactly k's subtree for T_D (Elmore) and again for the path resistance
+// (PathResistance), and leaves the admittances strictly above k
+// (depth(k)-1 nodes) to the next PathStats; a ΔC at
 // k regathers k's whole root path (depth(k) nodes) and sweeps exactly
 // k's component for T_D; PathStats walks depth(k) nodes and sweeps
 // nothing; and the moved set is exactly k's component. Sizes come from
@@ -555,8 +559,8 @@ func TestIncrementalForestRanges(t *testing.T) {
 			if err := inc.SetR(k, r); err != nil {
 				t.Fatal(err)
 			}
-		}); g != depth-1 {
-			t.Errorf("%s: SetR regathered %d nodes, want depth-1 = %d", label, g, depth-1)
+		}); g != 0 {
+			t.Errorf("%s: SetR regathered %d nodes at once, want 0", label, g)
 		}
 		if err := shadow.SetR(k, r); err != nil {
 			t.Fatal(err)
@@ -566,6 +570,10 @@ func TestIncrementalForestRanges(t *testing.T) {
 		}
 		if _, got, _ := work(func() { inc.PathResistance(k) }); got != int64(len(sub)) {
 			t.Errorf("%s: then PathResistance touched %d nodes, want |subtree| = %d", label, got, len(sub))
+		}
+		if g, touched, walked := work(func() { inc.PathStats(k) }); g != depth-1 || touched != 0 || walked != depth {
+			t.Errorf("%s: SetR then PathStats regathered %d, swept %d and walked %d nodes; want depth-1 = %d, 0 and depth = %d",
+				label, g, touched, walked, depth-1, depth)
 		}
 		checkAgainstFull(t, label+"/SetR", inc, shadow)
 
