@@ -30,7 +30,8 @@ chaos:
 		./internal/batch
 	$(GO) test -race -count=1 ./internal/faultinject ./internal/resilience ./internal/cliutil
 
-# Short exploratory fuzz runs for the two line-oriented parsers, the
+# Short exploratory fuzz runs for the three line-oriented parsers (job
+# specs, decks, cell libraries), the journal replay and its resume, the
 # result-line writer (against encoding/json), the engine's sink-only
 # bounds (against a full core.Analyze), the incremental moment engine,
 # the cumulant kernel (against a 400-bit oracle) and the value parser.
@@ -39,9 +40,11 @@ chaos:
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadSpecs -fuzztime=$(FUZZTIME) ./internal/batch
+	$(GO) test -fuzz=FuzzReadReplay -fuzztime=$(FUZZTIME) ./internal/batch
 	$(GO) test -fuzz=FuzzWriteResult -fuzztime=$(FUZZTIME) ./internal/batch
 	$(GO) test -fuzz=FuzzSinkBounds -fuzztime=$(FUZZTIME) ./internal/batch
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/netlist
+	$(GO) test -fuzz=FuzzParseLibrary -fuzztime=$(FUZZTIME) ./internal/gate
 	$(GO) test -fuzz=FuzzIncrementalEdits -fuzztime=$(FUZZTIME) ./internal/moments
 	$(GO) test -fuzz=FuzzCumulantOracle -fuzztime=$(FUZZTIME) ./internal/moments
 	$(GO) test -fuzz=FuzzParseValue -fuzztime=$(FUZZTIME) ./internal/rctree

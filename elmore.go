@@ -88,13 +88,13 @@ func Analyze(t *Tree) (*Analysis, error) { return core.Analyze(t) }
 // classic two-traversal O(N) computation.
 func ElmoreDelays(t *Tree) []float64 { return moments.ElmoreDelays(t) }
 
-// Moments computes the Elmore delay T_D and the central moments μ2 and
-// μ3 of the impulse response at every node, in O(N): the raw material
-// for the bounds.
+// Moments computes the Elmore delay T_D, the central moments μ2 and μ3
+// of the impulse response and the PRH terms at every node, in O(N): the
+// raw material for the bounds.
 func Moments(t *Tree) (*MomentSet, error) { return moments.Compute(t) }
 
 // MomentSet holds T_D, μ2 and μ3 per node (Elmore, Mu2, Mu3, Sigma,
-// Skewness).
+// Skewness) and the PRH terms (TR, TP, PathResistance).
 type MomentSet = moments.Set
 
 // Incremental is a delta-update engine for what-if R/C perturbations:

@@ -256,16 +256,25 @@ func (e *Engine) runFunc(ctx context.Context, jobs []Job, emit func(Result) (enc
 		go func(w int) {
 			defer wg.Done()
 			// Per-worker accounting: this goroutine is the only writer
-			// of stats[w]; RunFunc reads it after wg settles. Every
-			// channel operation is bracketed by time.Now so the worker's
-			// wall time tiles into idle (waiting for work), busy (inside
-			// runJob) and stall (reorder backpressure) — the final
-			// blocked receive that observes close counts as idle.
+			// of stats[w]; RunFunc reads it after wg settles. The loop
+			// reads the clock once at each boundary and charges the
+			// stretch since the previous one to exactly one bucket:
+			// idle (waiting for work, including the final receive that
+			// observes close), busy (taking the job through runJob) or
+			// stall (reorder backpressure). Wall time ends at the last
+			// boundary, so the buckets sum to it exactly.
 			ws := &stats[w]
 			ws.Worker = w
 			wctx := withWorkerStats(bctx, ws)
 			wallStart := time.Now()
-			defer func() { ws.WallNS = time.Since(wallStart).Nanoseconds() }()
+			last := wallStart
+			lap := func() int64 {
+				now := time.Now()
+				d := now.Sub(last).Nanoseconds()
+				last = now
+				return d
+			}
+			defer func() { ws.WallNS = last.Sub(wallStart).Nanoseconds() }()
 			// A job's lineage is attached to its context only when
 			// something can observe it: a tracer, the flight recorder, or
 			// the reporter's slow-span capture. The disabled path thus
@@ -273,9 +282,8 @@ func (e *Engine) runFunc(ctx context.Context, jobs []Job, emit func(Result) (enc
 			obsCtx := telemetry.TracerFrom(wctx) != nil ||
 				telemetry.FlightEnabled() || e.Report.captureSpans(wctx)
 			for {
-				t0 := time.Now()
 				h, ok := <-feed
-				ws.IdleNS += time.Since(t0).Nanoseconds()
+				ws.IdleNS += lap()
 				if !ok {
 					return
 				}
@@ -285,13 +293,11 @@ func (e *Engine) runFunc(ctx context.Context, jobs []Job, emit func(Result) (enc
 				if obsCtx {
 					jctx = telemetry.WithTraceContext(wctx, h.tr)
 				}
-				t1 := time.Now()
 				r := e.runJob(jctx, w, h.i, jobs[h.i], h.tr)
-				ws.BusyNS += time.Since(t1).Nanoseconds()
+				ws.BusyNS += lap()
 				ws.Jobs++
-				t2 := time.Now()
 				resCh <- r
-				ws.StallNS += time.Since(t2).Nanoseconds()
+				ws.StallNS += lap()
 			}
 		}(w)
 	}

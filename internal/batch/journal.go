@@ -31,8 +31,9 @@ import (
 // records (and on Close), bounding both the data-loss window after a
 // crash — at most donesPerSync duplicated result lines, never a lost
 // one — and the per-job fsync cost. A torn final line (the crash
-// happened mid-append) is tolerated on replay; torn interior lines are
-// not, as they indicate corruption rather than an interrupted append.
+// happened mid-append) is tolerated on replay and cut off before the
+// resumed run appends; torn interior lines are not tolerated, as they
+// indicate corruption rather than an interrupted append.
 //
 // A Journal is safe for concurrent use. A batch run has two writers:
 // the goroutine that hands jobs to workers appends the starts, and the
@@ -79,45 +80,55 @@ type Replay struct {
 
 // OpenJournal opens (creating if needed) the journal at path, replays
 // any existing records, and returns the journal positioned for
-// appending plus the recovered state.
+// appending plus the recovered state. A torn tail that the replay
+// tolerated is truncated away first, so the next record starts a line
+// of its own instead of extending the torn one into a corrupt interior
+// line that would fail the resume after next.
 func OpenJournal(path string) (*Journal, *Replay, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("batch: journal: %w", err)
 	}
-	rp, err := readReplay(f)
+	rp, keep, err := readReplay(f)
 	if err != nil {
 		f.Close()
 		return nil, nil, err
 	}
-	// Position for appending after the replay scan.
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+	if err := f.Truncate(keep); err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("batch: journal: %w", err)
+	}
+	if _, err := f.Seek(keep, io.SeekStart); err != nil {
 		f.Close()
 		return nil, nil, fmt.Errorf("batch: journal: %w", err)
 	}
 	return &Journal{f: f, w: bufio.NewWriter(f)}, rp, nil
 }
 
-// readReplay scans the journal records from r. A torn final line is
-// tolerated (the previous process died mid-append); any other
-// malformed line fails the replay.
-func readReplay(r io.Reader) (*Replay, error) {
+// readReplay scans the journal records from r and returns them with
+// keep, the byte offset just past the last line it accepted. A torn
+// final line is tolerated and left beyond keep (the previous process
+// died mid-append); any other malformed line fails the replay.
+func readReplay(r io.Reader) (*Replay, int64, error) {
 	rp := &Replay{Done: make(map[string]bool), Started: make(map[string]telemetry.TraceContext)}
 	br := bufio.NewReader(r)
 	lineNo := 0
+	var keep int64
 	for {
 		line, err := br.ReadString('\n')
 		if err == io.EOF {
 			// A non-empty remainder without a trailing newline is the
 			// torn tail of an interrupted append: ignore it.
-			return rp, nil
+			return rp, keep, nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("batch: journal: %w", err)
+			return nil, 0, fmt.Errorf("batch: journal: %w", err)
 		}
 		lineNo++
+		end := keep + int64(len(line))
 		line = strings.TrimSpace(line)
 		if line == "" {
+			keep = end
 			continue
 		}
 		var rec journalRecord
@@ -126,9 +137,9 @@ func readReplay(r io.Reader) (*Replay, error) {
 			// newline made it but the payload did not decode — still
 			// treat an undecodable *last* line as torn.
 			if _, perr := br.Peek(1); perr == io.EOF {
-				return rp, nil
+				return rp, keep, nil
 			}
-			return nil, fmt.Errorf("batch: journal line %d: %w", lineNo, derr)
+			return nil, 0, fmt.Errorf("batch: journal line %d: %w", lineNo, derr)
 		}
 		switch rec.Op {
 		case "start":
@@ -140,10 +151,11 @@ func readReplay(r io.Reader) (*Replay, error) {
 			delete(rp.Started, rec.Key)
 		default:
 			if _, perr := br.Peek(1); perr == io.EOF {
-				return rp, nil
+				return rp, keep, nil
 			}
-			return nil, fmt.Errorf("batch: journal line %d: unknown op %q", lineNo, rec.Op)
+			return nil, 0, fmt.Errorf("batch: journal line %d: unknown op %q", lineNo, rec.Op)
 		}
+		keep = end
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -64,16 +65,23 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// tornTails are journal tails an interrupted append can leave: the
+// replay tolerates each as the final line.
+var tornTails = []struct {
+	name string
+	tail string
+}{
+	{"mid-append", `{"op":"start","key":"1:`},
+	{"undecodable-last-line", "{garbage\n"},
+	{"unknown-op-last-line", `{"op":"wip","key":"1:b"}` + "\n"},
+}
+
+// TestJournalTornTailTolerated replays a journal ending in each torn
+// tail, then resumes from it twice: each resumed run appends records
+// and closes, and the next open must still replay cleanly. The torn
+// bytes must not become an interior line.
 func TestJournalTornTailTolerated(t *testing.T) {
-	cases := []struct {
-		name string
-		tail string
-	}{
-		{"mid-append", `{"op":"start","key":"1:`},
-		{"undecodable-last-line", "{garbage\n"},
-		{"unknown-op-last-line", `{"op":"wip","key":"1:b"}` + "\n"},
-	}
-	for _, tc := range cases {
+	for _, tc := range tornTails {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "journal.ndjson")
 			content := `{"op":"start","key":"0:a"}` + "\n" +
@@ -82,32 +90,56 @@ func TestJournalTornTailTolerated(t *testing.T) {
 				t.Fatal(err)
 			}
 			jr, rp := openJournal(t, path)
-			defer jr.Close()
 			if !rp.Done[JobKey(0, "a")] || len(rp.Done) != 1 || len(rp.Started) != 0 {
 				t.Errorf("replay = %+v, want the intact prefix only", rp)
+			}
+			for run, id := range []string{"b", "c"} {
+				if err := jr.Start(run+1, id, ""); err != nil {
+					t.Fatal(err)
+				}
+				if err := jr.Done(run+1, id); err != nil {
+					t.Fatal(err)
+				}
+				if err := jr.Close(); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				if jr, rp, err = OpenJournal(path); err != nil {
+					b, _ := os.ReadFile(path)
+					t.Fatalf("resume %d: %v\njournal:\n%s", run+1, err, b)
+				}
+				if len(rp.Done) != run+2 || !rp.Done[JobKey(run+1, id)] || len(rp.Started) != 0 {
+					t.Errorf("resume %d: replay = %+v, want %d done jobs", run+1, rp, run+2)
+				}
+			}
+			if err := jr.Close(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
 }
 
+// interiorCorruptions are journals with a malformed line before a
+// complete valid one: corruption, not an interrupted append.
+var interiorCorruptions = []struct {
+	name    string
+	content string
+	want    string
+}{
+	{
+		"undecodable interior line",
+		`{"op":"start","key":"0:a"}` + "\n{garbage\n" + `{"op":"done","key":"0:a"}` + "\n",
+		"line 2",
+	},
+	{
+		"unknown interior op",
+		`{"op":"frobnicate","key":"0:a"}` + "\n" + `{"op":"done","key":"0:a"}` + "\n",
+		"unknown op",
+	},
+}
+
 func TestJournalInteriorCorruptionRejected(t *testing.T) {
-	cases := []struct {
-		name    string
-		content string
-		want    string
-	}{
-		{
-			"undecodable interior line",
-			`{"op":"start","key":"0:a"}` + "\n{garbage\n" + `{"op":"done","key":"0:a"}` + "\n",
-			"line 2",
-		},
-		{
-			"unknown interior op",
-			`{"op":"frobnicate","key":"0:a"}` + "\n" + `{"op":"done","key":"0:a"}` + "\n",
-			"unknown op",
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range interiorCorruptions {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "journal.ndjson")
 			if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
@@ -119,6 +151,75 @@ func TestJournalInteriorCorruptionRejected(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzReadReplay takes the input as the text of a journal file and
+// checks that the replay never panics; that when it accepts the text,
+// the accepted prefix followed by any tail without a newline replays
+// like the prefix alone, and the prefix followed by a corrupt line and
+// then a complete valid line is rejected; and that a file OpenJournal
+// accepted still opens after one more appended record.
+func FuzzReadReplay(f *testing.F) {
+	const prefix = `{"op":"start","key":"0:a"}` + "\n" + `{"op":"done","key":"0:a"}` + "\n"
+	for _, tc := range tornTails {
+		f.Add([]byte(prefix + tc.tail))
+	}
+	for _, tc := range interiorCorruptions {
+		f.Add([]byte(tc.content))
+	}
+	f.Add([]byte(prefix + "\n  \r\n" + `{"op":"start","key":"1:b","trace":"0123456789abcdef0123456789abcdef"}` + "\n"))
+	const appended = `{"op":"done","key":"9:z"}` + "\n"
+	f.Fuzz(func(t *testing.T, text []byte) {
+		rp, keep, err := readReplay(bytes.NewReader(text))
+		if err != nil {
+			return
+		}
+		if keep < 0 || keep > int64(len(text)) || keep > 0 && text[keep-1] != '\n' {
+			t.Fatalf("keep = %d is not a line end of the %d-byte journal", keep, len(text))
+		}
+		journal := text[:keep:keep]
+		tail := bytes.ReplaceAll(text, []byte("\n"), nil)
+		for _, extra := range [][]byte{nil, tail} {
+			got, k, err := readReplay(bytes.NewReader(append(journal, extra...)))
+			if err != nil || k != keep || !reflect.DeepEqual(got, rp) {
+				t.Fatalf("journal + %q: replay %+v, keep %d, err %v; want %+v, keep %d", extra, got, k, err, rp, keep)
+			}
+		}
+		corrupt := append(append(append(journal, '#'), tail...), "\n"+appended...)
+		if _, _, err := readReplay(bytes.NewReader(corrupt)); err == nil {
+			t.Fatalf("a corrupt line before a complete record was accepted: %q", corrupt)
+		}
+
+		path := filepath.Join(t.TempDir(), "journal.ndjson")
+		if err := os.WriteFile(path, text, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		jr, opened, err := OpenJournal(path)
+		if err != nil {
+			t.Fatalf("OpenJournal rejected a journal the replay accepted: %v", err)
+		}
+		if !reflect.DeepEqual(opened, rp) {
+			t.Fatalf("OpenJournal replayed %+v, want %+v", opened, rp)
+		}
+		if err := jr.Done(9, "z"); err != nil {
+			t.Fatal(err)
+		}
+		if err := jr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		jr, resumed, err := OpenJournal(path)
+		if err != nil {
+			t.Fatalf("resume after one appended record: %v", err)
+		}
+		if err := jr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rp.Done[JobKey(9, "z")] = true
+		delete(rp.Started, JobKey(9, "z"))
+		if !reflect.DeepEqual(resumed, rp) {
+			t.Fatalf("resume replayed %+v, want %+v", resumed, rp)
+		}
+	})
 }
 
 func TestJournalSyncBatching(t *testing.T) {

@@ -12,13 +12,12 @@ import (
 )
 
 // workerJobAllocBudget is the steady-state marginal allocation count
-// of one cache-warm net job in the worker loop: the moment set is a
-// cache hit and the PRH sweeps run in their own outputs, so what
-// remains is PRHTerms + its per-node backing, the sink indices, the
-// sink bounds, NetResult + its sinks and the reorder parking — 7.00
-// measured; 8 leaves one alloc of headroom before the regression
+// of one cache-warm net job in the worker loop: the moment set, PRH
+// terms included, is a cache hit, so what remains is the sink indices,
+// the sink bounds, NetResult + its sinks and the reorder parking — 5.00
+// measured; 6 leaves one alloc of headroom before the regression
 // trips.
-const workerJobAllocBudget = 8
+const workerJobAllocBudget = 6
 
 // TestWorkerLoopAllocBudget pins the sharded-cache fast path by
 // marginal cost: the difference between a 40-job and an 8-job run

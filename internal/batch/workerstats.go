@@ -11,16 +11,20 @@ import (
 // Per-worker accounting. Each worker goroutine owns one WorkerStats for
 // the duration of a Run and is its only writer; RunFunc reads the slice
 // only after the worker WaitGroup settles, so the fields are plain
-// (non-atomic) and cost two time.Now calls per channel operation —
-// noise next to a job's moment pass.
+// (non-atomic) and cost three time.Now calls per job — noise next to a
+// job's moment pass.
 //
-// The time buckets tile a worker's wall time:
+// The time buckets tile a worker's wall time exactly: the worker reads
+// the clock once at each boundary and charges the stretch since the
+// previous one to one bucket, and its wall time ends at the last
+// boundary, so
 //
-//	WallNS ≈ IdleNS + BusyNS + StallNS
+//	WallNS = IdleNS + BusyNS + StallNS
 //
 //	IdleNS  — blocked receiving on the dispatch channel (no work ready),
 //	          including the final blocked receive that observes close.
-//	BusyNS  — inside runJob (compute, retries, degradation).
+//	BusyNS  — taking a job through runJob (compute, retries,
+//	          degradation) plus its dispatch bookkeeping.
 //	StallNS — blocked sending a finished Result (reorder-buffer
 //	          backpressure: the consumer is behind).
 //
@@ -41,8 +45,9 @@ type WorkerStats struct {
 }
 
 // Accounted returns the fraction of wall time explained by the three
-// top-level buckets. Values near 1.0 mean the attribution is trustworthy;
-// the gap is loop overhead (gauge updates, context setup).
+// top-level buckets: 1 for a worker of RunFunc, whose buckets tile its
+// wall time. A value below 1 means some stretch of the worker's life
+// went uncharged.
 func (ws WorkerStats) Accounted() float64 {
 	if ws.WallNS <= 0 {
 		return 0

@@ -13,11 +13,11 @@ import (
 
 // analyzeAllocBudget is the allocation count for a full Analyze at
 // any tree size: 2 here (Analysis, Bounds slice) + 2 in
-// moments.Compute + 2 in moments.ComputePRH. Every sweep is a plain
-// loop over the tree's arrays and its own outputs, so nothing is boxed
-// for a closure, no scratch is allocated, and the count does not grow
-// with the tree.
-const analyzeAllocBudget = 6
+// moments.Compute, whose set carries the PRH terms too. Every sweep is
+// a plain loop over the tree's arrays and its own outputs, so nothing
+// is boxed for a closure, no scratch is allocated, and the count does
+// not grow with the tree.
+const analyzeAllocBudget = 4
 
 // TestAnalyzeAllocBudget holds the budget on a small tree and on a
 // large bushy one (20000 nodes, 41 levels, ~490 nodes per level).

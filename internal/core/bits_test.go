@@ -85,13 +85,13 @@ func invariantBits(t *testing.T, tree *rctree.Tree) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prh := moments.ComputePRH(tree)
+	ms := a.Moments()
 	td := moments.ElmoreDelays(tree)
 	h := newFloatHash()
-	h.add(a.TP, prh.TP)
+	h.add(a.TP, ms.TP())
 	for i, b := range a.Bounds {
 		h.h.Write([]byte(b.Node))
-		h.add(b.Elmore, b.SinglePole, b.PRHTmin, b.PRHTmax, td[i], prh.TD[i], prh.TR(i))
+		h.add(b.Elmore, b.SinglePole, b.PRHTmin, b.PRHTmax, td[i], ms.Elmore(i), ms.TR(i))
 	}
 	for _, y := range moments.DownstreamAdmittances(tree) {
 		h.add(y.Y1, y.Y2, y.Y3)

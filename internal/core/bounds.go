@@ -65,12 +65,11 @@ type Bounds struct {
 // states T_R ∝ sigma and leaves the constant open, so we use ln(9).
 const RiseTimeScale = 2.1972245773362196 // ln 9
 
-// Analysis carries per-node bounds plus the tree-level PRH terms.
+// Analysis carries per-node bounds plus the tree-level PRH term T_P.
 type Analysis struct {
 	Tree   *rctree.Tree
 	TP     float64 // sum_k R_kk C_k (PRH)
 	Bounds []Bounds
-	prh    *moments.PRHTerms
 	ms     *moments.Set
 }
 
@@ -118,9 +117,8 @@ func analyze(ctx context.Context, t *rctree.Tree, ms *moments.Set) (*Analysis, e
 	}
 	a := &Analysis{
 		Tree:   t,
-		TP:     sw.prh.TP,
+		TP:     sw.ms.TP(),
 		Bounds: make([]Bounds, t.N()),
-		prh:    sw.prh,
 		ms:     sw.ms,
 	}
 	if err := sw.every(a.Bounds); err != nil {
@@ -190,18 +188,16 @@ func countAnalysis(t *rctree.Tree) {
 	telemetry.C("core.nodes_analyzed").Add(int64(t.N()))
 }
 
-// sweep is the O(N) half of an analysis of one tree: the moment set
-// and the PRH terms. The bounds at any node follow from them in closed
+// sweep is the O(N) half of an analysis of one tree: the moment set,
+// PRH terms included. The bounds at any node follow from it in closed
 // form (at).
 type sweep struct {
 	t     *rctree.Tree
 	ms    *moments.Set
-	prh   *moments.PRHTerms
 	label string // health tree label; empty when no monitor is installed
 }
 
-// newSweep runs the sweeps over t, computing the moment set unless ms
-// is given.
+// newSweep runs the sweeps over t unless ms is given.
 func newSweep(t *rctree.Tree, ms *moments.Set) (sweep, error) {
 	if ms == nil {
 		var err error
@@ -209,7 +205,7 @@ func newSweep(t *rctree.Tree, ms *moments.Set) (sweep, error) {
 			return sweep{}, err
 		}
 	}
-	sw := sweep{t: t, ms: ms, prh: moments.ComputePRH(t)}
+	sw := sweep{t: t, ms: ms}
 	if health.Enabled() {
 		sw.label = health.TreeLabel(t.N(), t.Fingerprint())
 	}
@@ -222,7 +218,7 @@ func (sw *sweep) monitored() bool { return sw.label != "" }
 
 // at evaluates and checks the bounds of node i.
 func (sw *sweep) at(i int) (Bounds, error) {
-	b := newBounds(sw.t, i, sw.ms.Elmore(i), sw.ms.Mu2(i), sw.ms.Mu3(i), sw.prh.TP, sw.prh.TR(i))
+	b := newBounds(sw.t, i, sw.ms.Elmore(i), sw.ms.Mu2(i), sw.ms.Mu3(i), sw.ms.TP(), sw.ms.TR(i))
 	return b, checkBounds(sw.label, &b)
 }
 
@@ -332,11 +328,8 @@ func (a *Analysis) At(name string) (Bounds, error) {
 	return a.Bounds[i], nil
 }
 
-// Moments exposes the underlying moment set.
+// Moments exposes the underlying moment set, PRH terms included.
 func (a *Analysis) Moments() *moments.Set { return a.ms }
-
-// PRH exposes the underlying Penfield-Rubinstein terms.
-func (a *Analysis) PRH() *moments.PRHTerms { return a.prh }
 
 // PRHTmin evaluates the Penfield-Rubinstein-Horowitz lower waveform
 // bound t_min(v) (paper eq. 15) for threshold v in [0, 1), given
@@ -454,7 +447,7 @@ func (a *Analysis) WindowAt(i int, v float64) (lo, hi float64, err error) {
 		return 0, 0, fmt.Errorf("core: threshold must be in (0,1), got %v", v)
 	}
 	b := a.Bounds[i]
-	tr := a.prh.TR(i)
+	tr := a.ms.TR(i)
 	lo = PRHTmin(a.TP, b.Elmore, tr, v)
 	hi = PRHTmax(a.TP, b.Elmore, tr, v)
 	if v == 0.5 {

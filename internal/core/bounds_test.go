@@ -66,8 +66,8 @@ func TestAtLookup(t *testing.T) {
 	if _, err := a.At("nope"); err == nil {
 		t.Errorf("unknown node should error")
 	}
-	if a.Moments() == nil || a.PRH() == nil {
-		t.Errorf("accessors returned nil")
+	if a.Moments() == nil {
+		t.Errorf("Moments() returned nil")
 	}
 }
 
@@ -182,7 +182,7 @@ func TestPRHWaveformBracketsExact(t *testing.T) {
 	for _, name := range []string{"C1", "C5", "C7"} {
 		i := tree.MustIndex(name)
 		td := a.Bounds[i].Elmore
-		tr := a.PRH().TR(i)
+		tr := a.Moments().TR(i)
 		for _, v := range []float64{0.1, 0.25, 0.5, 0.75, 0.9} {
 			actual, err := sys.CrossStep(i, v)
 			if err != nil {

@@ -31,7 +31,7 @@ import (
 // old bounds (in particular, if a perturbation changed T_P, the
 // PRHTmin/PRHTmax fields of un-refreshed entries still reflect the old
 // T_P — pass the sinks you read, or nil to get the moved hull), and the
-// Moments()/PRH() accessors keep describing the original full analysis.
+// Moments() accessor keeps describing the original full analysis.
 // Refreshed entries pass through the same health checks as Analyze.
 //
 // The engine must be bound to this analysis' tree (same node set); the

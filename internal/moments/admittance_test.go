@@ -113,8 +113,11 @@ func TestAdmittanceSignPattern(t *testing.T) {
 func TestPRHTermsOracles(t *testing.T) {
 	f := func(seed int64) bool {
 		tree := topo.RandomSmall(seed, 40)
-		p := ComputePRH(tree)
-		if !approx(p.TP, TPDirect(tree), 1e-10) {
+		p, err := Compute(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !approx(p.TP(), TPDirect(tree), 1e-10) {
 			return false
 		}
 		for i := 0; i < tree.N(); i++ {
@@ -139,7 +142,10 @@ func TestPRHTermsOracles(t *testing.T) {
 			N: 20 + int(seed)*5, RMin: 1e-2, RMax: 1e5, CMin: 1e-18, CMax: 1e-11,
 			Chaininess: 0.2 + 0.015*float64(seed),
 		})
-		p := ComputePRH(tree)
+		p, err := Compute(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < tree.N(); i++ {
 			if got, want := p.TR(i), TRDirect(tree, i); !approx(got, want, 1e-12) {
 				t.Fatalf("seed %d node %d: TR %v, TRDirect %v (rel err %.2g)", seed, i, got, want, math.Abs(got-want)/want)
@@ -153,16 +159,19 @@ func TestPRHTermsOracles(t *testing.T) {
 func TestPRHOrdering(t *testing.T) {
 	f := func(seed int64) bool {
 		tree := topo.RandomSmall(seed, 50)
-		p := ComputePRH(tree)
+		p, err := Compute(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < tree.N(); i++ {
 			tr := p.TR(i)
 			if tr <= 0 {
 				return false
 			}
-			if tr > p.TD[i]*(1+1e-12) {
+			if tr > p.Elmore(i)*(1+1e-12) {
 				return false
 			}
-			if p.TD[i] > p.TP*(1+1e-12) {
+			if p.Elmore(i) > p.TP()*(1+1e-12) {
 				return false
 			}
 		}
@@ -178,12 +187,15 @@ func TestPRHFig1Values(t *testing.T) {
 	// T_D there (every R_k1 is the root resistance), which is what makes
 	// PRH t_max collapse to T_D at the driving point (paper Table I).
 	tree := topo.Fig1Tree()
-	p := ComputePRH(tree)
-	c1 := tree.MustIndex("C1")
-	if !approx(p.TR(c1), p.TD[c1], 1e-12) {
-		t.Errorf("T_R(C1) = %v, want T_D(C1) = %v", p.TR(c1), p.TD[c1])
+	p, err := Compute(tree)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.TP <= p.TD[c1] {
-		t.Errorf("T_P = %v should exceed T_D(C1) = %v", p.TP, p.TD[c1])
+	c1 := tree.MustIndex("C1")
+	if !approx(p.TR(c1), p.Elmore(c1), 1e-12) {
+		t.Errorf("T_R(C1) = %v, want T_D(C1) = %v", p.TR(c1), p.Elmore(c1))
+	}
+	if p.TP() <= p.Elmore(c1) {
+		t.Errorf("T_P = %v should exceed T_D(C1) = %v", p.TP(), p.Elmore(c1))
 	}
 }

@@ -16,11 +16,9 @@ import (
 // no count includes scratch:
 //
 //	Compute:      Set header, column backing = 2
-//	ComputePRH:   PRHTerms, per-node backing = 2
 //	ElmoreDelays: td                         = 1
 const (
 	computeAllocBudget = 2
-	prhAllocBudget     = 2
 	elmoreAllocBudget  = 1
 )
 
@@ -39,15 +37,6 @@ func TestComputeAllocBudget(t *testing.T) {
 	}
 }
 
-func TestComputePRHAllocBudget(t *testing.T) {
-	tree := topo.Random(11, topo.RandomOptions{N: 300})
-	ComputePRH(tree)
-	got := testing.AllocsPerRun(200, func() { ComputePRH(tree) })
-	if got > prhAllocBudget {
-		t.Errorf("ComputePRH = %.1f allocs/op, budget %d", got, prhAllocBudget)
-	}
-}
-
 func TestElmoreDelaysAllocBudget(t *testing.T) {
 	tree := topo.Random(11, topo.RandomOptions{N: 300})
 	ElmoreDelays(tree)
@@ -57,16 +46,20 @@ func TestElmoreDelaysAllocBudget(t *testing.T) {
 	}
 }
 
-// The fused ComputePRH must produce bit-identical terms to computing
-// each ingredient on its own: T_D against ElmoreDelays, and R_ii and
-// T_R against the prhInto recurrences evaluated in tree pre-order over
-// the standalone Tree.DownstreamC. The expressions are the same per
-// node, so there is no legitimate source of divergence — not even in
-// the last ulp.
-func TestComputePRHBitIdenticalToStandalone(t *testing.T) {
+// The PRH columns that Compute folds into its downward sweep must be
+// bit-identical to computing each ingredient on its own: T_D against
+// ElmoreDelays, R_ii and T_R against the R_ii and S recurrences
+// evaluated in tree pre-order over the standalone Tree.DownstreamC, and
+// T_P against the index-order sum of R_ii C_i. The expressions are the
+// same per node, so there is no legitimate source of divergence — not
+// even in the last ulp.
+func TestComputePRHColumnsBitIdenticalToStandalone(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		tree := topo.Random(seed, topo.RandomOptions{N: 500})
-		p := ComputePRH(tree)
+		p, err := Compute(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
 		td := ElmoreDelays(tree)
 		down := tree.DownstreamC()
 		rkk := make([]float64, tree.N())
@@ -79,9 +72,11 @@ func TestComputePRHBitIdenticalToStandalone(t *testing.T) {
 			rkk[i] = tree.R(i) + rp
 			s[i] = sp + tree.R(i)*(rkk[i]+rp)*down[i]
 		}
+		var tp float64
 		for i := 0; i < tree.N(); i++ {
-			if p.TD[i] != td[i] {
-				t.Fatalf("seed %d node %d: fused TD %v != ElmoreDelays %v", seed, i, p.TD[i], td[i])
+			tp += rkk[i] * tree.C(i)
+			if p.Elmore(i) != td[i] {
+				t.Fatalf("seed %d node %d: fused TD %v != ElmoreDelays %v", seed, i, p.Elmore(i), td[i])
 			}
 			if p.PathResistance(i) != rkk[i] {
 				t.Fatalf("seed %d node %d: fused R_ii %v != pre-order sweep %v", seed, i, p.PathResistance(i), rkk[i])
@@ -89,6 +84,9 @@ func TestComputePRHBitIdenticalToStandalone(t *testing.T) {
 			if want := s[i] / rkk[i]; p.TR(i) != want {
 				t.Fatalf("seed %d node %d: fused T_R %v != pre-order sweep %v", seed, i, p.TR(i), want)
 			}
+		}
+		if p.TP() != tp {
+			t.Fatalf("seed %d: fused T_P %v != index-order sum %v", seed, p.TP(), tp)
 		}
 	}
 }
@@ -100,13 +98,5 @@ func BenchmarkCompute(b *testing.B) {
 		if _, err := Compute(tree); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkComputePRH(b *testing.B) {
-	tree := topo.Random(11, topo.RandomOptions{N: 1000})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ComputePRH(tree)
 	}
 }

@@ -78,6 +78,31 @@ func TestComputeNonFiniteStrictFails(t *testing.T) {
 	}
 }
 
+// A PRH column can overflow where the moments stay finite: one node
+// with R = 1e200 and C = 1e-200 has T_D = 1, μ2 = 1, μ3 = 2 and
+// R_ii = 1e200, but S = R_ii² C overflows. The sentinel scans every
+// column of the set and names the column of the first bad entry.
+func TestComputeNonFinitePRHColumnNamed(t *testing.T) {
+	_, sb, _ := installHealth(t, false)
+	b := rctree.NewBuilder()
+	b.MustRoot("n1", 1e200, 1e-200)
+	tree, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Compute(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Elmore(0) != 1 || s.Mu2(0) != 1 || s.Mu3(0) != 2 || s.PathResistance(0) != 1e200 {
+		t.Fatalf("T_D, mu2, mu3, R_ii = %v, %v, %v, %v; want 1, 1, 2, 1e200",
+			s.Elmore(0), s.Mu2(0), s.Mu3(0), s.PathResistance(0))
+	}
+	if line := sb.String(); !strings.Contains(line, "(first: s)") {
+		t.Errorf("event %q does not name the S column", line)
+	}
+}
+
 func TestComputeHealthyTreeNoEvents(t *testing.T) {
 	m, _, _ := installHealth(t, true)
 	tree := twoNodeChain(t, 100, 1e-12, 50, 2e-12)

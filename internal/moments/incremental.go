@@ -13,14 +13,14 @@ import (
 // per-node state the queries read (admittance moments y1..y3, Elmore
 // delay, path resistance, T_P) and recomputes only what an edit moves.
 // It exists so an optimizer's perturb → evaluate → revert inner loop
-// stops paying the full Compute + ComputePRH + per-node bound rebuild a
-// fresh analysis of a mutated rctree.Tree costs.
+// stops paying the full Compute + per-node bound rebuild a fresh
+// analysis of a mutated rctree.Tree costs.
 //
-// Every value the engine serves is bit-identical to a fresh Compute /
-// ComputePRH on a tree carrying the same element values: it evaluates
-// the same per-node expressions (gather, step, stepTD and the prhInto
-// recurrences), and each node reads its children in the same order, so
-// IEEE-754 non-associativity never shows.
+// Every value the engine serves is bit-identical to a fresh Compute on
+// a tree carrying the same element values: it evaluates the same
+// per-node expressions (gather, step, stepTD and stepR), and each node
+// reads its children in the same order, so IEEE-754 non-associativity
+// never shows.
 //
 // The state is numbered in the tree's depth-first pre-order, where the
 // subtree of node k is the index range [k, end[k]) and each root
@@ -328,7 +328,7 @@ func (inc *Incremental) SyncTree() error {
 	return inc.tree.SetValues(r, c)
 }
 
-// --- Queries (tree-indexed, bit-identical to Set / PRHTerms) ---
+// --- Queries (tree-indexed, bit-identical to Set) ---
 
 // Elmore returns the Elmore delay T_D(i), sweeping T_D's pending range
 // first.
@@ -342,11 +342,10 @@ func (inc *Incremental) Elmore(i int) float64 {
 }
 
 // PathStats returns μ2 and μ3 of the impulse response and the PRH term
-// T_R at node i, from one walk down i's root path: the cumulant step of
-// Compute and the S(j) = S(p) + r_j (R_jj + R_pp) Cdown(j) recurrence
-// of prhInto, node by node from the root, so the bits match Set.Mu2,
-// Set.Mu3 and PRHTerms.TR. O(depth(i)) per call, after the root-path
-// regathers ΔR edits left pending.
+// T_R at node i, from one walk down i's root path with Compute's
+// per-node step, so the bits match Set.Mu2, Set.Mu3 and Set.TR.
+// O(depth(i)) per call, after the root-path regathers ΔR edits left
+// pending.
 func (inc *Incremental) PathStats(i int) (mu2, mu3, tr float64) {
 	inc.flushY()
 	path := inc.pathBuf[:0]
@@ -357,11 +356,7 @@ func (inc *Incremental) PathStats(i int) (mu2, mu3, tr float64) {
 	var td, rp, sp float64
 	for x := len(path) - 1; x >= 0; x-- {
 		j := path[x]
-		r, y := inc.r[j], Admittance{inc.y1[j], inc.y2[j], inc.y3[j]}
-		td, mu2, mu3 = step(td, mu2, mu3, r, y)
-		rjj := r + rp
-		sp += r * (rjj + rp) * y.Y1
-		rp = rjj
+		td, mu2, mu3, rp, sp = step(td, mu2, mu3, rp, sp, inc.r[j], Admittance{inc.y1[j], inc.y2[j], inc.y3[j]})
 	}
 	inc.stats.Walked += int64(len(path))
 	return mu2, mu3, sp / rp
@@ -396,7 +391,7 @@ func (inc *Incremental) TotalC() float64 {
 }
 
 // TP returns the Penfield-Rubinstein T_P = sum_k R_kk C_k, summed in
-// tree index order like ComputePRH.
+// tree index order like Compute.
 func (inc *Incremental) TP() float64 {
 	inc.flushR()
 	if inc.tpStale {
@@ -456,16 +451,16 @@ func (inc *Incremental) flushR() {
 	}
 }
 
-// sweepR sets R_kk = r_k + R_pp over s, parents first: the path
-// resistance step of prhInto.
+// sweepR sets R_kk over s, parents first, with step's path-resistance
+// expression.
 func (inc *Incremental) sweepR(s span) {
 	r, rkk, par := inc.r, inc.rkk, inc.par
 	for k := s.lo; k < s.hi; k++ {
-		v := r[k]
-		if p := par[k]; p != rctree.Source {
-			v += rkk[p]
+		var p float64
+		if pk := par[k]; pk != rctree.Source {
+			p = rkk[pk]
 		}
-		rkk[k] = v
+		rkk[k] = stepR(p, r[k])
 	}
 }
 

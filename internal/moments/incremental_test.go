@@ -19,23 +19,19 @@ func bitsEq(a, b float64) bool {
 
 // checkAgainstFull compares every quantity the engine serves, at every
 // node, against a fresh full recompute on a shadow tree carrying the
-// same element values: T_D and the PathStats walk (μ2, μ3, T_R)
-// against a fresh Set and ComputePRH. All comparisons are bit-exact.
+// same element values: T_D, the PathStats walk (μ2, μ3, T_R), R_ii and
+// T_P against a fresh Set. All comparisons are bit-exact.
 func checkAgainstFull(t *testing.T, label string, inc *Incremental, shadow *rctree.Tree) {
 	t.Helper()
 	ms, err := Compute(shadow)
 	if err != nil {
 		t.Fatalf("%s: full Compute: %v", label, err)
 	}
-	prh := ComputePRH(shadow)
 	downC := shadow.DownstreamC()
 	n := shadow.N()
 	for i := 0; i < n; i++ {
 		if got, want := inc.Elmore(i), ms.Elmore(i); !bitsEq(got, want) {
 			t.Fatalf("%s: Elmore(%d) = %v, want %v", label, i, got, want)
-		}
-		if got, want := inc.Elmore(i), prh.TD[i]; !bitsEq(got, want) {
-			t.Fatalf("%s: Elmore(%d) = %v, ComputePRH has %v", label, i, got, want)
 		}
 		mu2, mu3, tr := inc.PathStats(i)
 		if got, want := mu2, ms.Mu2(i); !bitsEq(got, want) {
@@ -46,17 +42,17 @@ func checkAgainstFull(t *testing.T, label string, inc *Incremental, shadow *rctr
 			t.Fatalf("%s: mu3(%d) = %x, full recompute has %x",
 				label, i, math.Float64bits(got), math.Float64bits(want))
 		}
-		if got, want := tr, prh.TR(i); !bitsEq(got, want) {
+		if got, want := tr, ms.TR(i); !bitsEq(got, want) {
 			t.Fatalf("%s: TR(%d) = %v, want %v", label, i, got, want)
 		}
-		if got, want := inc.PathResistance(i), prh.PathResistance(i); !bitsEq(got, want) {
+		if got, want := inc.PathResistance(i), ms.PathResistance(i); !bitsEq(got, want) {
 			t.Fatalf("%s: Rkk(%d) = %v, want %v", label, i, got, want)
 		}
 		if got, want := inc.DownstreamC(i), downC[i]; !bitsEq(got, want) {
 			t.Fatalf("%s: DownstreamC(%d) = %v, want %v", label, i, got, want)
 		}
 	}
-	if got, want := inc.TP(), prh.TP; !bitsEq(got, want) {
+	if got, want := inc.TP(), ms.TP(); !bitsEq(got, want) {
 		t.Fatalf("%s: TP = %v, want %v", label, got, want)
 	}
 }
@@ -428,7 +424,7 @@ func logUniformForest(seed int64, n, rootEvery int) *rctree.Tree {
 }
 
 // TestIncrementalTRMatchesFresh pins the T_R of Incremental.PathStats
-// and TP to a fresh ComputePRH bit for bit after random SetR/SetC/Revert/Commit
+// and TP to a fresh Compute bit for bit after random SetR/SetC/Revert/Commit
 // sequences — one to three edits between checks — on a chain, a
 // single-root tree and a multi-root forest whose element values span
 // seven decades.
@@ -481,20 +477,23 @@ func TestIncrementalTRMatchesFresh(t *testing.T) {
 						committed = shadow.Clone()
 					}
 				}
-				prh := ComputePRH(shadow)
+				ms, err := Compute(shadow)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if step%2 == 0 { // flush the path resistance first on even steps
-					if got, want := inc.TP(), prh.TP; !bitsEq(got, want) {
+					if got, want := inc.TP(), ms.TP(); !bitsEq(got, want) {
 						t.Fatalf("%s/seed%d/step%d: TP %v, fresh %v", tc.name, seed, step, got, want)
 					}
 				}
 				for i := 0; i < tree.N(); i++ {
-					if _, _, got := inc.PathStats(i); !bitsEq(got, prh.TR(i)) {
-						want := prh.TR(i)
-						t.Fatalf("%s/seed%d/step%d: TR(%d) = %x, fresh ComputePRH %x",
+					if _, _, got := inc.PathStats(i); !bitsEq(got, ms.TR(i)) {
+						want := ms.TR(i)
+						t.Fatalf("%s/seed%d/step%d: TR(%d) = %x, fresh Compute %x",
 							tc.name, seed, step, i, math.Float64bits(got), math.Float64bits(want))
 					}
 				}
-				if got, want := inc.TP(), prh.TP; !bitsEq(got, want) {
+				if got, want := inc.TP(), ms.TP(); !bitsEq(got, want) {
 					t.Fatalf("%s/seed%d/step%d: TP %v, fresh %v", tc.name, seed, step, got, want)
 				}
 			}
@@ -608,8 +607,8 @@ func TestIncrementalForestRanges(t *testing.T) {
 // FuzzIncrementalEdits builds a forest of at most 48 nodes from the
 // input and replays an input-chosen sequence of SetR/SetC/Revert/Commit
 // on an engine bound to it, checking every served value (T_D and the
-// PathStats walk included) bit for bit against a fresh Set and
-// ComputePRH on a shadow tree after every operation.
+// PathStats walk included) bit for bit against a fresh Set on a shadow
+// tree after every operation.
 //
 // Input layout: one byte for the node count; three bytes per node
 // (parent, R, C); then three bytes per operation (kind, node, value).

@@ -13,13 +13,16 @@ import (
 // oraclePrec is the working precision of the test oracle, in bits.
 const oraclePrec = 400
 
-// oracleRelTol bounds the relative error of T_D, μ2, μ3 and T_R against
-// the oracle, with 4x headroom over the worst measured: 1.48e-13, μ3 on
-// the uniform 5000-chain of TestCumulantOracleDeepChains (μ2 9.9e-14,
-// T_R 5.4e-14, T_D 3.6e-14 there; 1.6e-14 at most on the log-uniform
-// chain). On 3000 random forests of at most 64 nodes in the fuzz
-// target's value ranges the worst was 1.3e-15. The error grows with
-// depth because each statistic is a sum along the root path.
+// oracleRelTol bounds the relative error of T_D, μ2, μ3, T_R and T_P
+// against the oracle, with 4x headroom over the worst measured:
+// 1.48e-13, μ3 on the uniform 5000-chain of TestCumulantOracleDeepChains
+// (μ2 9.9e-14, T_R 5.4e-14, T_D 3.6e-14 there; 1.6e-14 at most on the
+// log-uniform chain). On 3000 random forests of at most 64 nodes in the
+// fuzz target's value ranges the worst was 1.3e-15. The error grows with
+// depth because each statistic is a sum along the root path. T_P, one
+// index-order sum of R_ii C_i, stays far below: 0 on the uniform chain,
+// 1.45e-15 on the log-uniform chain, 5.9e-16 over 300 random 64-node
+// trees and 5.5e-15 on a 100k-node random tree.
 const oracleRelTol = 6e-13
 
 // oracleStats is the test oracle: T_D, μ2, μ3 and T_R at every node,
@@ -28,9 +31,10 @@ const oracleRelTol = 6e-13
 // math/big arithmetic from the exact float64 element values, with the
 // central moments formed at that precision (μ2 = 2m2 − m1²,
 // μ3 = −6m3 + 6m1m2 − 2m1³; their cancellation costs far fewer than
-// the 300-odd spare bits), and T_R = Σ_k R_ki² C_k / R_ii by the
-// recurrence of prhInto. Results are rounded to float64 once.
-func oracleStats(t *rctree.Tree) (td, mu2, mu3, tr []float64) {
+// the 300-odd spare bits), T_R = Σ_k R_ki² C_k / R_ii by the S
+// recurrence of step, and T_P = Σ_k R_kk C_k. Results are rounded to
+// float64 once.
+func oracleStats(t *rctree.Tree) (td, mu2, mu3, tr []float64, tp float64) {
 	n := t.N()
 	a := t.Arrays()
 	f := func(x float64) *big.Float { return new(big.Float).SetPrec(oraclePrec).SetFloat64(x) }
@@ -71,6 +75,7 @@ func oracleStats(t *rctree.Tree) (td, mu2, mu3, tr []float64) {
 		}
 	}
 	rkk, s := make([]*big.Float, n), make([]*big.Float, n)
+	sumP := z()
 	td, mu2, mu3, tr = make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
 	for i := 0; i < n; i++ {
 		rp, sp := z(), z()
@@ -80,6 +85,7 @@ func oracleStats(t *rctree.Tree) (td, mu2, mu3, tr []float64) {
 		rkk[i] = z().Add(f(a.R[i]), rp)
 		inc := z().Mul(f(a.R[i]), z().Add(rkk[i], rp))
 		s[i] = z().Add(sp, inc.Mul(inc, down[i]))
+		sumP.Add(sumP, z().Mul(rkk[i], f(a.C[i])))
 
 		m1, m2, m3 := m[1][i], m[2][i], m[3][i]
 		v2 := z().Sub(z().Mul(f(2), m2), z().Mul(m1, m1))
@@ -91,45 +97,47 @@ func oracleStats(t *rctree.Tree) (td, mu2, mu3, tr []float64) {
 		mu3[i], _ = v3.Float64()
 		tr[i], _ = z().Quo(s[i], rkk[i]).Float64()
 	}
-	return td, mu2, mu3, tr
+	tp, _ = sumP.Float64()
+	return td, mu2, mu3, tr, tp
 }
 
-// checkOracle asserts T_D, μ2, μ3 (Compute) and T_R (ComputePRH) at
-// every node within oracleRelTol of the oracle, and μ2 ≥ 0, μ3 ≥ 0
-// exactly. It returns the worst relative error seen.
+// checkOracle asserts T_D, μ2, μ3 and T_R at every node, and T_P, all
+// read from Compute's set, within oracleRelTol of the oracle, and
+// μ2 ≥ 0, μ3 ≥ 0 exactly. It returns the worst relative error seen.
 func checkOracle(t *testing.T, label string, tree *rctree.Tree) float64 {
 	t.Helper()
 	s, err := Compute(tree)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	prh := ComputePRH(tree)
-	td, mu2, mu3, tr := oracleStats(tree)
+	td, mu2, mu3, tr, tp := oracleStats(tree)
 	worst := 0.0
+	check := func(node int, name string, got, want float64) {
+		t.Helper()
+		rel := math.Abs(got-want) / math.Abs(want)
+		if got == want {
+			rel = 0
+		}
+		if !(rel <= oracleRelTol) {
+			where := fmt.Sprintf("node %d", node)
+			if node < 0 {
+				where = "tree"
+			}
+			t.Fatalf("%s: %s: %s = %v, oracle %v (relative error %.3g > %g)",
+				label, where, name, got, want, rel, oracleRelTol)
+		}
+		worst = max(worst, rel)
+	}
 	for i := 0; i < tree.N(); i++ {
 		if !(s.Mu2(i) >= 0) || !(s.Mu3(i) >= 0) {
 			t.Fatalf("%s: node %d: mu2 = %v, mu3 = %v; Lemma 2 wants both >= 0 exactly", label, i, s.Mu2(i), s.Mu3(i))
 		}
-		for _, c := range []struct {
-			name      string
-			got, want float64
-		}{
-			{"T_D", s.Elmore(i), td[i]},
-			{"mu2", s.Mu2(i), mu2[i]},
-			{"mu3", s.Mu3(i), mu3[i]},
-			{"T_R", prh.TR(i), tr[i]},
-		} {
-			rel := math.Abs(c.got-c.want) / math.Abs(c.want)
-			if c.got == c.want {
-				rel = 0
-			}
-			if !(rel <= oracleRelTol) {
-				t.Fatalf("%s: node %d: %s = %v, oracle %v (relative error %.3g > %g)",
-					label, i, c.name, c.got, c.want, rel, oracleRelTol)
-			}
-			worst = max(worst, rel)
-		}
+		check(i, "T_D", s.Elmore(i), td[i])
+		check(i, "mu2", s.Mu2(i), mu2[i])
+		check(i, "mu3", s.Mu3(i), mu3[i])
+		check(i, "T_R", s.TR(i), tr[i])
 	}
+	check(-1, "T_P", s.TP(), tp)
 	return worst
 }
 

@@ -33,7 +33,7 @@ func FigPRH(nodeName string) ([]Series, error) {
 		return nil, fmt.Errorf("repro: no node %q in the Fig. 1 circuit", nodeName)
 	}
 	td := an.Bounds[i].Elmore
-	trr := an.PRH().TR(i)
+	trr := an.Moments().TR(i)
 
 	const n = 120
 	exactS := Series{Name: "exact t(v)@" + nodeName}
