@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet race health-strict chaos fuzz-smoke flake-guard bench bench-smoke bench-incremental scaling-smoke obs-smoke serve-smoke fmt
+.PHONY: check build test vet race health-strict chaos fuzz-smoke flake-guard inline-check bench bench-smoke bench-incremental scaling-smoke obs-smoke serve-smoke fmt
 
 check: vet build race
 
@@ -56,6 +56,20 @@ fuzz-smoke:
 # about 20 s on a 2-vCPU box.
 flake-guard:
 	$(GO) test -count=100 -run '^TestLemma1NonNegativeMonotone$$' ./internal/exact
+
+# A what-if probe's leaf scan reads Incremental.Elmore once per leaf,
+# and the read costs a range check and two loads only while the
+# compiler inlines it (DESIGN.md §9). The check requires the compiler
+# to report each listed method as inlinable. The go command replays a
+# cached package's compiler output, and a missing line fails the check,
+# so neither a cached build nor an empty output can pass it.
+INLINED = Elmore PathResistance
+inline-check:
+	@out=$$($(GO) build -gcflags=elmore/internal/moments=-m ./internal/moments 2>&1) || { echo "$$out"; exit 1; }; \
+	for f in $(INLINED); do \
+		echo "$$out" | grep -E ": can inline \(\*Incremental\)\.$$f$$" || \
+			{ echo "inline-check: the compiler no longer inlines (*Incremental).$$f" >&2; exit 1; }; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -386,6 +386,73 @@ func BenchmarkIncrementalSetR(b *testing.B) {
 	}
 }
 
+// BenchmarkIncrementalProbe measures one probe of a wire-sizing loop on
+// a 10000-node random tree, the shape of cmd/optimize's inner loop: SetR
+// and SetC at one node, a read of every leaf's Elmore delay (the first
+// read sweeps T_D's pending range), TotalC and Revert. The probed node
+// moves through the tree in index order. ns/op is per probe; ns/leaf
+// divides it by the leaves read.
+func BenchmarkIncrementalProbe(b *testing.B) {
+	tree := topo.Random(42, topo.RandomOptions{N: 10000})
+	inc, err := elmore.NewIncremental(tree)
+	if err != nil {
+		b.Fatal(err)
+	}
+	leaves := tree.Leaves()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % tree.N()
+		if err := inc.SetR(k, tree.R(k)/1.4); err != nil {
+			b.Fatal(err)
+		}
+		if err := inc.SetC(k, tree.C(k)*1.4); err != nil {
+			b.Fatal(err)
+		}
+		worst := 0.0
+		for _, l := range leaves {
+			if d := inc.Elmore(l); d > worst {
+				worst = d
+			}
+		}
+		if !(worst > 0) || !(inc.TotalC() > 0) {
+			b.Fatal("bad probe")
+		}
+		inc.Revert()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(leaves)), "ns/leaf")
+}
+
+// BenchmarkReanalyzeLeaves measures Analysis.Reanalyze over every leaf
+// of a 10000-node random tree after a capacitance edit at the root,
+// which moves T_D, μ2, μ3 and T_R at every leaf, plus the edit and its
+// Revert. ns/leaf is per refreshed row.
+func BenchmarkReanalyzeLeaves(b *testing.B) {
+	tree := topo.Random(42, topo.RandomOptions{N: 10000})
+	an, err := elmore.Analyze(tree)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inc, err := elmore.NewIncremental(tree)
+	if err != nil {
+		b.Fatal(err)
+	}
+	leaves := tree.Leaves()
+	c0 := tree.C(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := inc.SetC(0, 2*c0); err != nil {
+			b.Fatal(err)
+		}
+		if err := an.Reanalyze(inc, leaves); err != nil {
+			b.Fatal(err)
+		}
+		inc.Revert()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(leaves)), "ns/leaf")
+}
+
 // --- Extension experiments beyond the paper's artifacts. ---
 
 func BenchmarkExtPRHWaveformBounds(b *testing.B) {

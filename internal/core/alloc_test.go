@@ -7,6 +7,7 @@ import (
 
 	"elmore/internal/faultinject"
 	"elmore/internal/health"
+	"elmore/internal/moments"
 	"elmore/internal/telemetry"
 	"elmore/internal/topo"
 )
@@ -75,6 +76,39 @@ func TestDisabledObservabilityZeroAlloc(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("disabled observability path = %.1f allocs/op, want 0", got)
+	}
+}
+
+// Reanalyze over every leaf of a 10000-node tree allocates nothing after
+// its first call: the T_R column, the output scratch and the engine's
+// shared-pass columns are sized once and reused.
+func TestReanalyzeAllocFree(t *testing.T) {
+	if health.Enabled() {
+		t.Skip("health monitor installed; the instrumented path allocates by design")
+	}
+	tree := topo.Random(42, topo.RandomOptions{N: 10000})
+	an, err := Analyze(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := moments.NewIncremental(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := tree.Leaves()
+	c0 := tree.C(0)
+	reanalyze := func() {
+		if err := inc.SetC(0, 2*c0); err != nil {
+			t.Fatal(err)
+		}
+		if err := an.Reanalyze(inc, leaves); err != nil {
+			t.Fatal(err)
+		}
+		inc.Revert()
+	}
+	reanalyze()
+	if got := testing.AllocsPerRun(20, reanalyze); got != 0 {
+		t.Errorf("Reanalyze over %d leaves = %.1f allocs/op, want 0", len(leaves), got)
 	}
 }
 

@@ -71,6 +71,12 @@ type Analysis struct {
 	TP     float64 // sum_k R_kk C_k (PRH)
 	Bounds []Bounds
 	ms     *moments.Set
+
+	// Reanalyze's state, nil until its first call: tr is T_R(i) of the
+	// circuit Bounds[i] describes, and sinkBuf and statBuf are scratch.
+	tr      []float64
+	sinkBuf []int
+	statBuf []float64
 }
 
 // Analyze computes all step-input bounds for every node of the tree.
@@ -448,6 +454,9 @@ func (a *Analysis) WindowAt(i int, v float64) (lo, hi float64, err error) {
 	}
 	b := a.Bounds[i]
 	tr := a.ms.TR(i)
+	if a.tr != nil {
+		tr = a.tr[i] // Bounds[i] may come from Reanalyze
+	}
 	lo = PRHTmin(a.TP, b.Elmore, tr, v)
 	hi = PRHTmax(a.TP, b.Elmore, tr, v)
 	if v == 0.5 {

@@ -32,7 +32,15 @@ import (
 // PRHTmin/PRHTmax fields of un-refreshed entries still reflect the old
 // T_P — pass the sinks you read, or nil to get the moved hull), and the
 // Moments() accessor keeps describing the original full analysis.
-// Refreshed entries pass through the same health checks as Analyze.
+// WindowAt reads the T_R of each refreshed entry from this call, so it
+// describes the same circuit as the entry. Refreshed entries pass
+// through the same health checks as Analyze.
+//
+// The sinks' μ2, μ3 and T_R come from one Incremental.PathStatsInto
+// call: a walk per sink when the sinks are few, one shared pass over
+// their components when they are many. After its first call Reanalyze
+// allocates nothing, as long as no call lists more sinks than an
+// earlier one.
 //
 // The engine must be bound to this analysis' tree (same node set); the
 // association is sanity-checked by node count.
@@ -43,9 +51,15 @@ func (a *Analysis) Reanalyze(inc *moments.Incremental, sinks []int) error {
 	if it := inc.Tree(); it.N() != a.Tree.N() {
 		return fmt.Errorf("core: engine tree has %d nodes, analysis tree has %d", it.N(), a.Tree.N())
 	}
+	for _, i := range sinks {
+		if i < 0 || i >= len(a.Bounds) {
+			return fmt.Errorf("core: Reanalyze sink index %d out of range [0,%d)", i, len(a.Bounds))
+		}
+	}
 	nilSinks := sinks == nil
 	if nilSinks {
-		sinks = inc.DrainMoved(nil)
+		sinks = inc.DrainMoved(a.sinkBuf[:0])
+		a.sinkBuf = sinks
 	}
 	oldTP := a.TP
 	a.TP = inc.TP()
@@ -58,19 +72,27 @@ func (a *Analysis) Reanalyze(inc *moments.Incremental, sinks []int) error {
 		for i := range a.Bounds {
 			sinks = append(sinks, i)
 		}
+		a.sinkBuf = sinks
 	}
+	if a.tr == nil {
+		a.tr = make([]float64, len(a.Bounds))
+		for i := range a.tr {
+			a.tr[i] = a.ms.TR(i)
+		}
+	}
+	m := len(sinks)
+	if cap(a.statBuf) < 3*m {
+		a.statBuf = make([]float64, 3*m)
+	}
+	mu2, mu3, tr := a.statBuf[:m], a.statBuf[m:2*m], a.statBuf[2*m:3*m]
+	inc.PathStatsInto(sinks, mu2, mu3, tr)
 	var treeLabel string
 	if health.Enabled() {
 		treeLabel = health.TreeLabel(a.Tree.N(), a.Tree.Fingerprint())
 	}
-	for _, i := range sinks {
-		if i < 0 || i >= len(a.Bounds) {
-			return fmt.Errorf("core: Reanalyze sink index %d out of range [0,%d)", i, len(a.Bounds))
-		}
-		mu2, mu3, tr := inc.PathStats(i) // one O(depth) walk per sink
-		b := newBounds(a.Tree, i, inc.Elmore(i), mu2, mu3, a.TP, tr)
-		a.Bounds[i] = b
-		if err := checkBounds(treeLabel, &b); err != nil {
+	for x, i := range sinks {
+		a.Bounds[i], a.tr[i] = newBounds(a.Tree, i, inc.Elmore(i), mu2[x], mu3[x], a.TP, tr[x]), tr[x]
+		if err := checkBounds(treeLabel, &a.Bounds[i]); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -188,5 +189,146 @@ func TestReanalyzeErrors(t *testing.T) {
 	}
 	if err := an.Reanalyze(other, nil); err == nil {
 		t.Errorf("node-count mismatch must be rejected")
+	}
+}
+
+// WindowAt after Reanalyze reads the T_R of the refreshed row, so its
+// window is the one a fresh Analyze of the edited circuit gives, bit for
+// bit. With T_R from the bind-time moment set and T_D and T_P from the
+// refreshed row, node 0 of this tree read [0, -1.74e-9] at v = 0.1,
+// against [0, 1.59e-12] fresh.
+func TestWindowAtAfterReanalyze(t *testing.T) {
+	tree := topo.Random(5, topo.RandomOptions{N: 30})
+	an, err := Analyze(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := moments.NewIncremental(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.SetR(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.SetC(7, 1e-11); err != nil {
+		t.Fatal(err)
+	}
+	if err := an.Reanalyze(inc, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.SyncTree(); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Analyze(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < tree.N(); i++ {
+		for _, v := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
+			lo, hi, err := an.WindowAt(i, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wlo, whi, err := fresh.WindowAt(i, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(lo) != math.Float64bits(wlo) || math.Float64bits(hi) != math.Float64bits(whi) {
+				t.Fatalf("node %d, v=%v: window [%v, %v] after Reanalyze, fresh Analyze [%v, %v]", i, v, lo, hi, wlo, whi)
+			}
+		}
+	}
+}
+
+// Reanalyze serves the same rows whichever way the engine runs the
+// sinks' root paths: every leaf in one call takes the shared pass, one
+// leaf per call walks. Both must equal a fresh Analyze of the synced
+// tree, bit for bit, on random trees and forests after random edits.
+func TestReanalyzeSharedPassMatchesWalks(t *testing.T) {
+	forest := func(seed int64) *rctree.Tree {
+		rng := rand.New(rand.NewSource(seed))
+		b := rctree.NewBuilder()
+		var ids []int
+		for i := 0; i < 80; i++ {
+			r, c := 10+500*rng.Float64(), 1e-15*(1+100*rng.Float64())
+			if i%20 == 0 {
+				ids = append(ids, b.MustRoot(fmt.Sprintf("n%d", i), r, c))
+				continue
+			}
+			ids = append(ids, b.MustAttach(ids[len(ids)-1-rng.Intn(min(len(ids), 5))], fmt.Sprintf("n%d", i), r, c))
+		}
+		tree, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		tree := topo.Random(seed, topo.RandomOptions{N: 200})
+		if seed%2 == 0 {
+			tree = forest(seed)
+		}
+		shared, err := Analyze(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := Analyze(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc, err := moments.NewIncremental(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves := tree.Leaves()
+		rng := rand.New(rand.NewSource(seed))
+		for round := 0; round < 5; round++ {
+			for e := 0; e < 3; e++ {
+				node := rng.Intn(tree.N())
+				if err := inc.SetR(node, 10+500*rng.Float64()); err != nil {
+					t.Fatal(err)
+				}
+				if err := inc.SetC(node, 1e-15*(1+500*rng.Float64())); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := inc.Stats()
+			if err := shared.Reanalyze(inc, leaves); err != nil {
+				t.Fatal(err)
+			}
+			if got := inc.Stats(); got.Swept == st.Swept || got.Walked != st.Walked {
+				t.Fatalf("seed %d: every leaf in one call swept %d and walked %d nodes; want a shared pass",
+					seed, got.Swept-st.Swept, got.Walked-st.Walked)
+			}
+			st = inc.Stats()
+			for _, l := range leaves {
+				if err := single.Reanalyze(inc, []int{l}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := inc.Stats(); got.Swept != st.Swept {
+				t.Fatalf("seed %d: one leaf per call swept %d nodes; want walks", seed, got.Swept-st.Swept)
+			}
+			for _, l := range leaves {
+				if !boundsBitsEqual(shared.Bounds[l], single.Bounds[l]) {
+					t.Fatalf("seed %d round %d: leaf %d:\nshared pass %+v\nwalk        %+v", seed, round, l, shared.Bounds[l], single.Bounds[l])
+				}
+			}
+			if rng.Intn(2) == 0 {
+				inc.Commit()
+			}
+		}
+		if err := inc.SyncTree(); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Analyze(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range leaves {
+			if !boundsBitsEqual(shared.Bounds[l], fresh.Bounds[l]) {
+				t.Fatalf("seed %d: leaf %d:\nreanalyzed %+v\nfresh      %+v", seed, l, shared.Bounds[l], fresh.Bounds[l])
+			}
+		}
 	}
 }

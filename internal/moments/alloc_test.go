@@ -91,6 +91,42 @@ func TestComputePRHColumnsBitIdenticalToStandalone(t *testing.T) {
 	}
 }
 
+// A what-if probe on a bound engine allocates nothing: SetR and SetC at
+// one node, the first Elmore read (it sweeps T_D), a read of every leaf,
+// TotalC and Revert. One warm-up probe sizes the revert log.
+func TestIncrementalProbeAllocFree(t *testing.T) {
+	tree := topo.Random(42, topo.RandomOptions{N: 10000})
+	inc, err := NewIncremental(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := tree.Leaves()
+	k := 0
+	probe := func() {
+		k = (k + 997) % tree.N()
+		if err := inc.SetR(k, tree.R(k)/1.4); err != nil {
+			t.Fatal(err)
+		}
+		if err := inc.SetC(k, tree.C(k)*1.4); err != nil {
+			t.Fatal(err)
+		}
+		worst := inc.Elmore(k)
+		for _, l := range leaves {
+			if d := inc.Elmore(l); d > worst {
+				worst = d
+			}
+		}
+		if !(worst > 0) || !(inc.TotalC() > 0) {
+			t.Fatal("bad probe")
+		}
+		inc.Revert()
+	}
+	probe()
+	if got := testing.AllocsPerRun(100, probe); got != 0 {
+		t.Errorf("probe = %.1f allocs/op, want 0", got)
+	}
+}
+
 func BenchmarkCompute(b *testing.B) {
 	tree := topo.Random(11, topo.RandomOptions{N: 1000})
 	b.ReportAllocs()

@@ -3,6 +3,7 @@ package moments
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"elmore/internal/rctree"
 	"elmore/internal/telemetry"
@@ -37,7 +38,9 @@ import (
 //     regathered lazily: k's parent is marked stale, and PathStats walks
 //     up from every stale mark before it reads y2 and y3.
 //   - μ2, μ3 and T_R at a node are answered by PathStats with one walk
-//     down the node's root path, O(depth).
+//     down the node's root path, O(depth). PathStatsInto answers many
+//     sinks at once with whichever costs fewer steps: one walk per sink,
+//     or one pass of the same step over the components that hold them.
 //
 // T_D and the path resistance each keep one pending range, the hull of
 // the ranges edits moved, swept on the first query that reads them, so
@@ -57,12 +60,12 @@ type Incremental struct {
 	n    int
 
 	// Pre-order layout: par[k] is k's parent (or rctree.Source), the
-	// subtree of k is [k, end[k]), and root[k] is the root of k's
-	// component. The children of k are k+1, end[k+1], ... while below
-	// end[k], in the tree's child order. treeIdx maps pre-order to tree
-	// indices and preIdx maps back.
-	par, end, root  []int32
-	treeIdx, preIdx []int32
+	// subtree of k is [k, end[k]), root[k] is the root of k's component
+	// and depth[k] the number of resistors above k's own. The children of
+	// k are k+1, end[k+1], ... while below end[k], in the tree's child
+	// order. treeIdx maps pre-order to tree indices and preIdx maps back.
+	par, end, root, depth []int32
+	treeIdx, preIdx       []int32
 
 	// Element values and derived per-node state, in pre-order. y1..y3
 	// are the admittance moments looking into each node (y1 is the
@@ -90,8 +93,18 @@ type Incremental struct {
 	undo    []valueEdit
 	pathBuf []int32 // PathStats scratch: a node's root path
 
+	// PathStatsInto's scratch, sized on first use: a mark per component
+	// root and, for the shared pass, step's state per depth along the
+	// current root path and each sink node's output slot plus one.
+	marked []bool
+	stack  []pathState
+	slot   []int32
+
 	stats IncrementalStats
 }
+
+// pathState is what step carries from a node to its children, less T_D.
+type pathState struct{ mu2, mu3, rii, s float64 }
 
 // span is a [lo, hi) range of pre-order indices; the zero value is
 // empty.
@@ -120,7 +133,8 @@ type IncrementalStats struct {
 	Flushes       int64 // pending ranges swept (T_D or path resistance)
 	NodesTouched  int64 // nodes swept by flushes, one per node per range
 	Gathered      int64 // nodes whose admittance an edit, a revert or a PathStats regathered
-	Walked        int64 // root-path nodes visited by PathStats
+	Walked        int64 // root-path nodes visited by PathStats and PathStatsInto's walks
+	Swept         int64 // nodes visited by PathStatsInto's shared passes
 	FullFallbacks int64 // always 0; kept because perfbench reads it
 	Reverts       int64
 	Commits       int64
@@ -137,7 +151,7 @@ func NewIncremental(t *rctree.Tree) (*Incremental, error) {
 		return nil, fmt.Errorf("moments: NewIncremental needs a non-empty tree")
 	}
 	n := t.N()
-	idx := make([]int32, 5*n)
+	idx := make([]int32, 6*n)
 	back := make([]float64, 7*n)
 	inc := &Incremental{
 		tree:    t,
@@ -145,8 +159,9 @@ func NewIncremental(t *rctree.Tree) (*Incremental, error) {
 		par:     idx[0*n : 1*n : 1*n],
 		end:     idx[1*n : 2*n : 2*n],
 		root:    idx[2*n : 3*n : 3*n],
-		treeIdx: idx[3*n : 4*n : 4*n],
-		preIdx:  idx[4*n : 5*n : 5*n],
+		depth:   idx[3*n : 4*n : 4*n],
+		treeIdx: idx[4*n : 5*n : 5*n],
+		preIdx:  idx[5*n : 6*n : 6*n],
 		r:       back[0*n : 1*n : 1*n],
 		c:       back[1*n : 2*n : 2*n],
 		y1:      back[2*n : 3*n : 3*n],
@@ -167,6 +182,7 @@ func NewIncremental(t *rctree.Tree) (*Incremental, error) {
 		if p := t.Parent(int(u)); p != rctree.Source {
 			inc.par[k] = inc.preIdx[p]
 			inc.root[k] = inc.root[inc.par[k]]
+			inc.depth[k] = inc.depth[inc.par[k]] + 1
 		}
 	}
 	for k := n - 1; k >= 0; k-- {
@@ -331,12 +347,11 @@ func (inc *Incremental) SyncTree() error {
 // --- Queries (tree-indexed, bit-identical to Set) ---
 
 // Elmore returns the Elmore delay T_D(i), sweeping T_D's pending range
-// first.
+// first. A clean read is a range check and two loads, small enough to
+// inline into a caller's scan of many sinks; the sweep is out of line.
 func (inc *Incremental) Elmore(i int) float64 {
-	if s := inc.pendTD; !s.empty() {
-		inc.pendTD = span{}
-		inc.sweepTD(s)
-		inc.count(s)
+	if !inc.pendTD.empty() {
+		inc.flushTD()
 	}
 	return inc.td[inc.preIdx[i]]
 }
@@ -348,8 +363,68 @@ func (inc *Incremental) Elmore(i int) float64 {
 // pending.
 func (inc *Incremental) PathStats(i int) (mu2, mu3, tr float64) {
 	inc.flushY()
+	return inc.walk(inc.preIdx[i])
+}
+
+// PathStatsInto sets mu2[x], mu3[x] and tr[x] to PathStats(sinks[x])
+// for every x, bit for bit; the three slices must hold len(sinks)
+// values. It takes the cheaper of two ways to run the same step
+// sequence along every sink's root path: one walk per sink, Σ(depth+1)
+// steps, or one pass in pre-order over each component that holds a
+// sink, the components' summed size (a tie walks). Its per-node scratch
+// is allocated on first use; after that a call allocates only to walk a
+// root path deeper than any walked before.
+func (inc *Incremental) PathStatsInto(sinks []int, mu2, mu3, tr []float64) {
+	inc.flushY()
+	if inc.marked == nil {
+		inc.marked = make([]bool, inc.n)
+	}
+	walks, pass := 0, 0
+	for _, i := range sinks {
+		k := inc.preIdx[i]
+		walks += int(inc.depth[k]) + 1
+		if rt := inc.root[k]; !inc.marked[rt] {
+			inc.marked[rt] = true
+			pass += int(inc.end[rt] - rt)
+		}
+	}
+	if walks <= pass {
+		for x, i := range sinks {
+			k := inc.preIdx[i]
+			inc.marked[inc.root[k]] = false
+			mu2[x], mu3[x], tr[x] = inc.walk(k)
+		}
+		return
+	}
+	if inc.slot == nil {
+		inc.stack = make([]pathState, slices.Max(inc.depth)+1)
+		inc.slot = make([]int32, inc.n)
+	}
+	for x, i := range sinks {
+		inc.slot[inc.preIdx[i]] = int32(x) + 1
+	}
+	for _, i := range sinks {
+		if rt := inc.root[inc.preIdx[i]]; inc.marked[rt] {
+			inc.marked[rt] = false
+			inc.sweepPaths(span{rt, inc.end[rt]}, mu2, mu3, tr)
+		}
+	}
+	// The pass served each sink at its last listing; copy it to the
+	// others and clear the slots.
+	for x, i := range sinks {
+		k := inc.preIdx[i]
+		if j := int(inc.slot[k]) - 1; j != x {
+			mu2[x], mu3[x], tr[x] = mu2[j], mu3[j], tr[j]
+		} else {
+			inc.slot[k] = 0
+		}
+	}
+}
+
+// walk runs step down k's root path from its root; y must be clean.
+func (inc *Incremental) walk(k int32) (mu2, mu3, tr float64) {
 	path := inc.pathBuf[:0]
-	for j := inc.preIdx[i]; j != rctree.Source; j = inc.par[j] {
+	for j := k; j != rctree.Source; j = inc.par[j] {
 		path = append(path, j)
 	}
 	inc.pathBuf = path[:0]
@@ -367,9 +442,12 @@ func (inc *Incremental) DownstreamC(i int) float64 {
 	return inc.y1[inc.preIdx[i]]
 }
 
-// PathResistance returns R_ii, the source-to-i path resistance.
+// PathResistance returns R_ii, the source-to-i path resistance,
+// sweeping its pending range first; like Elmore, a clean read inlines.
 func (inc *Incremental) PathResistance(i int) float64 {
-	inc.flushR()
+	if !inc.pendR.empty() {
+		inc.flushR()
+	}
 	return inc.rkk[inc.preIdx[i]]
 }
 
@@ -393,7 +471,9 @@ func (inc *Incremental) TotalC() float64 {
 // TP returns the Penfield-Rubinstein T_P = sum_k R_kk C_k, summed in
 // tree index order like Compute.
 func (inc *Incremental) TP() float64 {
-	inc.flushR()
+	if !inc.pendR.empty() {
+		inc.flushR()
+	}
 	if inc.tpStale {
 		var tp float64
 		for _, k := range inc.preIdx {
@@ -429,39 +509,76 @@ func (inc *Incremental) regather(k int32) {
 	inc.y1[k], inc.y2[k], inc.y3[k] = y.Y1, y.Y2, y.Y3
 }
 
+// flushTD sweeps T_D's pending range, which must not be empty: the out
+// of line half of Elmore.
+func (inc *Incremental) flushTD() {
+	s := inc.pendTD
+	inc.pendTD = span{}
+	inc.sweepTD(s)
+	inc.count(s)
+}
+
 // sweepTD sets T_D over s, parents first, with step's T_D expression.
-// A parent outside s must be up to date.
+// A parent outside s must be up to date. The columns are resliced to s,
+// so the parent read is the loop's one bounds check.
 func (inc *Incremental) sweepTD(s span) {
-	r, y1, td, par := inc.r, inc.y1, inc.td, inc.par
-	for k := s.lo; k < s.hi; k++ {
-		var p float64
-		if pk := par[k]; pk != rctree.Source {
-			p = td[pk]
+	par, r, y1 := inc.par[s.lo:s.hi], inc.r[s.lo:s.hi], inc.y1[s.lo:s.hi]
+	all := inc.td
+	td := all[s.lo:s.hi]
+	for x, p := range par {
+		var tdp float64
+		if p != rctree.Source {
+			tdp = all[p]
 		}
-		td[k] = stepTD(p, r[k], y1[k])
+		td[x] = stepTD(tdp, r[x], y1[x])
 	}
 }
 
-// flushR sweeps the path resistance's pending range.
+// flushR sweeps the path resistance's pending range, which must not be
+// empty.
 func (inc *Incremental) flushR() {
-	if s := inc.pendR; !s.empty() {
-		inc.pendR = span{}
-		inc.sweepR(s)
-		inc.count(s)
-	}
+	s := inc.pendR
+	inc.pendR = span{}
+	inc.sweepR(s)
+	inc.count(s)
 }
 
 // sweepR sets R_kk over s, parents first, with step's path-resistance
-// expression.
+// expression, resliced like sweepTD.
 func (inc *Incremental) sweepR(s span) {
-	r, rkk, par := inc.r, inc.rkk, inc.par
-	for k := s.lo; k < s.hi; k++ {
-		var p float64
-		if pk := par[k]; pk != rctree.Source {
-			p = rkk[pk]
+	par, r := inc.par[s.lo:s.hi], inc.r[s.lo:s.hi]
+	all := inc.rkk
+	rkk := all[s.lo:s.hi]
+	for x, p := range par {
+		var rp float64
+		if p != rctree.Source {
+			rp = all[p]
 		}
-		rkk[k] = stepR(p, r[k])
+		rkk[x] = stepR(rp, r[x])
 	}
+}
+
+// sweepPaths runs step over the component s in pre-order and writes
+// each sink node's μ2, μ3 and T_R to its output slot. stack[d] holds the
+// state of the latest node at depth d; in pre-order, for a node at depth
+// d+1 that is its parent, so every node steps from its parent's state as
+// a walk down its root path does, and the bits are the walk's.
+func (inc *Incremental) sweepPaths(s span, mu2, mu3, tr []float64) {
+	depth, slot, r := inc.depth[s.lo:s.hi], inc.slot[s.lo:s.hi], inc.r[s.lo:s.hi]
+	y1, y2, y3 := inc.y1[s.lo:s.hi], inc.y2[s.lo:s.hi], inc.y3[s.lo:s.hi]
+	stack := inc.stack
+	for x, d := range depth {
+		var p pathState
+		if d > 0 {
+			p = stack[d-1]
+		}
+		_, m2, m3, rii, sv := step(0, p.mu2, p.mu3, p.rii, p.s, r[x], Admittance{y1[x], y2[x], y3[x]})
+		stack[d] = pathState{m2, m3, rii, sv}
+		if j := slot[x] - 1; j >= 0 {
+			mu2[j], mu3[j], tr[j] = m2, m3, sv/rii
+		}
+	}
+	inc.stats.Swept += int64(s.hi - s.lo)
 }
 
 func (inc *Incremental) count(s span) {

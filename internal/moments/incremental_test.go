@@ -20,7 +20,8 @@ func bitsEq(a, b float64) bool {
 // checkAgainstFull compares every quantity the engine serves, at every
 // node, against a fresh full recompute on a shadow tree carrying the
 // same element values: T_D, the PathStats walk (μ2, μ3, T_R), R_ii and
-// T_P against a fresh Set. All comparisons are bit-exact.
+// T_P against a fresh Set, and PathStatsInto (over every node and over
+// every third one) against PathStats. All comparisons are bit-exact.
 func checkAgainstFull(t *testing.T, label string, inc *Incremental, shadow *rctree.Tree) {
 	t.Helper()
 	ms, err := Compute(shadow)
@@ -29,11 +30,13 @@ func checkAgainstFull(t *testing.T, label string, inc *Incremental, shadow *rctr
 	}
 	downC := shadow.DownstreamC()
 	n := shadow.N()
+	walked := make([][3]float64, n)
 	for i := 0; i < n; i++ {
 		if got, want := inc.Elmore(i), ms.Elmore(i); !bitsEq(got, want) {
 			t.Fatalf("%s: Elmore(%d) = %v, want %v", label, i, got, want)
 		}
 		mu2, mu3, tr := inc.PathStats(i)
+		walked[i] = [3]float64{mu2, mu3, tr}
 		if got, want := mu2, ms.Mu2(i); !bitsEq(got, want) {
 			t.Fatalf("%s: mu2(%d) = %x, full recompute has %x",
 				label, i, math.Float64bits(got), math.Float64bits(want))
@@ -54,6 +57,20 @@ func checkAgainstFull(t *testing.T, label string, inc *Incremental, shadow *rctr
 	}
 	if got, want := inc.TP(), ms.TP(); !bitsEq(got, want) {
 		t.Fatalf("%s: TP = %v, want %v", label, got, want)
+	}
+	for _, stride := range []int{1, 3} {
+		var sinks []int
+		for i := 0; i < n; i += stride {
+			sinks = append(sinks, i)
+		}
+		out := make([]float64, 3*len(sinks))
+		mu2, mu3, tr := out[:len(sinks)], out[len(sinks):2*len(sinks)], out[2*len(sinks):]
+		inc.PathStatsInto(sinks, mu2, mu3, tr)
+		for x, i := range sinks {
+			if got := [3]float64{mu2[x], mu3[x], tr[x]}; !bitsEq(got[0], walked[i][0]) || !bitsEq(got[1], walked[i][1]) || !bitsEq(got[2], walked[i][2]) {
+				t.Fatalf("%s: PathStatsInto (stride %d) at %d = %v, PathStats %v", label, stride, i, got, walked[i])
+			}
+		}
 	}
 }
 
@@ -696,4 +713,66 @@ func FuzzIncrementalEdits(f *testing.F) {
 			checkAgainstFull(t, fmt.Sprintf("op%d", op), inc, shadow)
 		}
 	})
+}
+
+// PathStatsInto takes whichever way runs fewer steps. One sink on a deep
+// chain walks: its depth+1 steps tie with the chain's size, and a tie
+// walks. Every leaf of a bushy tree, and every node of a forest of
+// chains, shares one pass over each component that holds a sink. Both
+// ways serve PathStats' bits, at every listing of a sink listed twice.
+func TestPathStatsIntoCostRule(t *testing.T) {
+	forest := rctree.NewBuilder()
+	for c := 0; c < 3; c++ {
+		k := forest.MustRoot(fmt.Sprintf("r%d", c), 10, 1e-15)
+		for j := 0; j < 4+c; j++ {
+			k = forest.MustAttach(k, fmt.Sprintf("r%d_%d", c, j), 10+float64(j), 2e-15)
+		}
+	}
+	forestTree, err := forest.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := topo.Chain(300, 12, 1e-15)
+	bushy := topo.Balanced(5, 3, 40, 1e-15)
+	twice := append(bushy.Leaves(), bushy.Leaves()[:5]...)
+	twice = append([]int{twice[7]}, twice...)
+	all := make([]int, forestTree.N())
+	for i := range all {
+		all[i] = i
+	}
+	for _, tc := range []struct {
+		name          string
+		tree          *rctree.Tree
+		sinks         []int
+		walked, swept int64
+	}{
+		{"chain tail", chain, []int{chain.N() - 1}, int64(chain.N()), 0},
+		{"bushy leaves", bushy, bushy.Leaves(), 0, int64(bushy.N())},
+		{"bushy leaves, some listed twice", bushy, twice, 0, int64(bushy.N())},
+		{"forest nodes", forestTree, all, 0, int64(forestTree.N())},
+		{"forest root", forestTree, []int{0}, 1, 0},
+	} {
+		inc, err := NewIncremental(tc.tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := inc.SetC(tc.sinks[0], 5e-15); err != nil {
+			t.Fatal(err)
+		}
+		m := len(tc.sinks)
+		out := make([]float64, 3*m)
+		before := inc.Stats()
+		inc.PathStatsInto(tc.sinks, out[:m], out[m:2*m], out[2*m:])
+		after := inc.Stats()
+		if w, s := after.Walked-before.Walked, after.Swept-before.Swept; w != tc.walked || s != tc.swept {
+			t.Errorf("%s: walked %d and swept %d nodes, want %d and %d", tc.name, w, s, tc.walked, tc.swept)
+		}
+		for x, i := range tc.sinks {
+			mu2, mu3, tr := inc.PathStats(i)
+			if !bitsEq(out[x], mu2) || !bitsEq(out[m+x], mu3) || !bitsEq(out[2*m+x], tr) {
+				t.Fatalf("%s: sink %d: PathStatsInto (%v, %v, %v), PathStats (%v, %v, %v)",
+					tc.name, i, out[x], out[m+x], out[2*m+x], mu2, mu3, tr)
+			}
+		}
+	}
 }
