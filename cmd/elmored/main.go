@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs.DurationVar(&cfg.MaxDeadline, "max-deadline", 2*time.Minute, "cap on client-requested deadlines (and the default when none is sent)")
 	fs.IntVar(&cfg.MaxJobs, "max-jobs", 10000, "max spec lines per /v1/analyze request")
 	fs.Int64Var(&cfg.MaxBody, "max-body", 32<<20, "max request body bytes")
-	fs.IntVar(&cfg.HotTrees, "hot-trees", batch.DefaultHotTrees, "hot-tree LRU capacity: repeated nets skip parsing (0 = off)")
+	fs.IntVar(&cfg.HotTrees, "hot-trees", batch.DefaultHotTrees, "hot-tree LRU capacity: repeated nets skip parsing and reuse their moments (0 = off)")
 	fs.StringVar(&cfg.JournalDir, "journal-dir", "", "directory for per-batch resume journals (empty disables X-Batch-ID journaling)")
 	cf := cliutil.Add(fs)
 	if err := fs.Parse(args); err != nil {

@@ -42,7 +42,8 @@ type config struct {
 
 // server is the elmored HTTP state. One instance serves the process
 // lifetime; per-request engines are shallow copies of its template
-// sharing the breaker, each with a moment cache of its own.
+// sharing the breaker and the hot-tree LRU, whose entries hold each hot
+// deck's tree and moments.
 type server struct {
 	cfg     config
 	eng     *batch.Engine // template: workers, timeout, resilience policy
@@ -245,12 +246,13 @@ func (s *server) requestCtx(r *http.Request, deadline time.Duration) (context.Co
 
 // requestEngine copies the template engine, tightening the per-job
 // timeout to the request deadline so a slow job can never outlive its
-// request and pin a worker. The copy gets a moment cache of its own,
-// as a CLI run does: moments are shared within a request, and nothing
-// keyed by a client's nets outlives it.
+// request and pin a worker. The copy reads derived state through the
+// hot-tree LRU: a hot deck's moments serve every request until the
+// deck is evicted, and nothing else keyed by a client's nets outlives
+// the request.
 func (s *server) requestEngine(deadline time.Duration) *batch.Engine {
 	eng := *s.eng
-	eng.Cache = batch.NewCache()
+	eng.Trees = s.hot
 	if deadline > 0 && (eng.Timeout <= 0 || deadline < eng.Timeout) {
 		eng.Timeout = deadline
 		telemetry.C("serve.deadline_truncations").Inc()

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -423,24 +424,101 @@ func TestNetFileRefused(t *testing.T) {
 	}
 }
 
-// Moments are cached per request, as in a CLI run: a deck seen by one
-// request is a moment-cache miss again in the next.
-func TestMomentCachePerRequest(t *testing.T) {
+// cacheHits counts the result lines that report a moment-cache hit.
+func cacheHits(lines []map[string]any) int {
+	hits := 0
+	for _, m := range lines {
+		if m["cache_hit"] == true {
+			hits++
+		}
+	}
+	return hits
+}
+
+// A hot deck's moments outlive the request that computed them: the
+// first request on the deck computes once, and every job of the next
+// request reuses that set.
+func TestHotDeckMomentsOutliveRequest(t *testing.T) {
 	_, ts := startTestServer(t, testConfig())
-	for round := 0; round < 2; round++ {
+	for round, want := range []int{2, 3} {
 		lines, sum, _ := analyze(t, ts.URL, specBody(3), nil)
 		if sum.Failed != 0 || len(lines) != 3 {
 			t.Fatalf("round %d: %d lines, %+v", round, len(lines), sum)
 		}
-		hits := 0
-		for _, m := range lines {
+		if hits := cacheHits(lines); hits != want {
+			t.Errorf("round %d: %d of 3 jobs on one deck hit the moment cache, want %d", round, hits, want)
+		}
+	}
+}
+
+// The moments go with the hot tree: on a -hot-trees 2 server, a deck
+// evicted by two others is computed again when it comes back.
+func TestEvictedHotDeckRecomputed(t *testing.T) {
+	cfg := testConfig()
+	cfg.HotTrees = 2
+	_, ts := startTestServer(t, cfg)
+	deck := func(r2 string) string {
+		b, _ := json.Marshal(map[string]any{"id": "n", "sinks": []string{"z"},
+			"netlist": strings.Replace(testDeck, "R2 a z 150", "R2 a z "+r2, 1)})
+		return string(b) + "\n"
+	}
+	for k, step := range []struct {
+		r2  string
+		hit bool
+	}{{"150", false}, {"150", true}, {"160", false}, {"170", false}, {"150", false}} {
+		lines, sum, _ := analyze(t, ts.URL, deck(step.r2), nil)
+		if sum.Failed != 0 || len(lines) != 1 {
+			t.Fatalf("request %d: %d lines, %+v", k, len(lines), sum)
+		}
+		if hit := cacheHits(lines) == 1; hit != step.hit {
+			t.Errorf("request %d (R2 %s): cache_hit %v, want %v", k, step.r2, hit, step.hit)
+		}
+	}
+}
+
+// Concurrent requests on one hot deck share its entry: across all of
+// their jobs, exactly one computes the moments.
+func TestConcurrentRequestsComputeOnce(t *testing.T) {
+	_, ts := startTestServer(t, testConfig())
+	const requests, jobs = 6, 4
+	var wg sync.WaitGroup
+	bodies := make([][]byte, requests)
+	errs := make([]error, requests)
+	for k := range bodies {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/analyze", "application/x-ndjson", strings.NewReader(specBody(jobs)))
+			if err != nil {
+				errs[k] = err
+				return
+			}
+			defer resp.Body.Close()
+			bodies[k], errs[k] = io.ReadAll(resp.Body)
+		}(k)
+	}
+	wg.Wait()
+	total, hits := 0, 0
+	for k, body := range bodies {
+		if errs[k] != nil {
+			t.Fatalf("request %d: %v", k, errs[k])
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+			var m map[string]any
+			if err := json.Unmarshal([]byte(line), &m); err != nil {
+				t.Fatalf("request %d: bad line %q: %v", k, line, err)
+			}
+			if m["record"] == "serve_summary" {
+				continue
+			}
+			total++
 			if m["cache_hit"] == true {
 				hits++
 			}
 		}
-		if hits != 2 {
-			t.Errorf("round %d: %d of 3 jobs on one deck hit the moment cache, want 2 (one miss per request)", round, hits)
-		}
+	}
+	if total != requests*jobs || hits != total-1 {
+		t.Errorf("%d result lines, %d cache hits; want %d lines and one miss", total, hits, requests*jobs)
 	}
 }
 

@@ -12,7 +12,7 @@
 //
 //	scalestat                                # 10k nets, workers 1..GOMAXPROCS
 //	scalestat -nets 500 -workers 1,2,4 -o report.json
-//	scalestat -share 64                      # 64 distinct nets: exercises the cache
+//	scalestat -share 64                      # jobs cycle over 64 distinct trees
 //	scalestat -nets 200 -workers 1,2 -check  # CI smoke: validate own report
 //
 // The workload mirrors BenchmarkBatch10kNets (random trees of 24..40
@@ -86,7 +86,7 @@ type latencyQuantiles struct {
 // so the four buckets plus the unaccounted remainder sum to ~1.
 type attribution struct {
 	Busy      float64 `json:"busy"`      // computing jobs (excluding lock wait)
-	LockWait  float64 `json:"lock_wait"` // blocked on the shared cache
+	LockWait  float64 `json:"lock_wait"` // blocked on shared tree-cache state
 	Idle      float64 `json:"idle"`      // waiting for work
 	Stall     float64 `json:"stall"`     // reorder-buffer backpressure
 	Accounted float64 `json:"accounted"` // busy+lock_wait+idle+stall
@@ -119,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	nets := fs.Int("nets", 10000, "number of synthetic nets per step")
 	nodes := fs.Int("nodes", 24, "base node count per net (actual: base + i%17, matching BenchmarkBatch10kNets)")
 	seed := fs.Int64("seed", 1, "base RNG seed for the synthetic nets")
-	share := fs.Int("share", 0, "number of distinct nets; 0 = all distinct (cache-cold), N = jobs cycle over N trees (cache-hot)")
+	share := fs.Int("share", 0, "number of distinct nets; 0 = all distinct, N = jobs cycle over N trees (pre-built trees share no moments: every job computes its own)")
 	workersFlag := fs.String("workers", "", "comma-separated worker counts to sweep (default 1,2,4,... up to GOMAXPROCS)")
 	out := fs.String("o", "", "write the scaling report JSON to `file` (default stdout)")
 	check := fs.Bool("check", false, "validate the report (finite efficiency, accounted fraction) and fail on violation")
@@ -230,7 +230,7 @@ type checkFloors struct {
 }
 
 // runStep executes the workload once at the given worker count, with a
-// fresh registry and cache so steps do not contaminate each other, and
+// fresh registry so steps do not contaminate each other, and
 // runtime snapshots bracketing the run.
 func runStep(jobs []batch.Job, workers int) (*step, error) {
 	reg := telemetry.NewRegistry()
@@ -240,7 +240,6 @@ func runStep(jobs []batch.Job, workers int) (*step, error) {
 	var ps *batch.PoolStats
 	eng := &batch.Engine{
 		Workers: workers,
-		Cache:   batch.NewCache(),
 		OnStats: func(rs batch.PoolStats) { ps = &rs },
 	}
 	runtime.GC() // settle the heap so GC deltas belong to this step

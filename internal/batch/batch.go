@@ -22,8 +22,9 @@
 //     regardless of which worker finished first. Once the batch context
 //     is cancelled RunFunc stops emitting; Run reports the unemitted
 //     jobs with the context's error.
-//   - Shared moment reuse: an optional immutable Cache keyed by tree
-//     fingerprint lets repeated nets reuse one moments.Set.
+//   - Shared moment reuse: a tree held by the engine's TreeCache gets
+//     its moments.Set (and its simulation plans) computed once, in its
+//     cache entry, and every job on that tree reuses them.
 //   - Resilience: an optional retry Policy re-runs transiently failing
 //     attempts with backoff, a Breaker cuts off trees that keep
 //     failing, and — because the paper guarantees the Elmore delay
@@ -135,13 +136,22 @@ type Result struct {
 }
 
 // Engine runs batches. The zero value is usable: GOMAXPROCS workers, no
-// timeout, no cache, single attempts, no degradation suppression. An
-// Engine is stateless across Run calls and safe for concurrent use.
+// timeout, no tree cache, single attempts, no degradation suppression.
+// An Engine keeps no state across Run calls beyond what its tree cache
+// holds, and is safe for concurrent use.
 type Engine struct {
 	Workers int           // max concurrent jobs; <= 0 means runtime.GOMAXPROCS(0)
 	Timeout time.Duration // per-attempt limit; <= 0 means none
-	Cache   *Cache        // shared moment-set cache; nil disables reuse
 	Report  *Reporter     // run reporting (progress, slow log, summary); nil disables
+
+	// Trees holds the state derived from the trees it cached: a job on
+	// a tree that Trees handed out reads the moment set and simulation
+	// plans of that tree's entry. Any other tree (a pre-built one, one
+	// evicted meanwhile, or any tree when Trees is nil) gets its own,
+	// computed for the job. The loader cannot hand entries over, so the
+	// engine holds the cache itself; RunSpecsOpts sets it to the cache
+	// it builds for a run.
+	Trees *TreeCache
 
 	// Retry re-runs transiently failing attempts; nil means one attempt
 	// per job.
@@ -687,16 +697,9 @@ func (e *Engine) runNet(ctx context.Context, nj *NetJob, tree *rctree.Tree) (*Ne
 			nodes = append(nodes, i)
 		}
 	}
-	var (
-		ms  *moments.Set
-		hit bool
-		err error
-	)
-	if e.Cache != nil {
-		ms, hit, err = e.Cache.MomentsCtx(ctx, tree, 3)
-		if err != nil {
-			return nil, false, err
-		}
+	ms, hit, err := e.momentSet(ctx, tree)
+	if err != nil {
+		return nil, false, err
 	}
 	bounds, err := core.BoundsAt(ctx, tree, ms, nodes)
 	if err != nil {
@@ -742,19 +745,53 @@ func (e *Engine) runPath(ctx context.Context, pj *PathJob) (*sta.PathResult, boo
 		}
 		p = loaded
 	}
-	var src sta.MomentSource
+	// The source runs synchronously inside this job, so the hit flag
+	// needs no synchronization.
 	hit := false
-	if e.Cache != nil {
-		// The source runs synchronously inside this job, so the hit
-		// flag needs no synchronization.
-		src = func(ctx context.Context, t *rctree.Tree) (*moments.Set, error) {
-			ms, h, err := e.Cache.MomentsCtx(ctx, t, 3)
-			if h {
-				hit = true
-			}
-			return ms, err
-		}
+	src := func(ctx context.Context, t *rctree.Tree) (*moments.Set, error) {
+		ms, h, err := e.momentSet(ctx, t)
+		hit = hit || h
+		return ms, err
 	}
 	res, err := sta.AnalyzePathMoments(ctx, *p, src)
 	return res, hit, err
+}
+
+// momentSet returns tree t's moment set and whether it was reused.
+func (e *Engine) momentSet(ctx context.Context, t *rctree.Tree) (*moments.Set, bool, error) {
+	v, hit, err := e.derive(ctx, t, derivedKey{}, "batch.cache_hits", "batch.cache_misses",
+		func() (any, error) { return moments.Compute(t) })
+	ms, _ := v.(*moments.Set)
+	return ms, hit, err
+}
+
+// derive returns the state of tree t under key and whether it was
+// reused: from t's entry in the engine's tree cache, computed once per
+// entry, or, for a tree the cache does not hold, computed by compute
+// for this caller alone. The caller that computed is the miss, in the
+// worker's stats and in the telemetry counters hits and misses.
+func (e *Engine) derive(ctx context.Context, t *rctree.Tree, key derivedKey, hits, misses string, compute func() (any, error)) (any, bool, error) {
+	ws := workerStatsFrom(ctx)
+	var (
+		val any
+		hit bool
+		err error
+	)
+	if en := e.Trees.entry(ws, t); en != nil {
+		val, hit, err = en.derive(ws, key, compute)
+	} else {
+		val, err = compute()
+	}
+	if hit {
+		telemetry.C(hits).Inc()
+		if ws != nil {
+			ws.CacheHits++
+		}
+	} else {
+		telemetry.C(misses).Inc()
+		if ws != nil {
+			ws.CacheMisses++
+		}
+	}
+	return val, hit, err
 }

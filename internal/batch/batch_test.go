@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"elmore/internal/rctree"
 	"elmore/internal/signal"
 	"elmore/internal/sta"
+	"elmore/internal/telemetry"
 	"elmore/internal/topo"
 )
 
@@ -64,7 +66,7 @@ func TestResultsMatchSequentialAnalysis(t *testing.T) {
 		netJob("one", tree, last),
 		{ID: "ramp", Net: &NetJob{Tree: tree, Sinks: []string{last}, Input: signal.SaturatedRamp{Tr: 1e-9}}},
 	}
-	res := (&Engine{Workers: 4, Cache: NewCache()}).Run(context.Background(), jobs)
+	res := (&Engine{Workers: 4, Trees: heldTrees(t, tree)}).Run(context.Background(), jobs)
 	want, err := core.Analyze(tree)
 	if err != nil {
 		t.Fatal(err)
@@ -183,29 +185,31 @@ func TestCancellationMidBatch(t *testing.T) {
 	}
 }
 
+// Jobs on a deck the engine's tree cache holds share the entry's moment
+// set; a clone of that tree, which the cache does not hold, computes
+// its own, as does every job on a tree of another deck.
 func TestCacheReusesMomentSets(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	prev := telemetry.SetDefault(reg)
+	defer telemetry.SetDefault(prev)
+
 	tree := chainNet(t, 10)
 	clone := tree.Clone()
 	other := chainNet(t, 11)
-	cache := NewCache()
-	jobs := []Job{netJob("a", tree), netJob("b", clone), netJob("c", other), netJob("d", tree)}
-	res := (&Engine{Workers: 1, Cache: cache}).Run(context.Background(), jobs)
+	jobs := []Job{netJob("a", tree), netJob("b", clone), netJob("c", other), netJob("d", tree), netJob("e", other)}
+	res := (&Engine{Workers: 1, Trees: heldTrees(t, tree, other)}).Run(context.Background(), jobs)
+	var hits []bool
 	for _, r := range res {
 		if r.Err != nil {
 			t.Fatalf("job %s: %v", r.ID, r.Err)
 		}
+		hits = append(hits, r.CacheHit)
 	}
-	if cache.Len() != 2 {
-		t.Errorf("cache holds %d circuits, want 2", cache.Len())
+	if want := []bool{false, false, false, true, true}; !slices.Equal(hits, want) {
+		t.Errorf("cache hits %v, want %v", hits, want)
 	}
-	if res[0].CacheHit {
-		t.Errorf("first occurrence must be a miss")
-	}
-	if !res[1].CacheHit || !res[3].CacheHit {
-		t.Errorf("repeats must hit the cache: %+v %+v", res[1].CacheHit, res[3].CacheHit)
-	}
-	if res[2].CacheHit {
-		t.Errorf("distinct circuit must miss")
+	if n := reg.Counter("moments.computes").Value(); n != 3 {
+		t.Errorf("%d moment computes, want 3 (two entries and the clone)", n)
 	}
 	// Cached and fresh analyses agree exactly.
 	want, err := core.Analyze(other)
@@ -213,7 +217,7 @@ func TestCacheReusesMomentSets(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range want.Bounds {
-		if res[2].Net.Sinks[i].Bounds != want.Bounds[i] {
+		if res[4].Net.Sinks[i].Bounds != want.Bounds[i] {
 			t.Errorf("cached-path analysis differs at node %d", i)
 		}
 	}
@@ -240,8 +244,8 @@ func TestCacheMomentsDirect(t *testing.T) {
 			t.Errorf("order-%d lookup: set %v, err %v; want an error", order, ms, err)
 		}
 	}
-	if cache.Len() != 1 {
-		t.Errorf("cache holds %d entries, want 1", cache.Len())
+	if len(cache.m) != 1 {
+		t.Errorf("cache holds %d entries, want 1", len(cache.m))
 	}
 	want, err := moments.Compute(tree)
 	if err != nil {
@@ -251,6 +255,19 @@ func TestCacheMomentsDirect(t *testing.T) {
 		if ms1.Elmore(i) != want.Elmore(i) {
 			t.Errorf("cached Elmore differs at %d", i)
 		}
+	}
+}
+
+// The zero Cache is ready to use.
+func TestCacheZeroValueUsable(t *testing.T) {
+	var c Cache
+	tree := chainNet(t, 8)
+	ms, hit, err := c.Moments(tree, 3)
+	if err != nil || ms == nil || hit {
+		t.Fatalf("zero-value Moments: set=%v hit=%v err=%v, want a computed miss", ms, hit, err)
+	}
+	if again, hit, err := c.Moments(tree, 3); err != nil || again != ms || !hit {
+		t.Errorf("second lookup: hit=%v err=%v, want the cached set", hit, err)
 	}
 }
 
@@ -283,7 +300,7 @@ func TestPathJobsMatchDirectSTA(t *testing.T) {
 			return nil, fmt.Errorf("no such deck")
 		}}},
 	}
-	res := (&Engine{Workers: 2, Cache: NewCache()}).Run(context.Background(), jobs)
+	res := (&Engine{Workers: 2, Trees: heldTrees(t, net)}).Run(context.Background(), jobs)
 	want, err := sta.AnalyzePath(path)
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +369,7 @@ func TestReadSpecsAndMaterialize(t *testing.T) {
 	for i, s := range specs {
 		jobs[i] = s.JobLoader(lib, 25e-12, nil)
 	}
-	res := (&Engine{Workers: 4, Cache: NewCache()}).Run(context.Background(), jobs)
+	res := (&Engine{Workers: 4}).Run(context.Background(), jobs)
 	byID := map[string]Result{}
 	for _, r := range res {
 		byID[r.ID] = r
@@ -425,71 +442,5 @@ func TestReadSpecsAllocs(t *testing.T) {
 	}) / lines
 	if perLine > readSpecsAllocBudget {
 		t.Errorf("ReadSpecs = %.2f allocs per line, budget %d", perLine, readSpecsAllocBudget)
-	}
-}
-
-// TestCacheMutationNoStaleEntries is the stale-fingerprint regression
-// test: a tree mutated through SetR/SetC (or bulk SetValues) after
-// being analyzed must never be served the pre-mutation cached moment
-// set. The contract (rctree.Tree.Fingerprint godoc) is that the
-// fingerprint is recomputed from current values on every request —
-// never cached on the tree — so a mutation re-keys the tree and the
-// old entry can only be reached by trees that still carry the old
-// values.
-func TestCacheMutationNoStaleEntries(t *testing.T) {
-	tree := chainNet(t, 12)
-	cache := NewCache()
-	ms1, hit, err := cache.Moments(tree, 3)
-	if err != nil || hit {
-		t.Fatalf("first lookup: hit=%v err=%v", hit, err)
-	}
-	fp1 := tree.Fingerprint()
-
-	// Mutate: per-node and bulk paths both must re-key.
-	if err := tree.SetR(5, tree.R(5)*3); err != nil {
-		t.Fatal(err)
-	}
-	if fp2 := tree.Fingerprint(); fp2 == fp1 {
-		t.Fatalf("SetR did not change the fingerprint")
-	}
-	ms2, hit, err := cache.Moments(tree, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit || ms2 == ms1 {
-		t.Fatalf("mutated tree was served the stale pre-mutation moment set")
-	}
-	// The served set must describe the mutated values.
-	want, err := moments.Compute(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < tree.N(); i++ {
-		if ms2.Elmore(i) != want.Elmore(i) {
-			t.Fatalf("post-mutation cache entry stale at node %d", i)
-		}
-	}
-
-	// A clone still carrying the ORIGINAL values must hit the original
-	// entry, not the mutated one.
-	orig := chainNet(t, 12)
-	ms3, hit, err := cache.Moments(orig, 3)
-	if err != nil || !hit {
-		t.Fatalf("original-value tree should hit: hit=%v err=%v", hit, err)
-	}
-	if ms3 != ms1 {
-		t.Fatalf("original-value tree was served the wrong entry")
-	}
-
-	// Bulk mutation (ScaleValues) re-keys too.
-	if err := tree.ScaleValues(2, 1); err != nil {
-		t.Fatal(err)
-	}
-	_, hit, err = cache.Moments(tree, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
-		t.Fatalf("ScaleValues-mutated tree hit a stale entry")
 	}
 }

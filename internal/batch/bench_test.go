@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"elmore/internal/netlist"
 	"elmore/internal/rctree"
 	"elmore/internal/topo"
 )
@@ -42,22 +43,23 @@ func BenchmarkBatch10kNets(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchCached measures the shared-cache fast path: every job
-// is the same circuit (fresh clones, so fingerprint lookup — not
-// pointer identity — is what deduplicates), and all but one job reuse
-// the single computed moment set.
+// BenchmarkBatchCached measures sharing through a tree-cache entry:
+// every job loads the same deck through the engine's TreeCache, so all
+// but the first parse are cache hits and all but one job reuse the
+// entry's moment set.
 func BenchmarkBatchCached(b *testing.B) {
-	base := topo.Chain(64, 100, 1e-13)
+	deck := netlist.Format(topo.Chain(64, 100, 1e-13), "")
+	var trees *TreeCache // fresh per iteration
+	load := func() (*rctree.Tree, error) { return trees.Load("", deck) }
 	jobs := make([]Job, 2000)
-	clones := make([]*rctree.Tree, len(jobs))
 	for i := range jobs {
-		clones[i] = base.Clone()
-		jobs[i] = Job{ID: fmt.Sprintf("c%d", i), Net: &NetJob{Tree: clones[i]}}
+		jobs[i] = Job{ID: fmt.Sprintf("c%d", i), Net: &NetJob{Load: load}}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		eng := &Engine{Workers: 8, Cache: NewCache()}
+		trees = NewTreeCache(DefaultHotTrees, "batch.hot_tree")
+		eng := &Engine{Workers: 8, Trees: trees}
 		res := eng.Run(context.Background(), jobs)
 		if len(res) != len(jobs) {
 			b.Fatalf("got %d results, want %d", len(res), len(jobs))

@@ -49,7 +49,7 @@ func TestChaosBatchUnderFaults(t *testing.T) {
 	)
 
 	// A small fleet of distinct circuits spreads the breaker keys and
-	// shares plans/moments through the cache.
+	// shares plans/moments through their tree-cache entries.
 	type circuit struct {
 		tree *rctree.Tree
 		want *core.Analysis
@@ -82,9 +82,13 @@ func TestChaosBatchUnderFaults(t *testing.T) {
 		}
 	}
 
+	trees := make([]*rctree.Tree, len(fleet))
+	for k, c := range fleet {
+		trees[k] = c.tree
+	}
 	e := &Engine{
 		Workers: 8,
-		Cache:   NewCache(),
+		Trees:   heldTrees(t, trees...),
 		Retry: &resilience.Policy{
 			MaxAttempts: 4,
 			BaseDelay:   50 * time.Microsecond,
@@ -233,10 +237,10 @@ func TestChaosBreakerDegradesCursedTree(t *testing.T) {
 }
 
 // TestChaosMomentFaultsRecovered injects faults into the moment
-// computation under a shared cache: transient failures must be retried
-// successfully (which requires the cache to evict transiently failed
-// entries instead of pinning the error), and once the injector is gone
-// the same cache must serve every job cleanly.
+// computation of a tree-cache entry: transient failures must be retried
+// successfully (which requires the entry to drop transiently failed
+// computes instead of pinning the error), and once the injector is gone
+// the same entry must serve every job cleanly.
 func TestChaosMomentFaultsRecovered(t *testing.T) {
 	installFaults(t, 11,
 		faultinject.Rule{Point: "moments.compute", Kind: faultinject.KindError, Prob: 0.2},
@@ -246,10 +250,9 @@ func TestChaosMomentFaultsRecovered(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = netJob(fmt.Sprintf("m%d", i), tree)
 	}
-	cache := NewCache()
 	e := &Engine{
 		Workers: 4,
-		Cache:   cache,
+		Trees:   heldTrees(t, tree),
 		Retry:   &resilience.Policy{MaxAttempts: 6, BaseDelay: 10 * time.Microsecond},
 	}
 	res := e.Run(context.Background(), jobs)

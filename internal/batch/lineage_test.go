@@ -67,7 +67,7 @@ func TestSpecLineageEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	eng := &Engine{Workers: 2, Cache: NewCache()}
+	eng := &Engine{Workers: 2}
 	if _, err := RunSpecsOpts(context.Background(), eng, strings.NewReader(stream), &out,
 		SpecRunOptions{Lib: lib, DefaultSlew: 25e-12, Journal: jr, Replay: rp}); err != nil {
 		t.Fatal(err)

@@ -385,10 +385,12 @@ type SpecRunOptions struct {
 	DefaultSlew float64
 	// Loader resolves net references (file path or inline text). nil
 	// means a TreeCache of DefaultHotTrees trees built for this run
-	// alone, so a run parses each distinct deck once, however many jobs
-	// name it, and shares nothing with other runs; it counts in the
-	// batch.hot_tree_* counters. elmored injects its long-lived cache
-	// here, and DefaultTreeLoader parses every reference afresh.
+	// alone and set as the engine's Trees, so a run parses each
+	// distinct deck once and computes its moments once, however many
+	// jobs name it, and shares nothing with other runs; it counts in
+	// the batch.hot_tree_* counters. elmored injects its long-lived
+	// cache here (and in its engine), and DefaultTreeLoader parses every
+	// reference afresh.
 	Loader TreeLoader
 	// Journal and Replay are the crash-safe checkpoint pair; each may be
 	// nil (no journaling / fresh start).
@@ -427,9 +429,13 @@ func RunSpecsOpts(ctx context.Context, e *Engine, r io.Reader, w io.Writer, opts
 			return RunStats{}, err
 		}
 	}
+	// Shallow-copy the engine to give it the run's own tree cache and to
+	// chain the journal onto OnStart without mutating the caller's value.
+	eng := *e
 	load := opts.Loader
 	if load == nil {
-		load = NewTreeCache(DefaultHotTrees, "batch.hot_tree").Load
+		eng.Trees = NewTreeCache(DefaultHotTrees, "batch.hot_tree")
+		load = eng.Trees.Load
 	}
 	jr, rp := opts.Journal, opts.Replay
 	st := RunStats{Total: len(specs)}
@@ -459,11 +465,9 @@ func RunSpecsOpts(ctx context.Context, e *Engine, r io.Reader, w io.Writer, opts
 		telemetry.C("batch.resumed_jobs").Add(int64(st.Requeued))
 	}
 
-	// Shallow-copy the engine to chain the journal onto OnStart without
-	// mutating the caller's value. The dispatcher writes the start
-	// records and the emit callback below the done records, both
-	// straight into the journal: two writers, whatever the worker count.
-	eng := *e
+	// The dispatcher writes the start records and the emit callback
+	// below the done records, both straight into the journal: two
+	// writers, whatever the worker count.
 	if jr != nil {
 		prev := eng.OnStart
 		eng.OnStart = func(idx int, id string, trace telemetry.TraceContext) {

@@ -24,7 +24,7 @@ func TestRunSpecsStreamsNDJSON(t *testing.T) {
 		`{"id":"bad","net":"does-not-exist.sp"}`,
 	}, "\n")
 	var out bytes.Buffer
-	eng := &Engine{Workers: 4, Cache: NewCache()}
+	eng := &Engine{Workers: 4}
 	st, err := RunSpecsOpts(context.Background(), eng, strings.NewReader(stream), &out,
 		SpecRunOptions{Lib: lib, DefaultSlew: 25e-12})
 	if err != nil {

@@ -45,8 +45,8 @@ func TestConcurrentCacheAccess(t *testing.T) {
 			t.Fatalf("goroutine %d received a different moment set", g)
 		}
 	}
-	if cache.Len() != 1 {
-		t.Errorf("cache holds %d entries, want 1 (single computation)", cache.Len())
+	if len(cache.m) != 1 {
+		t.Errorf("cache holds %d entries, want 1 (single computation)", len(cache.m))
 	}
 }
 
@@ -72,7 +72,7 @@ func TestConcurrentBatchWithTelemetry(t *testing.T) {
 		}
 		jobs = append(jobs, netJob(fmt.Sprintf("j%d", i), tree))
 	}
-	res := (&Engine{Workers: 8, Cache: NewCache()}).Run(ctx, jobs)
+	res := (&Engine{Workers: 8, Trees: heldTrees(t, tree)}).Run(ctx, jobs)
 	var errs int
 	for _, r := range res {
 		if r.Err != nil {
@@ -166,7 +166,7 @@ func TestPanicIsolationUnderLoad(t *testing.T) {
 		}
 		jobs = append(jobs, netJob(fmt.Sprintf("j%d", i), topo.Random(int64(i), topo.RandomOptions{N: 1 + i%13})))
 	}
-	res := (&Engine{Workers: 8, Cache: NewCache()}).Run(context.Background(), jobs)
+	res := (&Engine{Workers: 8}).Run(context.Background(), jobs)
 	for i, r := range res {
 		wantBoom := strings.HasPrefix(jobs[i].ID, "boom")
 		if wantBoom && (r.Err == nil || !strings.Contains(r.Err.Error(), "panicked")) {

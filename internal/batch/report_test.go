@@ -23,7 +23,7 @@ func TestReporterSummaryRecord(t *testing.T) {
 	good := chainNet(t, 10)
 	e := &Engine{
 		Workers: 4,
-		Cache:   NewCache(),
+		Trees:   heldTrees(t, good),
 		Report: &Reporter{
 			Summary:       &summary,
 			Slow:          &slow,
@@ -32,7 +32,7 @@ func TestReporterSummaryRecord(t *testing.T) {
 	}
 	jobs := []Job{
 		netJob("a", good),
-		netJob("b", good), // cache hit: same fingerprint as a
+		netJob("b", good), // cache hit: same tree-cache entry as a
 		{ID: "dead", Err: fmt.Errorf("spec rejected")},
 	}
 	results := e.Run(context.Background(), jobs)

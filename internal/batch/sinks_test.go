@@ -87,8 +87,8 @@ func sameInputBits(a, b core.InputBounds) bool {
 // (each byte names node b mod N, so lists come unordered and repeated;
 // an empty list means every node; byte 255 names a node the tree lacks)
 // and an input (a step or one of two ramps). Under each health setting
-// (no monitor, a counting one, a strict one) and with and without a
-// moment cache:
+// (no monitor, a counting one, a strict one), and with the tree served
+// by a tree-cache entry that computes its moments or by none:
 //
 //   - the job fails exactly when Analyze fails, with its error text, or
 //     else with the first missing sink;
@@ -147,7 +147,7 @@ func FuzzSinkBounds(f *testing.F) {
 				label := fmt.Sprintf("%s/cache=%v", mode, cache)
 				e := &Engine{Workers: 1}
 				if cache {
-					e.Cache = NewCache()
+					e.Trees = heldTrees(t, tree)
 				}
 				events := monitor()
 				res := e.Run(context.Background(), []Job{{ID: "j", Net: &NetJob{Tree: tree, Sinks: sinks, Input: sig}}})[0]
@@ -234,7 +234,7 @@ func TestNetJobHeapPerNode(t *testing.T) {
 	for k := 0; k < 8; k++ {
 		sinks = append(sinks, tree.Name(k*tree.N()/8+1))
 	}
-	e := &Engine{Workers: 1, Cache: NewCache()}
+	e := &Engine{Workers: 1, Trees: heldTrees(t, tree)}
 	mk := func(k int) []Job {
 		jobs := make([]Job, k)
 		for i := range jobs {
@@ -242,7 +242,7 @@ func TestNetJobHeapPerNode(t *testing.T) {
 		}
 		return jobs
 	}
-	for _, r := range e.Run(context.Background(), mk(2)) { // warm the moment cache
+	for _, r := range e.Run(context.Background(), mk(2)) { // warm the tree's entry
 		if r.Err != nil {
 			t.Fatalf("warm-up job %s: %v", r.ID, r.Err)
 		}

@@ -3,6 +3,7 @@ package batch
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"elmore/internal/rctree"
 	"elmore/internal/signal"
@@ -10,8 +11,8 @@ import (
 )
 
 // TranJob asks for a transient characterization sweep on one net: the
-// tree is stamped and factored once into a sim.Plan (shared
-// through the engine Cache when one is configured), then executed for
+// tree is stamped and factored once into a sim.Plan (shared through its
+// entry when the engine's tree cache holds the tree), then executed for
 // every input with one reusable Runner/Result pair — the zero-
 // allocation steady-state path. The recorded outcome is the threshold
 // crossing time of every probe at every level, which is what slew/
@@ -60,19 +61,13 @@ func (e *Engine) runTran(ctx context.Context, tj *TranJob, tree *rctree.Tree) (*
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	var (
-		plan *sim.Plan
-		hit  bool
-		err  error
-	)
-	if e.Cache != nil {
-		plan, hit, err = e.Cache.PlanCtx(ctx, tree, tj.DT, tj.Method)
-	} else {
-		plan, err = sim.NewPlan(tree, sim.PlanOptions{DT: tj.DT, Method: tj.Method})
-	}
+	key := derivedKey{plan: true, dtBits: math.Float64bits(tj.DT), method: tj.Method}
+	v, hit, err := e.derive(ctx, tree, key, "batch.plan_cache_hits", "batch.plan_cache_misses",
+		func() (any, error) { return sim.NewPlan(tree, sim.PlanOptions{DT: tj.DT, Method: tj.Method}) })
 	if err != nil {
 		return nil, false, err
 	}
+	plan := v.(*sim.Plan)
 
 	names := tj.Probes
 	if len(names) == 0 {

@@ -10,21 +10,23 @@ import (
 )
 
 // A transient sweep job must agree with direct sim.Run crossings, and
-// identical nets must share one simulation plan through the cache.
+// jobs on one cached deck must share one simulation plan per (dt,
+// method) through its tree-cache entry.
 func TestTranJobSharedPlan(t *testing.T) {
 	const dt = 5e-12
+	deck := topo.Fig1Tree()
+	trees := heldTrees(t, deck)
 	jobs := make([]Job, 6)
 	for k := range jobs {
 		jobs[k] = Job{ID: "net", Tran: &TranJob{
-			Tree:   topo.Fig1Tree(),
+			Tree:   deck,
 			DT:     dt,
 			Inputs: []signal.Signal{nil, signal.SaturatedRamp{Tr: 0.5e-9}},
 			Probes: []string{"C5"},
 			Levels: []float64{0.1, 0.5, 0.9},
 		}}
 	}
-	cache := NewCache()
-	e := &Engine{Workers: 3, Cache: cache}
+	e := &Engine{Workers: 3, Trees: trees}
 	results := e.Run(context.Background(), jobs)
 
 	// Oracle: one direct run per input.
@@ -64,8 +66,8 @@ func TestTranJobSharedPlan(t *testing.T) {
 			}
 		}
 	}
-	if cache.PlanLen() != 1 {
-		t.Fatalf("PlanLen = %d, want 1 (identical nets share one plan)", cache.PlanLen())
+	if n := len(heldEntry(t, trees, deck).derived); n != 1 {
+		t.Fatalf("entry holds %d pieces of state, want 1 (the jobs share one plan)", n)
 	}
 	if hits != len(jobs)-1 {
 		t.Fatalf("cache hits = %d, want %d", hits, len(jobs)-1)

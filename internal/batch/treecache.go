@@ -3,9 +3,12 @@ package batch
 import (
 	"container/list"
 	"errors"
+	"slices"
 	"sync"
 
 	"elmore/internal/rctree"
+	"elmore/internal/resilience"
+	"elmore/internal/sim"
 	"elmore/internal/telemetry"
 )
 
@@ -26,6 +29,11 @@ const DefaultHotTrees = 256
 // Concurrent misses on one text parse it once: the callers that wait
 // for that parse count as hits. A failed load is returned to its
 // waiters but never cached.
+//
+// An entry also holds the state an Engine derives from its tree: the
+// moment set and the transient-simulation plans. The engine finds the
+// entry by the tree the cache handed out, computes each piece once per
+// entry, and loses it when the entry is evicted.
 type TreeCache struct {
 	max                     int
 	hits, misses, evictions string // telemetry counter names
@@ -34,15 +42,40 @@ type TreeCache struct {
 	parse func(text string) (*rctree.Tree, error)
 
 	mu      sync.Mutex
-	byText  map[string]*list.Element // deck text -> LRU element
-	lru     *list.List               // front = most recently used
-	loading map[string]*treeLoad     // deck text -> parse in flight
+	byText  map[string]*list.Element    // deck text -> LRU element
+	byTree  map[*rctree.Tree]*treeEntry // cached tree -> its entry
+	lru     *list.List                  // front = most recently used
+	loading map[string]*treeLoad        // deck text -> parse in flight
 }
 
-// treeEntry is one cached tree and the deck text it was parsed from.
+// treeEntry is one cached tree, the deck text it was parsed from, and
+// the state derived from the tree.
 type treeEntry struct {
 	text string
 	tree *rctree.Tree
+	gen  uint64 // tree.Generation() when cached
+
+	mu      sync.Mutex
+	derived []*derived // the moment set and plans, in order of first use
+}
+
+// derivedKey names one piece of state derived from an entry's tree:
+// the moment set (the zero key), or the simulation plan for one step
+// size (by bit pattern, so 1e-12 and its nearest neighbor get distinct
+// plans) and integration method.
+type derivedKey struct {
+	plan   bool
+	dtBits uint64
+	method sim.Method
+}
+
+// derived is one piece of derived state; done is released once val
+// and err are set.
+type derived struct {
+	key  derivedKey
+	done sync.WaitGroup
+	val  any // *moments.Set or *sim.Plan
+	err  error
 }
 
 // treeLoad is one text's parse in flight; done closes once tree and err
@@ -65,6 +98,7 @@ func NewTreeCache(max int, metrics string) *TreeCache {
 		evictions: metrics + "_evictions",
 		parse:     parseDeck,
 		byText:    make(map[string]*list.Element),
+		byTree:    make(map[*rctree.Tree]*treeEntry),
 		lru:       list.New(),
 		loading:   make(map[string]*treeLoad),
 	}
@@ -124,12 +158,73 @@ func (c *TreeCache) get(text string) (*rctree.Tree, error) {
 func (c *TreeCache) insert(text string, tree *rctree.Tree) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.byText[text] = c.lru.PushFront(&treeEntry{text: text, tree: tree})
+	e := &treeEntry{text: text, tree: tree, gen: tree.Generation()}
+	c.byText[text] = c.lru.PushFront(e)
+	c.byTree[tree] = e
 	for c.lru.Len() > c.max {
 		victim := c.lru.Remove(c.lru.Back()).(*treeEntry)
 		delete(c.byText, victim.text)
+		delete(c.byTree, victim.tree)
 		telemetry.C(c.evictions).Inc()
 	}
+}
+
+// entry returns the entry holding tree t, or nil when c is nil, does
+// not hold t, or t's element values changed since it was cached. Time
+// blocked on the cache's lock is charged to ws.
+func (c *TreeCache) entry(ws *WorkerStats, t *rctree.Tree) *treeEntry {
+	if c == nil || c.max <= 0 {
+		return nil
+	}
+	t0 := lockStart(ws)
+	c.mu.Lock()
+	lockEnd(ws, t0)
+	e := c.byTree[t]
+	c.mu.Unlock()
+	if e == nil || e.gen != t.Generation() {
+		return nil
+	}
+	return e
+}
+
+// errDerivePanicked is what callers waiting on a compute see when the
+// computing caller panicked instead of returning.
+var errDerivePanicked = &resilience.PanicError{Value: "batch: computing the tree's derived state panicked"}
+
+// derive returns the entry's state under key, computing it on first
+// use. Callers that find the compute in flight wait for it, and the
+// wait is charged to ws as lock wait. hit reports whether this caller
+// reused state another caller computed. A failure reaches every
+// waiter; a permanent one (bad element values) is kept, since a
+// recompute fails alike, but any other (an injected fault, a panic) is
+// dropped so the next caller computes again.
+func (e *treeEntry) derive(ws *WorkerStats, key derivedKey, compute func() (any, error)) (val any, hit bool, err error) {
+	t0 := lockStart(ws)
+	e.mu.Lock()
+	lockEnd(ws, t0)
+	for _, d := range e.derived {
+		if d.key == key {
+			e.mu.Unlock()
+			t1 := lockStart(ws)
+			d.done.Wait()
+			lockEnd(ws, t1)
+			return d.val, true, d.err
+		}
+	}
+	d := &derived{key: key, err: errDerivePanicked}
+	d.done.Add(1)
+	e.derived = append(e.derived, d)
+	e.mu.Unlock()
+	defer func() {
+		if d.err != nil && resilience.Classify(d.err) != resilience.Permanent {
+			e.mu.Lock()
+			e.derived = slices.DeleteFunc(e.derived, func(x *derived) bool { return x == d })
+			e.mu.Unlock()
+		}
+		d.done.Done()
+	}()
+	d.val, d.err = compute()
+	return d.val, false, d.err
 }
 
 // Len reports the number of cached trees.

@@ -8,13 +8,19 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"elmore/internal/faultinject"
+	"elmore/internal/moments"
 	"elmore/internal/netlist"
 	"elmore/internal/rctree"
+	"elmore/internal/resilience"
 	"elmore/internal/telemetry"
 	"elmore/internal/topo"
 )
@@ -188,7 +194,7 @@ func TestCornerBatchParsesEachDeckOnce(t *testing.T) {
 
 			run := func(load TreeLoader) []string {
 				var out bytes.Buffer
-				eng := &Engine{Workers: 4, Cache: NewCache()}
+				eng := &Engine{Workers: 4}
 				st, err := RunSpecsOpts(context.Background(), eng, nil, &out, SpecRunOptions{Specs: specs, Loader: load})
 				if err != nil {
 					t.Fatal(err)
@@ -231,5 +237,318 @@ func TestCornerBatchParsesEachDeckOnce(t *testing.T) {
 					tc.decks, len(corners), misses, hits, evictions)
 			}
 		})
+	}
+}
+
+// heldTrees returns a tree cache holding trees, as if each had been
+// parsed from a deck of its own, so an engine whose Trees it is serves
+// jobs on them from their entries.
+func heldTrees(t testing.TB, trees ...*rctree.Tree) *TreeCache {
+	t.Helper()
+	c := NewTreeCache(len(trees), "batch.hot_tree")
+	decks := make(map[string]*rctree.Tree, len(trees))
+	c.parse = func(text string) (*rctree.Tree, error) { return decks[text], nil }
+	for i, tree := range trees {
+		text := fmt.Sprintf("deck %d", i)
+		decks[text] = tree
+		if got, err := c.Load("", text); err != nil || got != tree {
+			t.Fatalf("loading %s: %p, %v", text, got, err)
+		}
+	}
+	return c
+}
+
+// heldEntry returns the entry of c that holds tree.
+func heldEntry(t testing.TB, c *TreeCache, tree *rctree.Tree) *treeEntry {
+	t.Helper()
+	e := c.entry(nil, tree)
+	if e == nil {
+		t.Fatalf("tree cache does not hold the tree")
+	}
+	return e
+}
+
+// The job that computes an entry's moment set is the one miss, in the
+// worker's stats and in the telemetry counters; the same holds for a
+// simulation plan. A tree the cache does not hold computes for itself,
+// and counts as a miss too.
+func TestCacheMissClassifiedByCompute(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	prev := telemetry.SetDefault(reg)
+	defer telemetry.SetDefault(prev)
+
+	tree := chainNet(t, 8)
+	e := &Engine{Trees: heldTrees(t, tree)}
+	ws := &WorkerStats{}
+	ctx := withWorkerStats(context.Background(), ws)
+	for k, want := range []bool{false, true} {
+		if _, hit, err := e.momentSet(ctx, tree); err != nil || hit != want {
+			t.Fatalf("lookup %d: hit=%v err=%v, want hit=%v", k, hit, err, want)
+		}
+	}
+	if ws.CacheMisses != 1 || ws.CacheHits != 1 {
+		t.Errorf("worker stats misses=%d hits=%d, want 1 and 1", ws.CacheMisses, ws.CacheHits)
+	}
+	if m, h := reg.Counter("batch.cache_misses").Value(), reg.Counter("batch.cache_hits").Value(); m != 1 || h != 1 {
+		t.Errorf("telemetry misses=%d hits=%d, want 1 and 1", m, h)
+	}
+	tj := &TranJob{DT: 0.5}
+	for k, want := range []bool{false, true} {
+		if _, _, err := e.runTran(ctx, tj, tree); err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Counter("batch.plan_cache_hits").Value() == 1; got != want {
+			t.Fatalf("plan build %d: hit=%v, want %v", k, got, want)
+		}
+	}
+	if ws.CacheMisses != 2 || reg.Counter("batch.plan_cache_misses").Value() != 1 {
+		t.Errorf("worker misses=%d, plan misses=%d after one plan build, want 2 and 1",
+			ws.CacheMisses, reg.Counter("batch.plan_cache_misses").Value())
+	}
+	if _, hit, err := e.momentSet(ctx, tree.Clone()); err != nil || hit {
+		t.Fatalf("tree the cache does not hold: hit=%v err=%v, want a miss", hit, err)
+	}
+	if ws.CacheMisses != 3 || reg.Counter("batch.cache_misses").Value() != 2 {
+		t.Errorf("a compute outside the cache was not counted as a miss")
+	}
+}
+
+// TestCacheExactlyOneMissUnderRace races many workers on one deck:
+// whatever interleaving the scheduler picks, exactly one of them
+// computes the entry's moment set, and every worker gets that set.
+func TestCacheExactlyOneMissUnderRace(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	prev := telemetry.SetDefault(reg)
+	defer telemetry.SetDefault(prev)
+
+	tree := chainNet(t, 12)
+	e := &Engine{Trees: heldTrees(t, tree)}
+	const workers = 32
+	stats := make([]WorkerStats, workers)
+	sets := make([]*moments.Set, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ms, _, err := e.momentSet(withWorkerStats(context.Background(), &stats[g]), tree)
+			if err != nil {
+				t.Error(err)
+			}
+			sets[g] = ms
+		}(g)
+	}
+	wg.Wait()
+	var hits, misses int64
+	for g := range stats {
+		hits += stats[g].CacheHits
+		misses += stats[g].CacheMisses
+		if sets[g] != sets[0] {
+			t.Fatalf("worker %d received a different moment set", g)
+		}
+	}
+	if misses != 1 || hits != workers-1 {
+		t.Errorf("misses=%d hits=%d across %d workers, want exactly 1 and %d",
+			misses, hits, workers, workers-1)
+	}
+	if n := reg.Counter("moments.computes").Value(); n != 1 {
+		t.Errorf("%d moment computes for one deck, want 1", n)
+	}
+}
+
+// TestCacheTransientEvictionUnderRace races two workers into a
+// transiently failing compute: both see the error, the entry keeps no
+// trace of it, and once the injector is gone the next caller computes
+// successfully.
+func TestCacheTransientEvictionUnderRace(t *testing.T) {
+	installFaults(t, 7,
+		faultinject.Rule{Point: "moments.compute", Kind: faultinject.KindError, Prob: 1},
+	)
+	tree := chainNet(t, 10)
+	c := heldTrees(t, tree)
+	e := &Engine{Trees: c}
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for g := range errs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			_, _, errs[g] = e.momentSet(context.Background(), tree)
+		}(g)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err == nil {
+			t.Errorf("worker %d did not see the injected transient error", g)
+		}
+	}
+	if n := len(heldEntry(t, c, tree).derived); n != 0 {
+		t.Errorf("entry holds %d pieces of state after a transient failure, want 0 (error pinned)", n)
+	}
+	faultinject.SetDefault(nil)
+	if _, hit, err := e.momentSet(context.Background(), tree); err != nil || hit {
+		t.Errorf("post-fault compute: hit=%v err=%v, want a fresh miss", hit, err)
+	}
+	if _, hit, err := e.momentSet(context.Background(), tree); err != nil || !hit {
+		t.Errorf("post-fault lookup: hit=%v err=%v, want the recomputed set", hit, err)
+	}
+}
+
+// A panicking compute releases its waiters with a panic error and
+// leaves the entry empty, so the next caller computes again.
+func TestCachePanickedComputeNotKept(t *testing.T) {
+	tree := chainNet(t, 6)
+	en := heldEntry(t, heldTrees(t, tree), tree)
+	started, release := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer func() { recover() }()
+		en.derive(nil, derivedKey{}, func() (any, error) {
+			close(started)
+			<-release
+			panic("compute bomb")
+		})
+	}()
+	<-started
+	waited := make(chan error)
+	go func() {
+		// A waiter that arrives after the panic computes for itself;
+		// its transient failure is not kept either.
+		_, _, err := en.derive(nil, derivedKey{}, func() (any, error) { return nil, context.DeadlineExceeded })
+		waited <- err
+	}()
+	time.Sleep(10 * time.Millisecond)
+	close(release)
+	if err := <-waited; resilience.Classify(err) != resilience.Panicked && !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("waiter on a panicked compute got %v, want a panic error", err)
+	}
+	v, hit, err := en.derive(nil, derivedKey{}, func() (any, error) { return moments.Compute(tree) })
+	if err != nil || hit || v == nil {
+		t.Errorf("after a panicked compute: hit=%v err=%v, want a fresh compute", hit, err)
+	}
+}
+
+// TestCacheMutationNoStaleEntries: a cached tree mutated through SetR
+// or a bulk edit after its entry computed a moment set is never served
+// that set; it gets a fresh one describing its new values.
+func TestCacheMutationNoStaleEntries(t *testing.T) {
+	tree := chainNet(t, 12)
+	e := &Engine{Trees: heldTrees(t, tree)}
+	ctx := context.Background()
+	ms1, hit, err := e.momentSet(ctx, tree)
+	if err != nil || hit {
+		t.Fatalf("first lookup: hit=%v err=%v", hit, err)
+	}
+	for _, mutate := range []func() error{
+		func() error { return tree.SetR(5, tree.R(5)*3) },
+		func() error { return tree.ScaleValues(2, 1) },
+	} {
+		if err := mutate(); err != nil {
+			t.Fatal(err)
+		}
+		ms, hit, err := e.momentSet(ctx, tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit || ms == ms1 {
+			t.Fatalf("mutated tree was served the stale pre-mutation moment set")
+		}
+		want, err := moments.Compute(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tree.N(); i++ {
+			if ms.Elmore(i) != want.Elmore(i) {
+				t.Fatalf("post-mutation set stale at node %d", i)
+			}
+		}
+	}
+}
+
+// Eviction drops an entry's state with its tree: in a cache of
+// capacity 1, a deck evicted by another deck is parsed and computed
+// again when it comes back.
+func TestTreeCacheEvictionDropsDerivedState(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	prev := telemetry.SetDefault(reg)
+	defer telemetry.SetDefault(prev)
+
+	c := NewTreeCache(1, "batch.hot_tree")
+	e := &Engine{Workers: 1, Trees: c}
+	deckB := strings.Replace(specNet, "R2 a z 150", "R2 a z 1500", 1)
+	var jobs []Job
+	for k, deck := range []string{specNet, specNet, deckB, specNet} {
+		deck := deck
+		jobs = append(jobs, Job{ID: fmt.Sprint(k), Net: &NetJob{Load: func() (*rctree.Tree, error) { return c.Load("", deck) }}})
+	}
+	var hits []bool
+	for _, r := range e.Run(context.Background(), jobs) {
+		if r.Err != nil {
+			t.Fatalf("job %s: %v", r.ID, r.Err)
+		}
+		hits = append(hits, r.CacheHit)
+	}
+	if want := []bool{false, true, false, false}; !slices.Equal(hits, want) {
+		t.Fatalf("cache hits %v, want %v (the evicted deck computes again)", hits, want)
+	}
+	if n := reg.Counter("moments.computes").Value(); n != 3 {
+		t.Errorf("%d moment computes, want 3", n)
+	}
+	if c.Len() != 1 || len(c.byTree) != 1 {
+		t.Errorf("cache holds %d trees, %d by tree; want 1 and 1", c.Len(), len(c.byTree))
+	}
+}
+
+// heapProbe is an io.Writer that counts result lines and, after the
+// lines named in at, collects garbage and records the live heap.
+type heapProbe struct {
+	lines int
+	at    map[int]*uint64
+}
+
+func (p *heapProbe) Write(b []byte) (int, error) {
+	p.lines += bytes.Count(b, []byte{'\n'})
+	if live, ok := p.at[p.lines]; ok {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		*live = ms.HeapAlloc
+	}
+	return len(b), nil
+}
+
+// derivedStateBudget bounds how much the live heap of a CLI batch run
+// may grow over 3 x DefaultHotTrees further distinct decks once its
+// tree cache is full. One 48-node deck's tree and moment set take about
+// 5 KiB, so a run that kept them for every deck grows by some 4 MiB
+// (4.1 MB measured with a moment cache keyed by tree fingerprint); a
+// bounded run does not grow (-15 KB measured).
+const derivedStateBudget = 1 << 20
+
+// A run's derived state is bounded by its tree cache: the moment sets
+// of 4 x DefaultHotTrees distinct decks, three corners each, leave no
+// more than DefaultHotTrees decks' worth of trees and sets alive.
+func TestRunDerivedStateBounded(t *testing.T) {
+	const decks = 4 * DefaultHotTrees
+	corners := []string{"step", "100p", "1n"}
+	specs := make([]JobSpec, 0, decks*len(corners))
+	for i := 0; i < decks; i++ {
+		deck := netlist.Format(topo.Random(int64(i), topo.RandomOptions{N: 48}), "")
+		for _, c := range corners {
+			specs = append(specs, JobSpec{ID: fmt.Sprintf("n%d/%s", i, c), Netlist: deck, Sinks: []string{"n1"}, Rise: c})
+		}
+	}
+	var full, last uint64
+	probe := &heapProbe{at: map[int]*uint64{
+		DefaultHotTrees * len(corners): &full,
+		len(specs):                     &last,
+	}}
+	st, err := RunSpecsOpts(context.Background(), &Engine{Workers: 2}, nil, probe, SpecRunOptions{Specs: specs})
+	if err != nil || st.Failed != 0 {
+		t.Fatalf("run: %+v, %v", st, err)
+	}
+	grew := int64(last) - int64(full)
+	t.Logf("live heap %d B with the tree cache full, %d B after %d more decks: %+d B", full, last, decks-DefaultHotTrees, grew)
+	if grew > derivedStateBudget {
+		t.Errorf("live heap grew %d B over %d decks past the tree cache, budget %d", grew, decks-DefaultHotTrees, derivedStateBudget)
 	}
 }

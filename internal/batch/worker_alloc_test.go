@@ -19,8 +19,8 @@ import (
 // trips.
 const workerJobAllocBudget = 6
 
-// TestWorkerLoopAllocBudget pins the sharded-cache fast path by
-// marginal cost: the difference between a 40-job and an 8-job run
+// TestWorkerLoopAllocBudget pins the cache-warm fast path, a job whose
+// moment set its tree-cache entry already holds, by marginal cost: the difference between a 40-job and an 8-job run
 // divided out per job, which cancels the engine's fixed setup
 // (channels, goroutines, stats). It measures the path with health
 // checking off, so it installs no monitor even where the environment
@@ -29,7 +29,7 @@ func TestWorkerLoopAllocBudget(t *testing.T) {
 	prev := health.SetDefault(nil)
 	t.Cleanup(func() { health.SetDefault(prev) })
 	tree := chainNet(t, 300)
-	e := &Engine{Workers: 1, Cache: NewCache()}
+	e := &Engine{Workers: 1, Trees: heldTrees(t, tree)}
 	mk := func(k int) []Job {
 		jobs := make([]Job, k)
 		for i := range jobs {
@@ -37,7 +37,7 @@ func TestWorkerLoopAllocBudget(t *testing.T) {
 		}
 		return jobs
 	}
-	for _, r := range e.Run(context.Background(), mk(4)) { // warm the moment cache
+	for _, r := range e.Run(context.Background(), mk(4)) { // warm the tree's entry
 		if r.Err != nil {
 			t.Fatalf("warm-up job %s: %v", r.ID, r.Err)
 		}

@@ -6,21 +6,27 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
+	"elmore/internal/moments"
+	"elmore/internal/rctree"
 	"elmore/internal/telemetry"
 	"elmore/internal/topo"
 )
 
 func TestOnStatsAccountsWorkerTime(t *testing.T) {
+	trees := make([]*rctree.Tree, 8)
+	for i := range trees {
+		trees[i] = topo.Random(int64(i)+1, topo.RandomOptions{N: 20 + i})
+	}
 	var jobs []Job
 	for i := 0; i < 64; i++ {
-		jobs = append(jobs, netJob(fmt.Sprintf("j%d", i),
-			topo.Random(int64(i%8)+1, topo.RandomOptions{N: 20 + i%8})))
+		jobs = append(jobs, netJob(fmt.Sprintf("j%d", i), trees[i%8]))
 	}
 	var got *PoolStats
 	e := &Engine{
 		Workers: 4,
-		Cache:   NewCache(),
+		Trees:   heldTrees(t, trees...),
 		OnStats: func(rs PoolStats) { got = &rs },
 	}
 	e.Run(context.Background(), jobs)
@@ -87,7 +93,6 @@ func TestSummaryHasWorkerTable(t *testing.T) {
 	var sum strings.Builder
 	e := &Engine{
 		Workers: 2,
-		Cache:   NewCache(),
 		Report:  &Reporter{Summary: &sum},
 	}
 	e.Run(context.Background(), jobs)
@@ -161,30 +166,36 @@ func TestPoolStatsPublishGauges(t *testing.T) {
 	rs.publish(nil) // nil registry must not panic
 }
 
+// A worker that finds another worker computing the same entry waits
+// for it, and the wait is charged to its stats, through the context,
+// as lock wait. Without worker stats in the context nothing is charged.
 func TestCacheAttributesLockWaitViaContext(t *testing.T) {
-	c := NewCache()
 	tree := topo.Chain(16, 100, 1e-13)
+	e := &Engine{Trees: heldTrees(t, tree)}
+	en := heldEntry(t, e.Trees, tree)
+	computing, release := make(chan struct{}), make(chan struct{})
+	go en.derive(nil, derivedKey{}, func() (any, error) {
+		close(computing)
+		<-release
+		return moments.Compute(tree)
+	})
+	<-computing
+
 	ws := &WorkerStats{}
 	ctx := withWorkerStats(context.Background(), ws)
-
-	if _, hit, err := c.MomentsCtx(ctx, tree, 3); err != nil || hit {
-		t.Fatalf("first MomentsCtx: hit=%v err=%v, want miss", hit, err)
+	const hold = 50 * time.Millisecond
+	time.AfterFunc(hold, func() { close(release) })
+	if _, hit, err := e.momentSet(ctx, tree); err != nil || !hit {
+		t.Fatalf("lookup during another worker's compute: hit=%v err=%v, want a hit", hit, err)
 	}
-	if ws.CacheMisses != 1 || ws.CacheHits != 0 {
-		t.Fatalf("after miss: hits/misses = %d/%d, want 0/1", ws.CacheHits, ws.CacheMisses)
+	if ws.CacheHits != 1 || ws.CacheMisses != 0 {
+		t.Fatalf("hits/misses = %d/%d, want 1/0", ws.CacheHits, ws.CacheMisses)
 	}
-	if _, hit, err := c.MomentsCtx(ctx, tree, 3); err != nil || !hit {
-		t.Fatalf("second MomentsCtx: hit=%v err=%v, want hit", hit, err)
+	if ws.LockWaitNS < (hold / 2).Nanoseconds() {
+		t.Errorf("LockWaitNS = %d after waiting on a %v compute", ws.LockWaitNS, hold)
 	}
-	if ws.CacheHits != 1 {
-		t.Fatalf("after hit: hits = %d, want 1", ws.CacheHits)
-	}
-	if ws.LockWaitNS < 0 {
-		t.Fatalf("LockWaitNS = %d, want >= 0", ws.LockWaitNS)
-	}
-	// Without worker stats in the context, attribution is silently off.
-	if _, hit, err := c.MomentsCtx(context.Background(), tree, 3); err != nil || !hit {
-		t.Fatalf("plain-context MomentsCtx: hit=%v err=%v, want hit", hit, err)
+	if _, hit, err := e.momentSet(context.Background(), tree); err != nil || !hit {
+		t.Fatalf("plain-context lookup: hit=%v err=%v, want hit", hit, err)
 	}
 	if ws.CacheHits != 1 {
 		t.Fatalf("plain-context lookup leaked into worker stats: hits = %d", ws.CacheHits)

@@ -141,7 +141,7 @@ func (f *EngineFlags) Validate() error {
 
 // Engine builds the engine the flags describe: worker pool, per-attempt
 // timeout and the resilience layer (retry policy, circuit breaker,
-// degradation switch). It has no moment cache and no reporter; each
+// degradation switch). It has no tree cache and no reporter; each
 // host adds its own per run or per request. Injected panics count as
 // retryable here — the chaos walkthrough drives unmodified binaries
 // through ELMORE_FAULTS.
@@ -213,10 +213,10 @@ func (b *BatchFlags) Validate() error {
 }
 
 // Engine builds the engine of one -jobs run: the engine flags' engine
-// plus a moment cache for this run and the reporter the flags ask for.
+// plus the reporter the flags ask for. RunBatch's spec run gives it a
+// tree cache of its own.
 func (b *BatchFlags) Engine(stderr io.Writer) *batch.Engine {
 	eng := b.EngineFlags.Engine()
-	eng.Cache = batch.NewCache()
 	eng.Report = b.Reporter(stderr)
 	return eng
 }
