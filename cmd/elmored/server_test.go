@@ -498,7 +498,7 @@ func TestConcurrentRequestsComputeOnce(t *testing.T) {
 		}(k)
 	}
 	wg.Wait()
-	total, hits := 0, 0
+	var lines []map[string]any
 	for k, body := range bodies {
 		if errs[k] != nil {
 			t.Fatalf("request %d: %v", k, errs[k])
@@ -508,17 +508,13 @@ func TestConcurrentRequestsComputeOnce(t *testing.T) {
 			if err := json.Unmarshal([]byte(line), &m); err != nil {
 				t.Fatalf("request %d: bad line %q: %v", k, line, err)
 			}
-			if m["record"] == "serve_summary" {
-				continue
-			}
-			total++
-			if m["cache_hit"] == true {
-				hits++
+			if m["record"] != "serve_summary" {
+				lines = append(lines, m)
 			}
 		}
 	}
-	if total != requests*jobs || hits != total-1 {
-		t.Errorf("%d result lines, %d cache hits; want %d lines and one miss", total, hits, requests*jobs)
+	if hits := cacheHits(lines); len(lines) != requests*jobs || hits != len(lines)-1 {
+		t.Errorf("%d result lines, %d cache hits; want %d lines and one miss", len(lines), hits, requests*jobs)
 	}
 }
 

@@ -294,11 +294,8 @@ func TestCacheMissClassifiedByCompute(t *testing.T) {
 	}
 	tj := &TranJob{DT: 0.5}
 	for k, want := range []bool{false, true} {
-		if _, _, err := e.runTran(ctx, tj, tree); err != nil {
-			t.Fatal(err)
-		}
-		if got := reg.Counter("batch.plan_cache_hits").Value() == 1; got != want {
-			t.Fatalf("plan build %d: hit=%v, want %v", k, got, want)
+		if _, hit, err := e.runTran(ctx, tj, tree); err != nil || hit != want {
+			t.Fatalf("plan lookup %d: hit=%v err=%v, want hit=%v", k, hit, err, want)
 		}
 	}
 	if ws.CacheMisses != 2 || reg.Counter("batch.plan_cache_misses").Value() != 1 {
